@@ -28,7 +28,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--cpu", type=int, help="pin the pass to this CPU")
     args = parser.parse_args(argv)
+    if args.cpu is not None:
+        os.sched_setaffinity(0, {args.cpu})
     workdir = Path(args.workdir)
     trace_dir = workdir / "trace"
     record: dict = {}

@@ -11,16 +11,22 @@ client of ``serve-api`` on a 2-worker fleet) and ``checked`` (physics
 guards, a strict protocol-checked campaign and sweep).  ``--workload all``
 runs the four in turn.
 
-A run repeats *passes* of one workload for ``--seconds``; each pass is a
-fresh interpreter (:mod:`passrun`) at the default execution policy, the
-batch workloads on the local scheduler at ``jobs=1``.  The same seed gives
-every pass the same inputs, so each timed unit -- a pass segment, a task,
-a job, a repeat, the set-up -- recurs once per pass, and the run takes
-each unit at its best repetition: load from other tenants of the machine
-only ever adds time.  ``wall_s`` adds up the best segments, which tile a
-pass from its first call to its checked outputs.  With ``--trace 0`` the
-passes are untraced and the run reports the end-to-end metrics; with
-``--trace 1`` the first third of the time runs untraced passes and the
+A run repeats *passes* of one workload for ``--seconds``, ten to fifteen
+of them in 30 seconds; each pass is a fresh interpreter (:mod:`passrun`)
+at the default execution policy, the batch workloads on the local
+scheduler at ``jobs=1`` and pinned to the CPU that runs a short probe
+loop fastest as the pass starts (:func:`fastest_cpu`).  The same seed
+gives every pass the same inputs, so each timed unit -- a pass segment, a
+task, a job, a repeat -- recurs once per pass, and the run takes each unit
+at its best repetition: each vCPU of a shared host slows by up to ~1.7x
+in spells of seconds to tens of seconds, and some repetition of a short
+unit lands in a fast one.  ``wall_s`` adds up the best segments,
+which tile a pass from its first call to its checked outputs;
+``op_mean_ms`` is the mean operation at its best (the median and the tail
+are printed beside it); ``setup_s`` is the median over the passes.  With
+``--trace 0`` the passes are untraced and the run reports the end-to-end
+metrics; with
+``--trace 1`` the first half of the time runs untraced passes and the
 rest traced ones (:mod:`tracing`), and the run reports the per-layer
 metrics.  Every pass's outputs are digested and checked: against
 ``reference.json`` at the default seed, and on any seed against the first
@@ -62,10 +68,13 @@ END_TO_END = {
     "setup_s": "s",
     "peak_rss_mb": "MiB",
     "work_per_s": "1/s",
-    "op_p50_ms": "ms",
-    "op_tail_ms": "ms",
+    "op_mean_ms": "ms",
     "repeat_p50_ms": "ms",
 }
+
+#: Operation latencies the run prints beside the end-to-end metrics but
+#: does not report in its result object (see ``summarize``).
+PRINTED_ONLY = {"op_p50_ms": "ms", "op_tail_ms": "ms"}
 
 WORK_UNITS = {
     "campaign": ("persisted row measurements", "one module's task"),
@@ -80,8 +89,8 @@ WORK_UNITS = {
 ALIASES = {
     "campaign": {"measurements_per_s": "work_per_s"},
     "evaluation": {"sim_requests_per_s": "work_per_s"},
-    "service": {"job_p50_ms": "op_p50_ms", "job_tail_ms": "op_tail_ms",
-                "dedup_p50_ms": "repeat_p50_ms"},
+    "service": {"job_mean_ms": "op_mean_ms", "job_p50_ms": "op_p50_ms",
+                "job_tail_ms": "op_tail_ms", "dedup_p50_ms": "repeat_p50_ms"},
     "checked": {},
 }
 
@@ -125,8 +134,37 @@ def peak_rss_mb() -> float:
     return max(own, children) / 1024.0
 
 
+def spin(iterations: int = 60_000) -> int:
+    """A fixed piece of interpreter work, a few milliseconds long."""
+    total = 0
+    for i in range(iterations):
+        total += i * i % 7
+    return total
+
+
+def fastest_cpu() -> int | None:
+    """The CPU that runs :func:`spin` fastest right now (``None`` with
+    only one).  Each vCPU of a shared host slows by up to ~1.7x in spells
+    of seconds to tens of seconds, largely independently of the other, so
+    a pass pinned to the faster one at its start runs slowed less often."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    best = dict.fromkeys(cpus, float("inf"))
+    try:
+        for _ in range(3):
+            for cpu in cpus:
+                os.sched_setaffinity(0, {cpu})
+                start = time.perf_counter()
+                spin()
+                best[cpu] = min(best[cpu], time.perf_counter() - start)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return min(best, key=best.get)
+
+
 def run_pass(root: Path, args: argparse.Namespace, trace: int,
-             workdir: Path) -> dict:
+             workdir: Path, cpu: int | None = None) -> dict:
     workdir.mkdir(parents=True, exist_ok=True)
     out = workdir / "pass.json"
     env = dict(os.environ)
@@ -144,6 +182,8 @@ def run_pass(root: Path, args: argparse.Namespace, trace: int,
                "--scale", args.scale, "--scheduler", args.scheduler,
                "--trace", str(trace), "--workdir", str(workdir),
                "--out", str(out)]
+    if cpu is not None:
+        command += ["--cpu", str(cpu)]
     spawned = time.perf_counter()
     try:
         proc = subprocess.run(command, env=env, stdout=subprocess.DEVNULL,
@@ -173,7 +213,9 @@ def run_workload(root: Path, args: argparse.Namespace) -> dict:
     shutil.rmtree(rundir, ignore_errors=True)
     start = time.perf_counter()
     deadline = start + args.seconds
-    untraced_until = start + (args.seconds / 3 if args.trace else
+    # Traced and untraced halves make about as many passes each, so their
+    # best repetitions compare (trace_overhead_frac).
+    untraced_until = start + (args.seconds / 2 if args.trace else
                               args.seconds)
     passes: list[dict] = []
 
@@ -187,8 +229,11 @@ def run_workload(root: Path, args: argparse.Namespace) -> dict:
 
     for trace in ((0, 1) if args.trace else (0,)):
         while want(trace):
+            # serve-api and its fleet workers use every CPU: only batch
+            # passes are pinned.
+            cpu = fastest_cpu() if args.workload != "service" else None
             passes.append(run_pass(root, args, trace,
-                                   rundir / f"pass-{len(passes)}"))
+                                   rundir / f"pass-{len(passes)}", cpu))
             if "error" in passes[-1]:
                 return summarize(args, passes)
     return summarize(args, passes)
@@ -210,7 +255,8 @@ def summarize(args: argparse.Namespace, passes: list[dict]) -> dict:
               "scheduler": args.scheduler, "seconds": args.seconds,
               "passes": len(passes), "errors": errors,
               "pass_times": [{key: p.get(key) for key in
-                              ("trace_on", "setup_s", "wall_s", "repeat_s")}
+                              ("trace_on", "setup_s", "wall_s", "repeat_s",
+                               "elapsed_s")}
                              for p in passes],
               "attempted": attempted, "failed": failed,
               "correct": bool(ok) and not errors and failed == 0,
@@ -219,26 +265,33 @@ def summarize(args: argparse.Namespace, passes: list[dict]) -> dict:
     untraced = [p for p in ok if not p["trace_on"]]
     traced = [p for p in ok if p["trace_on"]]
     if untraced:
-        # Another tenant's load only ever adds time, so every timed unit
-        # (pass segment, task, job, repeat) is taken at its best repetition
-        # in the run; wall_s adds up the segments, which tile the pass.
-        wall = sum(best_of(untraced, "segments").values())
+        # A vCPU's speed swings by up to ~1.7x in spells of seconds, so
+        # every timed unit (pass segment, task, job, repeat) is taken at its
+        # best repetition in the run; wall_s adds up the segments, which
+        # tile the pass.
+        segments = best_of(untraced, "segments")
+        wall = sum(segments.values())
         ops = list(best_of(untraced, "ops").values())
-        # The tail over every repetition, as a sample percentile with ten
-        # samples beyond it, moves with the machine's slow spells; the
-        # reported tail is p90 of the operations at their best.
+        # The median and the tail are printed, not bounded: a service job's
+        # latency steps by the stream verb's 50 ms poll, so a median or a
+        # tail of a few jobs jumps by whole steps; a mean does not.
         pooled, percentile, samples = tail(
             [ms for p in untraced for _, ms in p["ops"]])
-        record["pooled_tail"] = {"value_ms": pooled, "percentile": percentile,
-                                 "samples": samples}
+        record["op_stats"] = {"op_p50_ms": median(ops), "op_tail_ms": pooled,
+                              "tail_percentile": percentile,
+                              "samples": samples}
+        record["best_segments_s"] = segments
+        # Every repetition of every timed unit, so another statistic over
+        # the same passes can be computed from the saved record.
+        record["pass_detail"] = [{key: p[key] for key in
+                                  ("setup_s", "segments", "ops", "repeats")}
+                                 for p in untraced]
         record["end_to_end"] = {
             "wall_s": wall,
-            "setup_s": min(p["setup_s"] for p in untraced),
+            "setup_s": median([p["setup_s"] for p in untraced]),
             "peak_rss_mb": peak_rss_mb(),
             "work_per_s": untraced[0]["work"] / wall,
-            "op_p50_ms": median(ops),
-            "op_tail_ms": (statistics.quantiles(ops, n=10)[-1]
-                           if len(ops) > 1 else ops[0]),
+            "op_mean_ms": sum(ops) / len(ops),
             "repeat_p50_ms": median(list(best_of(untraced,
                                                  "repeats").values())),
         }
@@ -267,22 +320,25 @@ def report(record: dict) -> dict:
         units, values = tracing.PER_LAYER_UNITS, record.get("per_layer", {})
     else:
         units, values = END_TO_END, record.get("end_to_end", {})
-        if "pooled_tail" in record:
-            pooled = record["pooled_tail"]
-            print(f"op_tail_ms is p90 of the operations at their best; over "
-                  f"all {pooled['samples']} samples, the highest percentile "
-                  f"with ten beyond is p{pooled['percentile']:.1f} = "
-                  f"{pooled['value_ms']:.6g} ms")
     metrics = {}
     for name, unit in units.items():
         if name in values:
             print(f"  {name:<36} {values[name]:>14.6g} {unit}")
             metrics[name] = {"value": values[name], "unit": unit}
     if not record["trace"]:
+        stats = record.get("op_stats", {})
+        notes = {"op_p50_ms": "of the operations at their best",
+                 "op_tail_ms": f"p{stats.get('tail_percentile', 0):.1f} of "
+                               f"all {stats.get('samples', 0)} samples"}
+        for name, unit in PRINTED_ONLY.items():
+            if name in stats:
+                print(f"  {name:<36} {stats[name]:>14.6g} {unit}  "
+                      f"({notes[name]}; printed, not bounded)")
         for alias, name in ALIASES[record["workload"]].items():
-            if name in values:
-                print(f"  {alias:<36} {values[name]:>14.6g} {units[name]}"
-                      f"  (= {name})")
+            value = values.get(name, stats.get(name))
+            if value is not None:
+                unit = units.get(name) or PRINTED_ONLY[name]
+                print(f"  {alias:<36} {value:>14.6g} {unit}  (= {name})")
         print(f"  {'failed_frac':<36} "
               f"{record['failed'] / max(record['attempted'], 1):>14.6g} "
               f"ratio  ({record['failed']} of {record['attempted']})")
@@ -318,7 +374,8 @@ def fleet_gap(root: Path, args: argparse.Namespace) -> dict:
         return record["per_layer"][name]
 
     figures = {
-        "new_job_p50_ms": lambda r: r["end_to_end"]["op_p50_ms"],
+        "new_job_p50_ms": lambda r: r["op_stats"]["op_p50_ms"],
+        "new_job_mean_ms": lambda r: r["end_to_end"]["op_mean_ms"],
         "scheduler_run_ms": lambda r: per_job(r, "runtime.engine.run.s"),
         "fleet_spawn_ms": lambda r: layer(r, "runtime.distributed.spawn_ms"),
         "fleet_teardown_ms":

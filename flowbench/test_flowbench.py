@@ -8,6 +8,7 @@ Run from the root of a checkout::
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -102,6 +103,14 @@ def test_tail_is_the_highest_percentile_with_ten_samples_beyond():
     assert (value, percentile, samples) == (90, 90.0, 100)
     assert sum(1 for v in values if v > value) == 10
     assert run.tail([3.0, 1.0, 2.0]) == (3.0, 100.0, 3)
+
+
+def test_fastest_cpu_picks_an_allowed_cpu_and_restores_affinity():
+    allowed = os.sched_getaffinity(0)
+    cpu = run.fastest_cpu()
+    assert os.sched_getaffinity(0) == allowed
+    assert (cpu is None) == (len(allowed) < 2)
+    assert cpu is None or cpu in allowed
 
 
 def test_reference_pins_every_workload_at_both_scales():
