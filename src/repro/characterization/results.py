@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CharacterizationError
@@ -130,7 +130,10 @@ class ModuleCharacterization:
             "module_id": self.module_id,
             "seed": self.seed,
             "model_digest": self.model_digest,
-            "measurements": [asdict(m) for m in self.measurements],
+            # RowMeasurement's fields are flat scalars, so its instance
+            # dict (in field order) encodes to the same bytes as
+            # ``asdict`` without deep-copying every measurement.
+            "measurements": [vars(m) for m in self.measurements],
         }
         return json.dumps(payload, indent=1)
 

@@ -9,7 +9,6 @@ from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.render import curve_table
 from repro.cli.shared import (
     add_cache_tier_flag,
-    add_deprecated_sim_kernel_flag,
     add_kernel_policy_flag,
     install_policy,
 )
@@ -82,14 +81,11 @@ def register(subparsers) -> None:
                                  "simulation this experiment runs")
     add_kernel_policy_flag(
         run_parser,
-        "execution policy for every stage: scalar "
-        "oracles, fast paths, numpy array "
-        "tiers, or per-stage defaults "
+        "execution policy for every stage "
         "(results are bit-identical either "
         "way; --check-protocol forces the "
         "oracles)")
     add_cache_tier_flag(run_parser)
-    add_deprecated_sim_kernel_flag(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     catalog_parser = subparsers.add_parser(

@@ -3,9 +3,8 @@
 Each subcommand module (:mod:`repro.cli.experiments`,
 :mod:`repro.cli.campaigns`, ...) registers its own parsers; the flag
 groups that appear on more than one of them — the execution-policy
-knobs, the deprecated per-stage kernel shims, the ``--scheduler``
-backend selection — are built here so their spellings and semantics
-cannot drift apart.
+knobs and the ``--scheduler`` backend selection — are built here so
+their spellings and semantics cannot drift apart.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.exec import (
     KERNEL_POLICIES,
     ExecutionPolicy,
     set_default_policy,
-    warn_deprecated_flag,
 )
 
 
@@ -25,34 +23,26 @@ def install_policy(args: argparse.Namespace, *,
     """Build this invocation's :class:`ExecutionPolicy` — the one place the
     CLI decides kernels, oracle forcing, and cache tiers — and install it
     as the process default every layer resolves against.
-
-    The old per-stage flags survive as deprecation shims: each warns once
-    and lands as the matching per-stage override, which resolves to the
-    byte-identical kernel choice.
     """
-    device = getattr(args, "device_kernel", None)
-    sim = getattr(args, "sim_kernel", None)
-    if device is not None:
-        warn_deprecated_flag("--device-kernel",
-                             "--kernel-policy scalar|fast|array|auto")
-    if sim is not None:
-        warn_deprecated_flag("--sim-kernel",
-                             "--kernel-policy scalar|fast|array|auto")
     if check_protocol is None:
         check_protocol = getattr(args, "check_protocol", None) or "off"
     policy = ExecutionPolicy(
         kernel_policy=getattr(args, "kernel_policy", "auto"),
         check_protocol=check_protocol,
-        device_kernel=device, sim_kernel=sim,
         cache_tier=getattr(args, "cache_tier", "auto"))
     return set_default_policy(policy)
 
 
 def add_kernel_policy_flag(parser: argparse.ArgumentParser,
                            help_text: str) -> None:
-    """``--kernel-policy`` with per-subcommand help wording."""
+    """``--kernel-policy`` with per-subcommand help wording, followed by
+    what each choice runs."""
     parser.add_argument("--kernel-policy", default="auto",
-                        choices=KERNEL_POLICIES, help=help_text)
+                        choices=KERNEL_POLICIES,
+                        help=f"{help_text}: scalar runs the oracles, fast "
+                             f"the vectorized/batched paths, array the "
+                             f"numpy array tiers, auto (default) the "
+                             f"array tiers with the stepping host executor")
 
 
 def add_cache_tier_flag(parser: argparse.ArgumentParser) -> None:
@@ -60,21 +50,6 @@ def add_cache_tier_flag(parser: argparse.ArgumentParser) -> None:
                         choices=("auto", "disk", "memory", "off"),
                         help="memoization tiers: persist to disk, "
                              "memory only, or off")
-
-
-def add_deprecated_sim_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sim-kernel", default=None,
-                        choices=("scalar", "batched"),
-                        help="deprecated: use --kernel-policy "
-                             "(kept as a per-stage override)")
-
-
-def add_deprecated_device_kernel_flag(
-        parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--device-kernel", default=None,
-                        choices=("scalar", "vectorized"),
-                        help="deprecated: use --kernel-policy "
-                             "(kept as a per-stage override)")
 
 
 def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:

@@ -28,7 +28,6 @@ from repro.exec.policy import (
     resolve_kernel,
     set_default_policy,
     validate_stage_kernel,
-    warn_deprecated_flag,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "resolve_kernel",
     "set_default_policy",
     "validate_stage_kernel",
-    "warn_deprecated_flag",
 ]

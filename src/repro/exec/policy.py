@@ -23,14 +23,13 @@ from per-activation calls to the epoch protocol
 ``kernel_policy`` selects per stage: ``"scalar"`` runs every oracle,
 ``"fast"`` every fast path, ``"array"`` the numpy structure-of-arrays tier
 (falling back to the fastest kernel on stages without one — the host
-stage's compiled fold), and ``"auto"`` (default) the stage's historical
-default (vectorized / batched / stepping).  Per-stage overrides
-(``device_kernel`` / ``sim_kernel`` / ``host_kernel`` — the old CLI flags'
-deprecation targets) beat the policy; an explicit kernel passed at a call
-site beats both.  Protocol checking (``check_protocol != "off"``) beats
-everything: the checker observes the instruction-level oracles, so the
-scalar kernel is forced and the "oracle forced" note is emitted exactly
-once per policy (i.e. once per CLI invocation).
+stage's compiled fold), and ``"auto"`` (default) the array tier on the
+device and sim stages and the stepping executor on the host stage.  An
+explicit kernel passed at a call site beats the policy.  Protocol
+checking (``check_protocol != "off"``) beats everything: the checker
+observes the instruction-level oracles, so the scalar kernel is forced
+and the "oracle forced" note is emitted exactly once per policy (i.e.
+once per CLI invocation).
 
 The forcing *reason* lives with the checker
 (:func:`repro.validation.checker.requires_scalar_oracle`); the *decision*
@@ -41,7 +40,6 @@ other module grows its own kernel-selection branching again.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -56,13 +54,14 @@ STAGE_KERNELS: dict[str, tuple[str, ...]] = {
     "host": ("stepping", "compiled"),
 }
 
-#: What ``auto`` resolves to per stage — the pre-policy defaults, kept so
-#: adopting the policy changes no default behavior (the host stage keeps
-#: the stepping executor as the safe default; ``fast`` opts into the
-#: compiled fold).
+#: What ``auto`` resolves to per stage: the array tier wherever one
+#: exists, since it is bit-identical to the oracle and the fastest kernel
+#: on every measured workload.  The host stage, which has no array tier,
+#: keeps the stepping executor as the safe default; ``fast``/``array``
+#: opt into the compiled fold.
 AUTO_KERNELS: dict[str, str] = {
-    "device": "vectorized",
-    "sim": "batched",
+    "device": "array",
+    "sim": "array",
     "host": "stepping",
 }
 
@@ -122,9 +121,6 @@ class ExecutionPolicy:
 
     kernel_policy: str = "auto"
     check_protocol: str = "off"
-    device_kernel: str | None = None
-    sim_kernel: str | None = None
-    host_kernel: str | None = None
     cache_tier: str = "auto"
     #: Whether the once-per-invocation "oracle forced" note went out.
     _oracle_noted: bool = field(default=False, init=False, repr=False,
@@ -143,26 +139,17 @@ class ExecutionPolicy:
             raise ConfigError(
                 f"cache tier must be auto/disk/memory/off, "
                 f"got {self.cache_tier!r}")
-        for stage, override in (("device", self.device_kernel),
-                                ("sim", self.sim_kernel),
-                                ("host", self.host_kernel)):
-            if override is not None:
-                validate_stage_kernel(stage, override)
 
     # ------------------------------------------------------------------
     # resolution (the one place kernels are chosen)
     # ------------------------------------------------------------------
-    def _override(self, stage: str) -> str | None:
-        return {"device": self.device_kernel, "sim": self.sim_kernel,
-                "host": self.host_kernel}[stage]
-
     def kernel_for(self, stage: str, explicit: str | None = None, *,
                    observer: bool = False) -> str:
         """The concrete kernel ``stage`` should run, checking aside.
 
         Precedence: an ``explicit`` call-site kernel, then (for the sim
-        stage) the attached-observer safety default, then the policy's
-        per-stage override, then ``kernel_policy``.
+        stage) the attached-observer safety default, then
+        ``kernel_policy``.
         """
         names = STAGE_KERNELS[stage]
         scalar = names[0]
@@ -173,9 +160,6 @@ class ExecutionPolicy:
             # stream; the oracle is the safe default unless a kernel was
             # requested explicitly.
             return scalar
-        override = self._override(stage)
-        if override is not None:
-            return override
         if self.kernel_policy == "scalar":
             return scalar
         if self.kernel_policy == "fast":
@@ -274,10 +258,3 @@ def checked_kernel(stage: str, explicit: str | None = None, *,
     :meth:`ExecutionPolicy.checked_kernel_for`."""
     return _default_policy.checked_kernel_for(
         stage, explicit, check_protocol=check_protocol)
-
-
-def warn_deprecated_flag(flag: str, replacement: str) -> None:
-    """One warning per deprecated CLI flag (the shims' shared voice)."""
-    warnings.warn(
-        f"{flag} is deprecated; use {replacement}",
-        DeprecationWarning, stacklevel=3)

@@ -75,6 +75,7 @@ from repro.runtime.wire import (
     decode_value,
     encode_value,
     intern_args,
+    nodelay,
     recv_frame,
     referenced_blobs,
     resolve_callable,
@@ -450,6 +451,7 @@ class _FleetRun:
     def _serve_worker(self, conn: socket.socket) -> None:
         worker: str | None = None
         try:
+            nodelay(conn)
             hello = recv_frame(conn)
             if hello is None or hello.get("type") != "hello":
                 return

@@ -57,6 +57,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "FrameError",
     "connect_with_retry",
+    "nodelay",
     "send_frame",
     "recv_frame",
     "encode_value",
@@ -102,6 +103,18 @@ class FrameError(ConfigError):
 # ---------------------------------------------------------------------------
 # connections
 # ---------------------------------------------------------------------------
+def nodelay(sock: socket.socket) -> socket.socket:
+    """Turn off Nagle's algorithm on a frame socket; returns ``sock``.
+
+    Frames are small and often sent back to back (a stream's last event
+    and its end frame).  With Nagle on, the second one waits for the
+    peer's delayed ACK, which costs tens of milliseconds per exchange.
+    Both ends of every frame connection set it.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
                        base_delay_s: float = 0.05,
                        max_delay_s: float = 1.0,
@@ -116,7 +129,8 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
     with doubling delays (``base_delay_s`` up to ``max_delay_s``) until
     ``timeout_s`` has elapsed, then raises a :class:`ConfigError` naming
     the address, the budget, and the last underlying error — never an
-    indefinite hang.  The returned socket is in blocking mode.
+    indefinite hang.  The returned socket is in blocking mode, with
+    :func:`nodelay` set.
     """
     if timeout_s <= 0:
         raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
@@ -132,7 +146,7 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
             sock = socket.create_connection((host, port),
                                             timeout=max(remaining, 0.01))
             sock.settimeout(None)
-            return sock
+            return nodelay(sock)
         except OSError as error:
             last_error = error
         remaining = deadline - clock()

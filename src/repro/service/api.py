@@ -50,6 +50,7 @@ from repro.runtime.scheduler import parse_address
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     FrameError,
+    nodelay,
     recv_frame,
     send_frame,
 )
@@ -216,6 +217,7 @@ class CharacterizationService:
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
+            nodelay(conn)
             hello = recv_frame(conn)
             if hello is None or hello.get("type") != "hello":
                 return

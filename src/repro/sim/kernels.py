@@ -58,24 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SIM_KERNELS = ("scalar", "batched", "array")
 
 
-def set_default_sim_kernel(kernel: str) -> None:
-    """Deprecated shim: set the default policy's sim-stage override.
-
-    Kernel selection lives in :mod:`repro.exec`; this survives for callers
-    of the pre-policy knob and is equivalent to
-    ``default_policy().sim_kernel = kernel``.
-    """
-    from repro.exec import (
-        default_policy,
-        validate_stage_kernel,
-        warn_deprecated_flag,
-    )
-
-    warn_deprecated_flag("set_default_sim_kernel",
-                         "repro.exec.set_default_policy")
-    default_policy().sim_kernel = validate_stage_kernel("sim", kernel)
-
-
 def default_sim_kernel() -> str:
     """The kernel simulations use when ``kernel``/``sim_kernel`` is None."""
     from repro.exec import resolve_kernel

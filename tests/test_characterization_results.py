@@ -1,5 +1,8 @@
 """Tests for characterization result containers."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.characterization.results import (
@@ -81,3 +84,21 @@ class TestModuleCharacterization:
         assert loaded.module_id == "S6"
         assert loaded.seed == 42
         assert loaded.measurements == result.measurements
+
+    def test_to_json_bytes_match_the_asdict_encoding(self):
+        """``to_json`` emits exactly the plain ``asdict`` encoding, so
+        persisted results (and digests pinned on them) never change."""
+        result = ModuleCharacterization("H0", seed=7, model_digest=None)
+        result.add(measurement(row=1, nrh=None, ber=0.0))
+        result.add(measurement(row=2, factor=0.36, nrh=0, ber=0.5))
+        result.add(measurement(row=3, factor=0.18, n_pr=20, temp=50.0,
+                               nrh=1234, ber=3.0517578125e-09))
+        expected = json.dumps({
+            "module_id": "H0",
+            "seed": 7,
+            "model_digest": None,
+            "measurements": [asdict(m) for m in result.measurements],
+        }, indent=1)
+        assert result.to_json() == expected
+        assert ModuleCharacterization.from_json(expected).measurements \
+            == result.measurements

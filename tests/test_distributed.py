@@ -445,6 +445,36 @@ class TestConnectRetry:
             opener.join()
             server.close()
 
+    def test_returns_a_nodelay_socket(self):
+        from repro.runtime.wire import connect_with_retry
+        server = socket.create_server(("127.0.0.1", 0))
+        try:
+            sock = connect_with_retry("127.0.0.1", server.getsockname()[1],
+                                      timeout_s=5.0)
+            with sock:
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        finally:
+            server.close()
+
+    def test_coordinator_disables_nagle_on_worker_connections(
+            self, tmp_path, monkeypatch):
+        import repro.runtime.distributed as distributed
+
+        server_side = []
+        real_recv = distributed.recv_frame
+
+        def spy(conn):
+            server_side.append(conn.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY))
+            return real_recv(conn)
+
+        monkeypatch.setattr(distributed, "recv_frame", spy)
+        results = make_scheduler("fleet", workers=1).run(
+            _echo_tasks(tmp_path, count=2), loader=_load_echo)
+        assert results == {"p0": 1, "p1": 2}
+        assert server_side and all(server_side)
+
     def test_worker_fails_fast_on_dead_coordinator(self):
         closed = socket.socket()
         closed.bind(("127.0.0.1", 0))

@@ -1,14 +1,11 @@
 """The execution policy: the repository's single kernel-resolution site.
 
 Covers the resolution precedence matrix, the once-per-invocation "oracle
-forced" note, the deprecated per-stage CLI flags (which must keep working,
-warn once, and stay byte-identical to their ``--kernel-policy``
-equivalents), and a lint test that keeps kernel selection from leaking back
-into individual layers.
+forced" note, the CLI's policy wiring, and a lint test that keeps kernel
+selection from leaking back into individual layers.
 """
 
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +23,6 @@ from repro.exec import (
     set_default_policy,
     validate_stage_kernel,
 )
-from repro.runtime import REPORT_NAME
 from repro.validation import default_check_mode
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -37,6 +33,12 @@ class TestResolutionMatrix:
         policy = ExecutionPolicy()
         for stage in STAGE_KERNELS:
             assert policy.kernel_for(stage) == AUTO_KERNELS[stage]
+
+    def test_auto_runs_the_array_tier(self):
+        policy = ExecutionPolicy()
+        assert policy.kernel_for("device") == "array"
+        assert policy.kernel_for("sim") == "array"
+        assert policy.kernel_for("host") == "stepping"
 
     def test_scalar_policy_runs_every_oracle(self):
         policy = ExecutionPolicy(kernel_policy="scalar")
@@ -55,14 +57,12 @@ class TestResolutionMatrix:
         # The host stage has no array tier; the fastest kernel stands in.
         assert policy.kernel_for("host") == "compiled"
 
-    def test_stage_override_beats_policy(self):
-        policy = ExecutionPolicy(kernel_policy="fast", sim_kernel="scalar")
-        assert policy.kernel_for("sim") == "scalar"
-        assert policy.kernel_for("device") == "vectorized"
-
     def test_explicit_beats_override_and_policy(self):
-        policy = ExecutionPolicy(kernel_policy="scalar", sim_kernel="scalar")
+        # The attached-observer default overrides the policy; an explicit
+        # call-site kernel beats both.
+        policy = ExecutionPolicy(kernel_policy="scalar")
         assert policy.kernel_for("sim", "batched") == "batched"
+        assert policy.kernel_for("sim", "array", observer=True) == "array"
 
     def test_observer_forces_oracle_unless_explicit(self):
         policy = ExecutionPolicy(kernel_policy="fast")
@@ -72,10 +72,6 @@ class TestResolutionMatrix:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="kernel policy"):
             ExecutionPolicy(kernel_policy="ludicrous")
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError, match="sim kernel"):
-            ExecutionPolicy(sim_kernel="turbo")
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigError, match="unknown execution stage"):
@@ -108,7 +104,7 @@ class TestCheckedResolution:
             "sim", check_protocol="strict") == "scalar"
         checked = ExecutionPolicy(check_protocol="strict")
         assert checked.checked_kernel_for(
-            "sim", check_protocol="off") == "batched"
+            "sim", check_protocol="off") == "array"
 
     def test_note_emitted_exactly_once_per_policy(self, capsys):
         policy = ExecutionPolicy(kernel_policy="fast",
@@ -166,16 +162,8 @@ class TestDefaultPolicy:
 
 
 class TestDeprecatedShims:
-    """Satellite: the old flags keep working, warn once, and resolve to
-    the byte-identical kernels their ``--kernel-policy`` twins pick."""
-
-    def test_set_default_sim_kernel_warns_and_lands_as_override(self):
-        from repro.sim.kernels import default_sim_kernel, set_default_sim_kernel
-
-        with pytest.warns(DeprecationWarning, match="set_default_sim_kernel"):
-            set_default_sim_kernel("scalar")
-        assert default_policy().sim_kernel == "scalar"
-        assert default_sim_kernel() == "scalar"
+    """Satellite: the pre-policy library helper resolves exactly like the
+    policy it forwards to."""
 
     def test_effective_sim_kernel_matches_checked_kernel(self):
         from repro.analysis.runner import effective_sim_kernel
@@ -183,46 +171,6 @@ class TestDeprecatedShims:
         assert effective_sim_kernel("batched", "strict") == "scalar"
         assert effective_sim_kernel(None, "off") \
             == checked_kernel("sim", check_protocol="off")
-
-    def _sweep(self, tmp_path, name, extra):
-        out = tmp_path / name
-        argv = ["sweep", "--dir", str(out), "--jobs", "1",
-                "--mitigations", "Graphene", "--nrh", "128",
-                "--requests", "300"] + extra
-        assert main(argv) == 0
-        rows = {p.name: p.read_bytes() for p in sorted(out.glob("*.json"))
-                if p.name != REPORT_NAME}  # run metadata, not a result row
-        assert rows
-        return rows
-
-    def test_cli_sim_kernel_flag_warns_once(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._sweep(tmp_path, "shim", ["--sim-kernel", "scalar"])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "--sim-kernel" in str(deprecations[0].message)
-
-    def test_cli_shim_byte_identical_to_policy_flag(self, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = self._sweep(tmp_path, "shim", ["--sim-kernel", "scalar"])
-        policy = self._sweep(tmp_path, "policy", ["--kernel-policy", "scalar"])
-        assert shim == policy
-
-    def test_cli_device_kernel_shim_byte_identical(self, tmp_path, capsys):
-        def campaign(name, extra):
-            out = tmp_path / name
-            assert main(["campaign", "--dir", str(out), "--jobs", "1",
-                         "--modules", "M2", "--rows", "4"] + extra) == 0
-            return (out / "M2.json").read_bytes()
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = campaign("shim", ["--device-kernel", "scalar"])
-        policy = campaign("policy", ["--kernel-policy", "scalar"])
-        assert shim == policy
 
 
 class TestCliPolicyWiring:

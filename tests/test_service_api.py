@@ -263,6 +263,31 @@ class TestServiceRejections:
             server.close()
 
 
+class TestServiceSockets:
+    def test_both_ends_disable_nagle(self, service, monkeypatch):
+        """Back-to-back frames (a stream's last event, then its end
+        frame) must not wait on a delayed ACK at either end."""
+        import repro.service.api as api
+
+        server_side = []
+        real_recv = api.recv_frame
+
+        def spy(conn):
+            server_side.append(conn.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY))
+            return real_recv(conn)
+
+        monkeypatch.setattr(api, "recv_frame", spy)
+        client = ServiceClient(address(service))
+        try:
+            assert client.sock.getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+        finally:
+            client.close()
+        # The client's hello is answered only after the server read it.
+        assert server_side and all(server_side)
+
+
 # ----------------------------------------------------------------------
 # fleet scheduler behind the service
 # ----------------------------------------------------------------------

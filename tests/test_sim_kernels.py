@@ -25,7 +25,6 @@ from repro.sim.kernels import (
     SIM_KERNELS,
     default_sim_kernel,
     resolve_sim_kernel,
-    set_default_sim_kernel,
 )
 from repro.sim.system import MemorySystem
 from repro.workloads.synth import TraceSpec, generate_trace
@@ -65,18 +64,8 @@ class TestKernelKnob:
         with pytest.raises(ConfigError):
             resolve_sim_kernel("turbo")
 
-    def test_default_roundtrip(self):
-        original = default_sim_kernel()
-        try:
-            set_default_sim_kernel("scalar")
-            assert default_sim_kernel() == "scalar"
-            with pytest.raises(ConfigError):
-                set_default_sim_kernel("nope")
-        finally:
-            set_default_sim_kernel(original)
-
-    def test_default_is_batched(self):
-        assert default_sim_kernel() == "batched"
+    def test_default_is_array(self):
+        assert default_sim_kernel() == "array"
 
     def test_run_rejects_unknown_kernel(self, single_core_config):
         system = MemorySystem(single_core_config, [_trace(requests=10)])
