@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli.shared import add_connect_flags
+
 
 def cmd_worker(args: argparse.Namespace) -> int:
     from repro.runtime.distributed import run_worker
     from repro.runtime.scheduler import parse_address
     host, port = parse_address(args.connect)
-    if host == "0.0.0.0":  # --connect :7045 means "this host"
-        host = "127.0.0.1"
     code = run_worker(host, port, worker_id=args.id, batch=args.batch,
                       scratch_dir=args.scratch,
                       connect_timeout_s=args.connect_timeout)
@@ -25,16 +25,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def register(subparsers) -> None:
     worker_parser = subparsers.add_parser(
         "worker", help="join a fleet coordinator as an execution worker")
-    worker_parser.add_argument("--connect", required=True,
-                               metavar="HOST:PORT",
-                               help="coordinator address (the campaign/"
-                                    "sweep process running with "
-                                    "--scheduler fleet --serve ...)")
-    worker_parser.add_argument("--connect-timeout", type=float,
-                               default=10.0, metavar="SECONDS",
-                               help="give up connecting after this long "
-                                    "(bounded exponential backoff "
-                                    "underneath; default: 10)")
+    add_connect_flags(worker_parser, "fleet coordinator")
     worker_parser.add_argument("--batch", type=int, default=4,
                                help="tasks to request per lease")
     worker_parser.add_argument("--scratch", default=None, metavar="DIR",

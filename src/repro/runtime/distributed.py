@@ -8,7 +8,9 @@ work the remaining order-of-magnitude lever is scale-out across hosts.
 litex-rowhammer-tester ``litex_server``/``RemoteClient`` socket bridge
 that drives real DRAM Bender boards remotely, but for simulation tasks:
 
-* the **coordinator** (this process) listens on a TCP socket, leases
+* the **coordinator** (this process) serves workers on a
+  :class:`~repro.runtime.wire.FrameServer` — the listener, ``hello``
+  check and close path it shares with ``serve-api`` — leases
   *batches* of tasks to workers (one round trip per batch, not per task),
   tracks each lease in a monotonic deadline table, and is the only writer
   of the result store — workers push result bytes back over the wire and
@@ -70,12 +72,12 @@ from repro.runtime.persist import quarantine, write_atomic
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     FrameError,
+    FrameServer,
     callable_ref,
     connect_with_retry,
     decode_value,
     encode_value,
     intern_args,
-    nodelay,
     recv_frame,
     referenced_blobs,
     resolve_callable,
@@ -312,17 +314,15 @@ class _FleetRun:
         self.infra_strikes: dict[str, int] = {}
         self.closing = False
         self._seq = 0
-        self._server: socket.socket | None = None
-        self._conns: list[socket.socket] = []
         self._procs: list[Any] = []
 
     # ------------------------------------------------------------------
     def execute(self) -> None:
         for task, _charge in ((t, True) for t in self.pending):
             self.queue.append((task, True))
-        address = self.p.serve or ("127.0.0.1", 0)
-        self._server = socket.create_server(address)
-        self.p.bound_address = self._server.getsockname()[:2]
+        self.server = FrameServer(self.p.serve or ("127.0.0.1", 0),
+                                  self._serve_worker, "worker")
+        self.p.bound_address = self.server.address
         # Everything past the listener — including spawning — runs under
         # the shutdown guarantee: a Ctrl-C or crash anywhere below must
         # never orphan a spawned worker or leave a lease connection open.
@@ -330,11 +330,9 @@ class _FleetRun:
             # Spawn loopback workers BEFORE starting any thread: forking
             # a multi-threaded parent can deadlock the child on inherited
             # lock state.  The workers connect immediately and block in
-            # the listen backlog until the accept loop starts.
+            # the listen backlog until the server starts accepting.
             self._spawn_workers()
-            accept = threading.Thread(target=self._accept_loop, daemon=True,
-                                      name="fleet-accept")
-            accept.start()
+            self.server.start()
             self.p.serving.set()
             with self.cond:
                 while self.outstanding:
@@ -361,11 +359,9 @@ class _FleetRun:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork
             ctx = multiprocessing.get_context("spawn")
-        host, port = self.p.bound_address
-        connect_host = "127.0.0.1" if host in ("0.0.0.0", "") else host
         for index in range(self.p.workers):
             proc = ctx.Process(
-                target=run_worker, args=(connect_host, port),
+                target=run_worker, args=self.p.bound_address,
                 kwargs={"worker_id": f"w{index + 1}",
                         "batch": self.p.lease_batch},
                 daemon=True, name=f"repro-fleet-w{index + 1}")
@@ -392,32 +388,17 @@ class _FleetRun:
     def _shutdown(self) -> None:
         """Tear the fleet down without orphans, however the run ended.
 
-        Remote leases first: half-closing every connection unblocks a
-        worker parked in ``recv`` so it exits on its own (external
-        workers see "coordinator gone" and return cleanly).  Spawned
-        loopback workers then get one short grace period *collectively*,
-        and stragglers are escalated SIGTERM -> join -> SIGKILL — an
-        interrupted coordinator (Ctrl-C mid-sweep) must never leave live
-        children behind.
+        Remote leases first: closing the server wakes every connection
+        thread parked in ``recv``, which then closes its connection, so
+        each worker sees "coordinator gone" and exits on its own.
+        Spawned loopback workers then get one short grace period
+        *collectively*, and stragglers are escalated SIGTERM -> join ->
+        SIGKILL — an interrupted coordinator (Ctrl-C mid-sweep) must
+        never leave live children behind.
         """
         with self.lock:
             self.closing = True
-            server, self._server = self._server, None
-            conns, self._conns = list(self._conns), []
-        if server is not None:
-            try:
-                server.close()
-            except OSError:
-                pass
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+        self.server.close()
         deadline = time.monotonic() + 0.5
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -432,37 +413,12 @@ class _FleetRun:
                 proc.join(timeout=1.0)
 
     # ------------------------------------------------------------------
-    # server threads
+    # connection handler (one thread per worker)
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _addr = self._server.accept()
-            except (OSError, AttributeError):
-                return  # listener closed: the run is over
-            with self.lock:
-                if self.closing:
-                    conn.close()
-                    return
-                self._conns.append(conn)
-            threading.Thread(target=self._serve_worker, args=(conn,),
-                             daemon=True, name="fleet-worker-conn").start()
-
-    def _serve_worker(self, conn: socket.socket) -> None:
-        worker: str | None = None
+    def _serve_worker(self, conn: socket.socket, hello: dict) -> None:
+        worker = self._register(str(hello.get("worker") or "w-?"))
+        message = hello
         try:
-            nodelay(conn)
-            hello = recv_frame(conn)
-            if hello is None or hello.get("type") != "hello":
-                return
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                send_frame(conn, {
-                    "type": "error",
-                    "error": f"protocol {hello.get('protocol')!r} != "
-                             f"{PROTOCOL_VERSION} (upgrade the worker)"})
-                return
-            worker = self._register(str(hello.get("worker") or "w-?"))
-            message: dict = hello
             while True:
                 with self.cond:
                     self._ingest(worker, message.get("results") or [])
@@ -481,13 +437,7 @@ class _FleetRun:
                 if message is None:
                     raise ConnectionError("worker closed the connection")
         except Exception as error:  # noqa: BLE001 — classified as a loss
-            if worker is not None:
-                self._worker_lost(worker, error)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self._worker_lost(worker, error)
 
     def _register(self, requested: str) -> str:
         with self.cond:
@@ -558,6 +508,8 @@ class _FleetRun:
         heapq.heappush(self.retries, (ready_at, self._seq, task, charge))
 
     def _grant(self, worker: str, maxn: int) -> dict:
+        if self.closing:  # a frame buffered at close earns no new lease
+            return {"type": "shutdown"}
         now = self.p.clock()
         specs: list[dict] = []
         while len(specs) < maxn:

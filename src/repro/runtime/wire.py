@@ -1,4 +1,4 @@
-"""Wire format of the distributed scheduler: frames, codec, blob interning.
+"""Wire format of the distributed scheduler: frames, codec, blobs, server.
 
 The fleet backend (:mod:`repro.runtime.distributed`) moves three kinds of
 payload between a coordinator and its workers, and every byte crosses a
@@ -29,6 +29,12 @@ TCP socket — so the format is built for amortization, not generality:
   measured reason fleet leases beat pickled-task payloads in
   ``bench_parallel_scaling``.
 
+* **Server** — all three arrive through :class:`FrameServer`, the one
+  listener behind both frame endpoints (the fleet coordinator and
+  ``serve-api``, :mod:`repro.service.api`): it accepts, checks the
+  versioned ``hello``, hands each connection to its endpoint's handler on
+  its own thread, and owns the close path that wakes every blocked reader.
+
 Trust model: resolving ``fn`` references (:func:`resolve_callable`) imports
 and calls coordinator-chosen module-level callables, so a worker extends
 the same trust to its coordinator that running the CLI extends to this
@@ -44,10 +50,11 @@ import importlib
 import json
 import socket
 import struct
+import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 
@@ -56,6 +63,7 @@ __all__ = [
     "BLOB_MIN",
     "PROTOCOL_VERSION",
     "FrameError",
+    "FrameServer",
     "connect_with_retry",
     "nodelay",
     "send_frame",
@@ -130,10 +138,13 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
     ``timeout_s`` has elapsed, then raises a :class:`ConfigError` naming
     the address, the budget, and the last underlying error — never an
     indefinite hang.  The returned socket is in blocking mode, with
-    :func:`nodelay` set.
+    :func:`nodelay` set.  An all-interfaces host (``""`` or ``"0.0.0.0"``,
+    as ``--connect :7045`` parses) means this host.
     """
     if timeout_s <= 0:
         raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
+    if host in ("", "0.0.0.0"):
+        host = "127.0.0.1"
     deadline = clock() + timeout_s
     attempt = 0
     last_error: OSError | None = None
@@ -216,6 +227,102 @@ def _recv_exact(sock: socket.socket, count: int,
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# server
+# ---------------------------------------------------------------------------
+class FrameServer:
+    """A frame endpoint: one listener, one thread per connection.
+
+    Binds ``address`` at construction but accepts only after
+    :meth:`start`, so the caller may still fork (the fleet coordinator
+    spawns its loopback workers) before any thread exists.  Every
+    accepted connection gets :func:`nodelay` and must open with a
+    ``hello`` of this :data:`PROTOCOL_VERSION`: another version is
+    answered with an error frame telling the ``peer`` to upgrade, and a
+    first frame that is not a hello (or not a frame) is closed without a
+    reply.  A good hello goes to ``handler(conn, hello)`` on the
+    connection's thread; the connection is closed when the handler
+    returns, and a dropped peer never takes the endpoint down.
+    """
+
+    def __init__(self, address: tuple[str, int],
+                 handler: Callable[[socket.socket, dict], None],
+                 peer: str) -> None:
+        self._listener = socket.create_server(address)
+        #: ``(host, port)`` actually bound (the port may be ephemeral).
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._handler = handler
+        self._peer = peer
+        self._lock = threading.Lock()
+        self._conns: set[socket.socket] = set()
+        self._closed = False
+        self._acceptor = threading.Thread(target=self._accept_loop,
+                                          daemon=True, name=f"{peer}-accept")
+
+    def start(self) -> None:
+        """Start accepting; connections wait in the backlog until then."""
+        self._acceptor.start()
+
+    def close(self) -> None:
+        """Stop accepting and wake every blocked reader (idempotent).
+
+        The listener is shut down before it is closed: on Linux,
+        ``close()`` alone neither wakes a thread blocked in ``accept()``
+        nor stops the port accepting.  Live connections lose only their
+        read side, so a handler parked in :func:`recv_frame` sees EOF
+        while one still replying can send its last frame; each
+        connection's own thread closes it when its handler returns.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            conns = list(self._conns)
+        for sock, how in [(self._listener, socket.SHUT_RDWR),
+                          *((conn, socket.SHUT_RD) for conn in conns)]:
+            try:
+                sock.shutdown(how)
+            except OSError:
+                pass
+        self._listener.close()
+        if self._acceptor.is_alive():
+            self._acceptor.join(timeout=10.0)
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _addr = self._listener.accept()
+            except OSError:
+                return  # listener shut down: the server is closing
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    return
+                self._conns.add(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True,
+                             name=f"{self._peer}-conn").start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            nodelay(conn)
+            hello = recv_frame(conn)
+            if hello is None or hello.get("type") != "hello":
+                return
+            if hello.get("protocol") != PROTOCOL_VERSION:
+                send_frame(conn, {
+                    "type": "error",
+                    "error": f"protocol {hello.get('protocol')!r} != "
+                             f"{PROTOCOL_VERSION} (upgrade the {self._peer})"})
+                return
+            self._handler(conn, hello)
+        except (OSError, FrameError):
+            pass  # a dropped or garbled peer never takes the endpoint down
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``repro-experiments serve-api`` runs one of these.  The endpoint speaks
 the same length-prefixed JSON frame protocol as the fleet coordinator
 (:mod:`repro.runtime.wire` — no pickles, a protocol-versioned ``hello``
-opens every connection) and exposes five verbs:
+opens every connection), on the same
+:class:`~repro.runtime.wire.FrameServer`, and exposes five verbs:
 
 ``submit``
     ``{"type": "submit", "spec": {...}}`` — dedup-or-create the job
@@ -49,8 +50,7 @@ from repro.errors import ReproError
 from repro.runtime.scheduler import parse_address
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
-    FrameError,
-    nodelay,
+    FrameServer,
     recv_frame,
     send_frame,
 )
@@ -94,25 +94,21 @@ class CharacterizationService:
         self._queued: set[str] = set()
         self._cond = threading.Condition()
         self._stop = threading.Event()
-        self._server: socket.socket | None = None
+        self.server: FrameServer | None = None
         self._runner: threading.Thread | None = None
-        self._acceptor: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> tuple[str, int]:
         """Bind, recover the queue from the store, start serving."""
-        self._server = socket.create_server(self.serve)
-        self.bound_address = self._server.getsockname()[:2]
+        self.server = FrameServer(self.serve, self._serve_conn, "client")
+        self.bound_address = self.server.address
         self._recover_queue()
         self._runner = threading.Thread(target=self._run_loop, daemon=True,
                                         name="service-runner")
         self._runner.start()
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          daemon=True,
-                                          name="service-accept")
-        self._acceptor.start()
+        self.server.start()
         return self.bound_address
 
     def _recover_queue(self) -> None:
@@ -132,30 +128,16 @@ class CharacterizationService:
     def stop(self, *, wait: bool = True) -> None:
         """Shut the service down (idempotent).
 
-        ``wait=False`` is the in-connection-handler form: it must not
-        join the very thread pool the caller runs on.
+        ``wait=False`` is the in-connection-handler form: it returns
+        without waiting for the runner to finish its current job.
         """
         self._stop.set()
         with self._cond:
             self._cond.notify_all()
-        server, self._server = self._server, None
-        if server is not None:
-            try:
-                # shutdown() before close(): on Linux, close() alone does
-                # not wake a thread blocked in accept().
-                server.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                server.close()
-            except OSError:
-                pass
-        if not wait:
-            return
-        current = threading.current_thread()
-        for thread in (self._runner, self._acceptor):
-            if thread is not None and thread is not current:
-                thread.join(timeout=10.0)
+        if self.server is not None:
+            self.server.close()
+        if wait and self._runner is not None:
+            self._runner.join(timeout=10.0)
 
     def serve_forever(self) -> None:
         """Block until stopped (Ctrl-C or a ``stop`` verb)."""
@@ -201,58 +183,27 @@ class CharacterizationService:
                 pass
 
     # ------------------------------------------------------------------
-    # frame server
+    # connection handler (one thread per client)
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
+    def _serve_conn(self, conn: socket.socket, hello: dict) -> None:
+        send_frame(conn, {"type": "hello", "protocol": PROTOCOL_VERSION,
+                          "service": SERVICE_NAME})
         while True:
-            server = self._server
-            if server is None:
+            message = recv_frame(conn)
+            if message is None:
                 return
+            verb = message.get("type")
+            if verb == "stream":
+                self._stream(conn, message)
+                continue
             try:
-                conn, _addr = server.accept()
-            except OSError:
-                return  # listener closed: the service is stopping
-            threading.Thread(target=self._serve_conn, args=(conn,),
-                             daemon=True, name="service-conn").start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        try:
-            nodelay(conn)
-            hello = recv_frame(conn)
-            if hello is None or hello.get("type") != "hello":
+                reply = self._dispatch(verb, message)
+            except ReproError as error:
+                reply = {"type": "error", "error": f"{error}"}
+            send_frame(conn, reply)
+            if verb == "stop" and reply.get("type") == "ok":
+                self.stop(wait=False)
                 return
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                send_frame(conn, {
-                    "type": "error",
-                    "error": f"protocol {hello.get('protocol')!r} != "
-                             f"{PROTOCOL_VERSION} (upgrade the client)"})
-                return
-            send_frame(conn, {"type": "hello",
-                              "protocol": PROTOCOL_VERSION,
-                              "service": SERVICE_NAME})
-            while True:
-                message = recv_frame(conn)
-                if message is None:
-                    return
-                verb = message.get("type")
-                if verb == "stream":
-                    self._stream(conn, message)
-                    continue
-                try:
-                    reply = self._dispatch(verb, message)
-                except ReproError as error:
-                    reply = {"type": "error", "error": f"{error}"}
-                send_frame(conn, reply)
-                if verb == "stop" and reply.get("type") == "ok":
-                    self.stop(wait=False)
-                    return
-        except (ConnectionError, OSError, FrameError):
-            pass  # a dropped client never takes the service down
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _dispatch(self, verb: str | None, message: dict) -> dict:
         if verb == "submit":

@@ -35,10 +35,7 @@ class ServiceClient:
                  connect_timeout_s: float = 10.0) -> None:
         if isinstance(address, str):
             address = parse_address(address)
-        host, port = address
-        if host == "0.0.0.0":  # "--connect :7900" means "this host"
-            host = "127.0.0.1"
-        self.address = (host, port)
+        host, port = self.address = address
         self.sock: socket.socket | None = connect_with_retry(
             host, port, timeout_s=connect_timeout_s)
         try:

@@ -449,11 +449,14 @@ class TestConnectRetry:
         from repro.runtime.wire import connect_with_retry
         server = socket.create_server(("127.0.0.1", 0))
         try:
-            sock = connect_with_retry("127.0.0.1", server.getsockname()[1],
-                                      timeout_s=5.0)
-            with sock:
-                assert sock.getsockopt(socket.IPPROTO_TCP,
-                                       socket.TCP_NODELAY)
+            # An all-interfaces host ("--connect :PORT") means this host.
+            for host in ("127.0.0.1", "0.0.0.0", ""):
+                sock = connect_with_retry(host, server.getsockname()[1],
+                                          timeout_s=5.0)
+                with sock:
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY)
+                    assert sock.getpeername() == server.getsockname()
         finally:
             server.close()
 
@@ -518,6 +521,27 @@ if __name__ == "__main__":
 
 
 class TestFleetShutdown:
+    def test_finished_run_stops_listening(self, tmp_path):
+        """Regression: the coordinator's listener must be shut down, not
+        just closed, or its accept thread keeps the port accepting."""
+        pool = make_scheduler("fleet", workers=1)
+        pool.run(_echo_tasks(tmp_path, count=2), loader=_load_echo)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(pool.bound_address, timeout=5.0)
+
+    def test_no_lease_once_closing(self, tmp_path):
+        """Closing leaves a worker connection's write side open, and a
+        frame buffered before it is still read: it must earn a shutdown,
+        not a lease whose result can never come back."""
+        from repro.runtime.distributed import _FleetRun
+        from repro.runtime.engine import PoolReport
+        tasks = _echo_tasks(tmp_path, count=1)
+        run = _FleetRun(make_scheduler("fleet", workers=1), tasks,
+                        _load_echo, {}, PoolReport())
+        run.queue.append((tasks[0], True))
+        run.closing = True
+        assert run._grant("w1", 4) == {"type": "shutdown"}
+
     def test_interrupt_leaves_no_surviving_workers(self, tmp_path):
         """Regression: Ctrl-C mid-fleet-run must SIGTERM-and-join the
         spawned loopback workers, not orphan them mid-task."""
