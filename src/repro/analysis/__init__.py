@@ -11,7 +11,6 @@ from repro.analysis.baselines import BaselineCache, baseline_code_digest
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.runner import (
     PACRAM_BEST_FACTORS,
-    effective_sim_kernel,
     pacram_reference_config,
     run_simulation,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "baseline_code_digest",
     "BoxStats",
     "PACRAM_BEST_FACTORS",
-    "effective_sim_kernel",
     "pacram_reference_config",
     "run_simulation",
     "EXPERIMENTS",

@@ -150,11 +150,12 @@ def result_from_json(payload: dict) -> SimulationResult:
 class BaselineCache(DigestCache):
     """Digest-bound LRU memo of baseline :class:`SimulationResult`\\ s.
 
-    ``disk_dir`` adds a persistent tier: entries are written as one atomic
-    JSON file each (safe under parallel sweep workers) and read back on
-    in-memory misses; files bound to a stale digest are ignored.  Every
-    :meth:`get` returns a *fresh* result object so callers can mutate
-    their copy freely.
+    ``disk_dir`` adds the repository's one persisted cache tier
+    (``baseline_cache/`` under a sweep directory): entries are written as
+    one atomic JSON file each (safe under parallel sweep workers) and read
+    back on in-memory misses; files bound to a stale digest are ignored.
+    Every :meth:`get` returns a *fresh* result object so callers can
+    mutate their copy freely.
     """
 
     name = "baseline"

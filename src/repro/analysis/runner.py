@@ -38,19 +38,6 @@ def pacram_reference_config(vendor: str,
     return PaCRAMConfig.from_catalog(module_id, factor)
 
 
-def effective_sim_kernel(sim_kernel: str | None, check_mode: str) -> str:
-    """Deprecated shim: the kernel a run will actually use.
-
-    Resolution (including the checking-forces-the-oracle rule) lives in
-    :class:`repro.exec.ExecutionPolicy`; this survives for pre-policy
-    callers and is equivalent to
-    ``checked_kernel("sim", sim_kernel, check_protocol=check_mode)``.
-    """
-    from repro.exec import checked_kernel
-
-    return checked_kernel("sim", sim_kernel, check_protocol=check_mode)
-
-
 def run_simulation(workload_names: tuple[str, ...], *,
                    mitigation: str = "None", nrh: int = 1024,
                    pacram: PaCRAMConfig | None = None,

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.errors import ConfigError, SimulationError
-from repro.exec import checked_kernel, default_policy, fallback_kernel
+from repro.exec import checked_kernel, fallback_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.runtime.persist import write_atomic
 from repro.service.execution import JobExecution
@@ -170,9 +170,8 @@ def violations_path(row_path: str | Path) -> Path:
 
 
 def _simulate_to(point: SweepPoint, requests: int, path: str,
-                 check_protocol: str = "off",
-                 sim_kernel: str | None = None,
-                 cache_dir: str | None = None) -> None:
+                 check_protocol: str, sim_kernel: str,
+                 cache_dir: str) -> None:
     """Worker task: run one grid point, persist its row atomically.
 
     Module-level so it pickles across the process-pool boundary.  With
@@ -190,12 +189,11 @@ def _simulate_to(point: SweepPoint, requests: int, path: str,
               if point.pacram_vendor else None)
     config = SystemConfig(num_cores=max(1, len(point.workloads)))
     ledger = violations_path(path)
-    cache = (BaselineCache(disk_dir=cache_dir)
-             if cache_dir is not None else None)
     result = run_simulation(
         point.workloads, mitigation=point.mitigation, nrh=point.nrh,
         pacram=pacram, requests=requests, config=config,
-        check_protocol=check_protocol, sim_kernel=sim_kernel, cache=cache)
+        check_protocol=check_protocol, sim_kernel=sim_kernel,
+        cache=BaselineCache(disk_dir=cache_dir))
     row = SweepRow(
         key=point.key, mitigation=point.mitigation, nrh=point.nrh,
         pacram_vendor=point.pacram_vendor, workloads=point.workloads,
@@ -255,8 +253,7 @@ class SweepRunner:
         # receive a concrete name and never resolve on their own.
         kernel = checked_kernel("sim", self.grid.sim_kernel,
                                 check_protocol=self.grid.check_protocol)
-        cache_dir = (str(self.cache_dir())
-                     if default_policy().persistent_caches() else None)
+        cache_dir = str(self.cache_dir())
         # Graceful degradation: a fast kernel that raises in a worker gets
         # one re-run on the scalar oracle (same cache — baseline rows are
         # kernel-independent) before retry accounting resumes.

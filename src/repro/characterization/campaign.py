@@ -33,12 +33,7 @@ from repro.characterization.sweeps import characterize_module
 from repro.dram.catalog import all_module_ids
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
-from repro.exec import (
-    checked_kernel,
-    default_policy,
-    fallback_kernel,
-    validate_stage_kernel,
-)
+from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.service.execution import JobExecution
 from repro.validation.physics import model_digest
@@ -70,7 +65,7 @@ class CampaignConfig:
 
 
 def _characterize_to(module_id: str, config: CampaignConfig, path: str,
-                     kernel: str, cache_dir: str | None) -> None:
+                     kernel: str) -> None:
     """Worker task: characterize one module, persist it atomically.
 
     Module-level so it pickles across the process-pool boundary; the result
@@ -81,7 +76,7 @@ def _characterize_to(module_id: str, config: CampaignConfig, path: str,
         module_id, tras_factors=config.tras_factors,
         n_prs=config.n_prs, temperatures_c=config.temperatures_c,
         per_region=config.per_region, seed=config.seed,
-        kernel=kernel, cache_dir=cache_dir)
+        kernel=kernel)
     result.save(path, durable=True)
 
 
@@ -134,29 +129,21 @@ class CharacterizationCampaign:
         """Where the engine persists its end-of-run ``run_report.json``."""
         return self.execution.report_path()
 
-    def cache_dir(self) -> Path:
-        """Where the scalar kernel's probe cache persists its entries."""
-        return self.results_dir / "probe_cache"
-
     def _task(self, module_id: str) -> Task:
         path = self.result_path(module_id)
         # Resolve the device kernel once, here in the parent process (the
         # checking-forces-the-oracle rule included), so pickled workers
         # receive a concrete name and never resolve on their own.
         kernel = checked_kernel("device", self.config.kernel)
-        persist = kernel == "scalar" and default_policy().persistent_caches()
-        cache_dir = str(self.cache_dir()) if persist else None
         # Graceful degradation: a fast kernel that raises in a worker gets
         # one re-run on the stage's scalar oracle before retry accounting
         # resumes (no fallback when the oracle is already selected).
         fallback = fallback_kernel("device", kernel)
         fallback_args = None
         if fallback is not None:
-            fallback_args = (module_id, self.config, str(path), fallback,
-                             None)
+            fallback_args = (module_id, self.config, str(path), fallback)
         return Task(key=module_id, path=path, fn=_characterize_to,
-                    args=(module_id, self.config, str(path), kernel,
-                          cache_dir),
+                    args=(module_id, self.config, str(path), kernel),
                     fallback_args=fallback_args)
 
     # ------------------------------------------------------------------
@@ -182,8 +169,7 @@ class CharacterizationCampaign:
         ``jobs`` controls the worker-process count (``None`` = all cores);
         valid on-disk results are reused, corrupt ones quarantined and
         re-run.  The returned measurements are identical for any ``jobs``.
-        ``force`` discards persisted results *and* every registered cache
-        tier under the results directory before re-running.
+        ``force`` discards persisted results and re-runs every module.
         ``task_timeout_s`` arms the engine's watchdog: a module whose
         worker produces no result within the deadline is killed and
         retried (deadlines require worker processes, i.e. ``jobs > 1``).

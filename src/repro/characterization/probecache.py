@@ -16,14 +16,11 @@ the module's calibrated spec, vendor charge profile, anchor curves, and
 retention parameters.  :meth:`~DigestCache.ensure` compares the current
 digest against the bound one and drops every entry when they differ, so
 recalibration (or any drift in the physics tables) can never serve stale
-flip counts.  Passing ``disk_dir`` adds the standard persistent tier
-(``probe_cache/`` under a campaign directory; registered with the unified
-``--force`` clearing).
+flip counts.  The cache lives in memory only: one instance per module
+characterization, so nothing persists under a campaign directory.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.runtime.cache import DigestCache
 
@@ -42,12 +39,9 @@ class ProbeCache(DigestCache):
     coordinates and bound to a calibrated-model digest."""
 
     name = "probe"
-    tier_subdir = "probe_cache"
-    file_prefix = "probe"
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE,
-                 disk_dir: str | Path | None = None) -> None:
-        super().__init__(maxsize, disk_dir)
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
+        super().__init__(maxsize)
 
     def key_text(self, key: ProbeKey) -> str:
         # Pattern enums stringify through their name; everything else in a

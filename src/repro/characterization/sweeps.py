@@ -54,7 +54,6 @@ def characterize_module(module_id: str, *,
                         config: CharacterizationConfig | None = None,
                         kernel: str | None = None,
                         counters: EvalCounters | None = None,
-                        cache_dir: str | None = None,
                         ) -> ModuleCharacterization:
     """Run the main test loop on one module across all requested test points.
 
@@ -67,8 +66,8 @@ def characterize_module(module_id: str, *,
     resolves through the default :class:`repro.exec.ExecutionPolicy`);
     results are bit-identical either way, including measurement order.
     Pass an :class:`EvalCounters` to observe the vectorized kernel's model
-    work.  ``cache_dir`` persists the scalar kernel's probe cache there
-    (the campaign's ``probe_cache/`` tier).
+    work.  The scalar kernel memoizes its probes in one in-memory
+    :class:`ProbeCache` for the module.
     """
     if not tras_factors:
         raise CharacterizationError("need at least one tRAS factor")
@@ -88,7 +87,7 @@ def characterize_module(module_id: str, *,
     result = ModuleCharacterization(module_id=module_id, seed=seed,
                                     model_digest=model_digest(module_id, seed))
     nominal = module.timing.tRAS
-    cache = ProbeCache(disk_dir=cache_dir) if kernel == "scalar" else None
+    cache = ProbeCache() if kernel == "scalar" else None
     for temperature in temperatures_c:
         host.set_temperature(temperature)
         if kernel in ("vectorized", "array"):

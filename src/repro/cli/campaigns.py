@@ -11,7 +11,6 @@ from repro.characterization.campaign import (
     CharacterizationCampaign,
 )
 from repro.cli.shared import (
-    add_cache_tier_flag,
     add_kernel_policy_flag,
     add_scheduler_flags,
     install_policy,
@@ -85,9 +84,8 @@ def register(subparsers) -> None:
         "execution policy for every stage "
         "(results are bit-identical either "
         "way)")
-    add_cache_tier_flag(campaign_parser)
     campaign_parser.add_argument("--force", action="store_true",
-                                 help="re-run every module and clear every "
-                                      "persisted cache tier under --dir")
+                                 help="re-run every module, even those "
+                                      "already persisted under --dir")
     add_scheduler_flags(campaign_parser, "module")
     campaign_parser.set_defaults(func=cmd_campaign)

@@ -8,7 +8,6 @@ from pathlib import Path
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.render import curve_table
 from repro.cli.shared import (
-    add_cache_tier_flag,
     add_kernel_policy_flag,
     install_policy,
 )
@@ -85,7 +84,6 @@ def register(subparsers) -> None:
         "(results are bit-identical either "
         "way; --check-protocol forces the "
         "oracles)")
-    add_cache_tier_flag(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     catalog_parser = subparsers.add_parser(

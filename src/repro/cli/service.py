@@ -22,7 +22,6 @@ import argparse
 
 from repro.cli.campaigns import add_campaign_spec_flags, campaign_config_from_args
 from repro.cli.shared import (
-    add_cache_tier_flag,
     add_connect_flags,
     add_kernel_policy_flag,
     install_policy,
@@ -156,7 +155,6 @@ def register(subparsers) -> None:
         "execution policy for every job "
         "(results are bit-identical either "
         "way)")
-    add_cache_tier_flag(serve_parser)
     serve_parser.set_defaults(func=cmd_serve_api)
 
     job_parser = subparsers.add_parser(

@@ -21,15 +21,14 @@ from repro.exec import (
 def install_policy(args: argparse.Namespace, *,
                    check_protocol: str | None = None) -> ExecutionPolicy:
     """Build this invocation's :class:`ExecutionPolicy` — the one place the
-    CLI decides kernels, oracle forcing, and cache tiers — and install it
-    as the process default every layer resolves against.
+    CLI decides kernels and oracle forcing — and install it as the
+    process default every layer resolves against.
     """
     if check_protocol is None:
         check_protocol = getattr(args, "check_protocol", None) or "off"
     policy = ExecutionPolicy(
         kernel_policy=getattr(args, "kernel_policy", "auto"),
-        check_protocol=check_protocol,
-        cache_tier=getattr(args, "cache_tier", "auto"))
+        check_protocol=check_protocol)
     return set_default_policy(policy)
 
 
@@ -43,13 +42,6 @@ def add_kernel_policy_flag(parser: argparse.ArgumentParser,
                              f"the vectorized/batched paths, array the "
                              f"numpy array tiers, auto (default) the "
                              f"array tiers with the stepping host executor")
-
-
-def add_cache_tier_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-tier", default="auto",
-                        choices=("auto", "disk", "memory", "off"),
-                        help="memoization tiers: persist to disk, "
-                             "memory only, or off")
 
 
 def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:

@@ -7,7 +7,6 @@ import argparse
 
 from repro.analysis.sweeprunner import SweepGrid, SweepRunner, render_aggregate
 from repro.cli.shared import (
-    add_cache_tier_flag,
     add_kernel_policy_flag,
     add_scheduler_flags,
     install_policy,
@@ -99,7 +98,6 @@ def register(subparsers) -> None:
         "(rows are bit-identical either way; "
         "--check-protocol forces the scalar "
         "oracle)")
-    add_cache_tier_flag(sweep_parser)
     sweep_parser.add_argument("--force", action="store_true",
                               help="re-run every point and clear every "
                                    "persisted cache tier under --dir")

@@ -1,9 +1,8 @@
 """The single kernel-resolution site of the repository.
 
 Every execution layer used to pick its kernel on its own: the CLI forced
-the scalar oracle under ``--check-protocol`` in two places,
-:meth:`MemorySystem.run` special-cased observers, and
-``effective_sim_kernel`` duplicated the forcing for library callers.  An
+the scalar oracle under ``--check-protocol`` in two places, and
+:meth:`MemorySystem.run` special-cased observers.  An
 :class:`ExecutionPolicy` replaces all of that: it is built once per
 invocation (CLI) or once per process (library default), and every layer
 asks it which concrete kernel to run.
@@ -40,7 +39,7 @@ other module grows its own kernel-selection branching again.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
@@ -111,22 +110,14 @@ def validate_stage_kernel(stage: str, kernel: str) -> str:
 
 @dataclass
 class ExecutionPolicy:
-    """How one invocation executes: kernels, oracle forcing, cache tiers.
-
-    ``cache_tier`` gates the persistent cache tiers: ``"auto"``/``"disk"``
-    let campaign and sweep runners persist their caches under the output
-    directory, ``"memory"`` keeps memoization in-process only, ``"off"``
-    disables the caches the policy controls.
-    """
+    """How one invocation executes: kernels and oracle forcing."""
 
     kernel_policy: str = "auto"
     check_protocol: str = "off"
-    cache_tier: str = "auto"
-    #: Whether the once-per-invocation "oracle forced" note went out.
-    _oracle_noted: bool = field(default=False, init=False, repr=False,
-                                compare=False)
 
     def __post_init__(self) -> None:
+        #: Whether the once-per-invocation "oracle forced" note went out.
+        self._oracle_noted = False
         if self.kernel_policy not in KERNEL_POLICIES:
             raise ConfigError(
                 f"kernel policy must be one of {KERNEL_POLICIES}, "
@@ -135,10 +126,6 @@ class ExecutionPolicy:
             raise ConfigError(
                 f"check-protocol mode must be one of {_check_modes()}, "
                 f"got {self.check_protocol!r}")
-        if self.cache_tier not in ("auto", "disk", "memory", "off"):
-            raise ConfigError(
-                f"cache tier must be auto/disk/memory/off, "
-                f"got {self.cache_tier!r}")
 
     # ------------------------------------------------------------------
     # resolution (the one place kernels are chosen)
@@ -200,14 +187,6 @@ class ExecutionPolicy:
               "overriding the requested fast path", file=sys.stderr)
 
     # ------------------------------------------------------------------
-    def persistent_caches(self) -> bool:
-        """Whether runners may persist cache disk tiers."""
-        return self.cache_tier in ("auto", "disk")
-
-    def caches_enabled(self) -> bool:
-        """Whether policy-controlled memo caches run at all."""
-        return self.cache_tier != "off"
-
     def with_overrides(self, **changes) -> "ExecutionPolicy":
         """A copy with fields replaced (note state not shared)."""
         return replace(self, **changes)

@@ -12,7 +12,9 @@ same discipline:
   stale result;
 * the in-memory tier is a bounded LRU;
 * an optional disk tier persists one atomic JSON file per entry (safe
-  under parallel workers), ignoring files bound to a stale digest.
+  under parallel workers), ignoring files bound to a stale digest.  Only
+  the baseline cache uses it (``baseline_cache/`` under a sweep
+  directory); the probe cache lives in memory, per module.
 
 This module holds that machinery exactly once.  Concrete caches subclass
 :class:`DigestCache` with a value codec and a tier name; the **tier
@@ -57,10 +59,10 @@ def clear_disk_tiers(root: str | Path) -> dict[str, int]:
     """Delete every registered cache's persisted entries under ``root``.
 
     This is the single ``--force`` semantics: one call clears *all*
-    persisted tiers beneath an output directory (``baseline_cache/``,
-    ``probe_cache/``, and any tier a future cache registers), so a forced
-    re-run can never replay memoized results from any layer.  Returns the
-    per-cache removal counts.
+    persisted tiers beneath an output directory (``baseline_cache/``, and
+    any tier a future cache registers), so a forced re-run can never
+    replay memoized results from any layer.  Returns the per-cache
+    removal counts.
     """
     root = Path(root)
     removed: dict[str, int] = {}
@@ -188,18 +190,6 @@ class DigestCache:
         return key if isinstance(key, str) else json.dumps(
             key, sort_keys=True, separators=(",", ":"), default=str)
 
-    def legacy_key_texts(self, key: Any) -> tuple[str, ...]:
-        """Superseded serializations of ``key`` still valid on disk.
-
-        Entries persisted before :meth:`key_text` canonicalized (no key
-        sorting, default separators) live at paths derived from the old
-        text; a disk miss probes these and migrates any match to the
-        canonical path.
-        """
-        if isinstance(key, str):
-            return ()
-        return (json.dumps(key, default=str),)
-
     def encode(self, value: Any) -> Any:
         """Value -> JSON-safe payload (raise to refuse caching it)."""
         return value
@@ -234,7 +224,7 @@ class DigestCache:
         try:
             payload = entries[text]
         except KeyError:
-            payload = self._disk_get(key, text)
+            payload = self._disk_get(text)
             if payload is None:
                 self.misses += 1
                 _count(self.name, "misses")
@@ -296,9 +286,11 @@ class DigestCache:
                           sort_keys=True)
         write_atomic(self._path_for(text), blob)
 
-    def _read_disk(self, path: Path, text: str) -> Any | None:
+    def _disk_get(self, text: str) -> Any | None:
+        if self.disk_dir is None:
+            return None
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(self._path_for(text).read_text())
         except (OSError, ValueError):
             return None  # absent or torn file: treat as a miss
         if (not isinstance(raw, dict) or raw.get("digest") != self.digest
@@ -317,30 +309,6 @@ class DigestCache:
             _count(self.name, "corrupt")
             return None
         return raw["result"]
-
-    def _disk_get(self, key: Any, text: str | None = None) -> Any | None:
-        if self.disk_dir is None:
-            return None
-        if text is None:
-            text = self.key_text(key)
-        payload = self._read_disk(self._path_for(text), text)
-        if payload is not None:
-            return payload
-        # Migration: entries persisted under a superseded serialization
-        # are rewritten at the canonical path and the old file removed.
-        for legacy in self.legacy_key_texts(key):
-            if legacy == text:
-                continue
-            legacy_path = self._path_for(legacy)
-            payload = self._read_disk(legacy_path, legacy)
-            if payload is not None:
-                self._disk_put(text, payload)
-                try:
-                    legacy_path.unlink()
-                except OSError:
-                    pass  # a parallel worker migrated it first
-                return payload
-        return None
 
     def clear_disk(self) -> int:
         """Delete every persisted entry (``--force``); returns the count.

@@ -9,8 +9,9 @@ the long-running service on top of it:
 :class:`~repro.service.execution.JobExecution`
     The durable execution namespace both orchestrators now delegate to —
     per-unit result paths, resume/pending state, ledger + run-report
-    locations, cache-tier clearing on ``force``, and scheduler fan-out
-    through :func:`repro.runtime.scheduler.make_scheduler`.
+    locations, clearing a sweep's ``baseline_cache/`` on ``force``, and
+    scheduler fan-out through
+    :func:`repro.runtime.scheduler.make_scheduler`.
 
 :class:`~repro.service.jobs.JobSpec` / :class:`~repro.service.jobs.JobStore`
     A job is a *kind* (``campaign`` | ``sweep``) plus its config

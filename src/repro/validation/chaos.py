@@ -151,8 +151,8 @@ def _slow_once(marker: str, n: int, path: str) -> None:
     _compute_point(n, path)
 
 
-def _faulty_characterize(module_id: str, config, path: str, kernel: str,
-                         cache_dir: str | None) -> None:
+def _faulty_characterize(module_id: str, config, path: str,
+                         kernel: str) -> None:
     """Characterization worker whose fast kernel is broken.
 
     Raises for any kernel that has a safer fallback (i.e. any non-oracle
@@ -163,7 +163,7 @@ def _faulty_characterize(module_id: str, config, path: str, kernel: str,
 
     if fallback_kernel("device", kernel) is not None:
         raise RuntimeError(f"injected {kernel}-kernel fault for {module_id}")
-    _characterize_to(module_id, config, path, kernel, cache_dir)
+    _characterize_to(module_id, config, path, kernel)
 
 
 # ----------------------------------------------------------------------

@@ -152,26 +152,6 @@ class TestDefaultPolicy:
         with pytest.raises(ConfigError):
             set_default_policy("fast")
 
-    def test_cache_tier_gating(self):
-        assert ExecutionPolicy().persistent_caches()
-        assert not ExecutionPolicy(cache_tier="memory").persistent_caches()
-        assert ExecutionPolicy(cache_tier="memory").caches_enabled()
-        assert not ExecutionPolicy(cache_tier="off").caches_enabled()
-        with pytest.raises(ConfigError, match="cache tier"):
-            ExecutionPolicy(cache_tier="tape")
-
-
-class TestDeprecatedShims:
-    """Satellite: the pre-policy library helper resolves exactly like the
-    policy it forwards to."""
-
-    def test_effective_sim_kernel_matches_checked_kernel(self):
-        from repro.analysis.runner import effective_sim_kernel
-
-        assert effective_sim_kernel("batched", "strict") == "scalar"
-        assert effective_sim_kernel(None, "off") \
-            == checked_kernel("sim", check_protocol="off")
-
 
 class TestCliPolicyWiring:
     def test_check_protocol_notes_once_per_invocation(self, tmp_path, capsys):

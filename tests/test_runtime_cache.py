@@ -91,29 +91,26 @@ class TestDigestCacheCore:
 
 class TestTierRegistry:
     def test_both_tiers_registered(self):
-        tiers = registered_tiers()
-        assert tiers["probe"] == ("probe_cache", "probe_*.json")
-        assert tiers["baseline"] == ("baseline_cache", "baseline_*.json")
+        # Of the two caches only the baseline cache persists; the probe
+        # cache lives in memory and registers no tier.
+        assert registered_tiers() == {
+            "baseline": ("baseline_cache", "baseline_*.json")}
 
     def test_clear_disk_tiers_clears_every_tier(self, tmp_path):
-        probe = ProbeCache(disk_dir=tmp_path / "probe_cache")
-        probe.ensure("d")
-        probe.put((1, 2), 42)
         baseline_dir = tmp_path / "baseline_cache"
         baseline_dir.mkdir()
         (baseline_dir / "baseline_deadbeef.json").write_text("{}")
-        assert disk_tier_entries(tmp_path) == {"baseline": 1, "probe": 1}
+        assert disk_tier_entries(tmp_path) == {"baseline": 1}
         removed = clear_disk_tiers(tmp_path)
-        assert removed == {"baseline": 1, "probe": 1}
-        assert disk_tier_entries(tmp_path) == {"baseline": 0, "probe": 0}
+        assert removed == {"baseline": 1}
+        assert disk_tier_entries(tmp_path) == {"baseline": 0}
 
     def test_clear_missing_root_is_a_noop(self, tmp_path):
-        assert clear_disk_tiers(tmp_path / "nope") \
-            == {"baseline": 0, "probe": 0}
+        assert clear_disk_tiers(tmp_path / "nope") == {"baseline": 0}
 
     def test_foreign_files_survive_force(self, tmp_path):
-        (tmp_path / "probe_cache").mkdir()
-        keeper = tmp_path / "probe_cache" / "README.txt"
+        (tmp_path / "baseline_cache").mkdir()
+        keeper = tmp_path / "baseline_cache" / "README.txt"
         keeper.write_text("not a cache entry")
         clear_disk_tiers(tmp_path)
         assert keeper.exists()
@@ -134,8 +131,8 @@ class TestUnifiedCounters:
     def test_summary_lists_registered_tiers(self, tmp_path):
         reset_cache_counters()
         text = summarize_caches(tmp_path)
-        assert "cache baseline:" in text and "cache probe:" in text
-        assert "persisted=0" in text
+        assert "cache baseline:" in text and "persisted=0" in text
+        assert "cache probe:" not in text  # no tier and nothing counted
 
     def test_summary_without_root_skips_persisted(self):
         reset_cache_counters()
@@ -146,32 +143,24 @@ class TestUnifiedCounters:
         assert "misses=1" in text and "persisted" not in text
 
 
-class TestProbeDiskTier:
-    def test_roundtrip_across_instances(self, tmp_path):
-        digest = model_digest("S6", 2025)
-        cache = ProbeCache(disk_dir=tmp_path)
-        cache.ensure(digest)
-        cache.put((1, 5, "ROW_STRIPE", 1000, 14.85, 1, 80.0), 7)
-        fresh = ProbeCache(disk_dir=tmp_path)
-        fresh.ensure(digest)
-        assert fresh.get((1, 5, "ROW_STRIPE", 1000, 14.85, 1, 80.0)) == 7
-        assert fresh.hits == 1 and fresh.misses == 0
+class TestProbeCacheInMemory:
+    """A scalar campaign memoizes its probes in memory and persists
+    nothing beside its results."""
 
-    def test_model_drift_ignores_persisted_probes(self, tmp_path):
-        cache = ProbeCache(disk_dir=tmp_path)
-        cache.ensure(model_digest("S6", 2025))
-        cache.put((1, 5), 7)
-        fresh = ProbeCache(disk_dir=tmp_path)
-        fresh.ensure(model_digest("S6", 2026))  # recalibrated model
-        assert fresh.get((1, 5)) is None
+    def test_scalar_campaign_leaves_only_results(self, tmp_path):
+        from repro.characterization.campaign import (
+            CampaignConfig,
+            CharacterizationCampaign,
+        )
 
-    def test_non_integer_payload_rejected_on_disk_read(self, tmp_path):
-        cache = ProbeCache(disk_dir=tmp_path)
-        cache.ensure("d")
-        cache.put((1,), 7)
-        path = next(tmp_path.glob("probe_*.json"))
-        blob = json.loads(path.read_text())
-        assert blob["digest"] == "d" and blob["result"] == 7
+        reset_cache_counters()
+        results = tmp_path / "campaign"
+        config = CampaignConfig(module_ids=("S6",), per_region=1,
+                                kernel="scalar")
+        CharacterizationCampaign(results, config).run(jobs=1)
+        assert sorted(p.name for p in results.iterdir()) \
+            == ["S6.json", "run_report.json"]
+        assert cache_counters()["probe"]["hits"] > 0
 
 
 _DIGESTS = st.sampled_from(
@@ -227,8 +216,8 @@ class TestDriftParityProperty:
 
 class TestKeyCanonicalization:
     """Regression: ``key_text`` must canonicalize (sorted keys, stable
-    separators) so logically equal keys share one entry and one disk file;
-    entries persisted under the old serialization must migrate."""
+    separators) so logically equal keys share one entry and one disk
+    file."""
 
     def test_dict_key_order_is_identity(self):
         cache = _PlainCache(maxsize=4)
@@ -254,35 +243,6 @@ class TestKeyCanonicalization:
             == cache.key_text({"a": 1, "b": 2}) == '{"a":1,"b":2}'
         assert cache.key_text("already-a-string") == "already-a-string"
 
-    def test_legacy_disk_entries_migrate(self, tmp_path):
-        import hashlib
-
-        cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
-        cache.ensure("d")
-        key = {"b": 2, "a": 1}
-        legacy_text = json.dumps(key, default=str)  # pre-fix serialization
-        suffix = hashlib.sha256(legacy_text.encode()).hexdigest()[:24]
-        legacy_path = tmp_path / f"entry_{suffix}.json"
-        legacy_path.write_text(json.dumps(
-            {"digest": "d", "key": legacy_text, "result": 7}, sort_keys=True))
-        assert cache.get(key) == 7
-        assert not legacy_path.exists()  # rewritten at the canonical path
-        fresh = _DiskCache(maxsize=4, disk_dir=tmp_path)
-        fresh.ensure("d")
-        assert fresh.get({"a": 1, "b": 2}) == 7
-
-    def test_legacy_entry_with_stale_digest_is_ignored(self, tmp_path):
-        import hashlib
-
-        cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
-        cache.ensure("new-model")
-        key = {"b": 2, "a": 1}
-        legacy_text = json.dumps(key, default=str)
-        suffix = hashlib.sha256(legacy_text.encode()).hexdigest()[:24]
-        (tmp_path / f"entry_{suffix}.json").write_text(json.dumps(
-            {"digest": "old-model", "key": legacy_text, "result": 7}))
-        assert cache.get(key) is None
-
 
 class TestForceClearsMemoryTier:
     """Regression: ``clear_disk()``/``clear_disk_tiers()`` must also drop
@@ -307,20 +267,19 @@ class TestForceClearsMemoryTier:
         assert cache.get({"k": 1}) is None
 
     def test_clear_disk_tiers_clears_live_instances(self, tmp_path):
-        live = ProbeCache(disk_dir=tmp_path / "probe_cache")
+        live = _DiskCache(maxsize=4, disk_dir=tmp_path / "entries")
         live.ensure("model")
-        live.put((1, 2), 42)
+        live.put({"k": 1}, 42)
         clear_disk_tiers(tmp_path)
         assert len(live) == 0 and live.digest is None
-        live.ensure("model")
-        assert live.get((1, 2)) is None  # recomputes, not stale memory
 
     def test_clear_disk_tiers_scopes_to_root(self, tmp_path):
-        other = ProbeCache(disk_dir=tmp_path / "elsewhere" / "probe_cache")
+        other = _DiskCache(maxsize=4, disk_dir=tmp_path / "elsewhere")
         other.ensure("model")
-        other.put((1,), 9)
+        other.put({"k": 1}, 9)
         clear_disk_tiers(tmp_path / "results")
-        assert other.get((1,)) == 9  # different root: untouched
+        assert len(other) == 1  # different root: memory tier untouched
+        assert other.get({"k": 1}) == 9 and other.disk_hits == 0
 
     def test_rebind_after_force_is_not_an_invalidation(self, tmp_path):
         cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
@@ -355,53 +314,34 @@ class TestDiskHitCounter:
 
     def test_unified_counters_and_summary_surface_disk_hits(self, tmp_path):
         reset_cache_counters()
-        cache = ProbeCache(disk_dir=tmp_path / "probe_cache")
+        cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
         cache.ensure("d")
-        cache.put((1,), 2)
-        fresh = ProbeCache(disk_dir=tmp_path / "probe_cache")
+        cache.put({"k": 1}, 2)
+        fresh = _DiskCache(maxsize=4, disk_dir=tmp_path)
         fresh.ensure("d")
-        fresh.get((1,))
-        counts = cache_counters()["probe"]
+        fresh.get({"k": 1})
+        counts = cache_counters()["test-disk"]
         assert counts["hits"] == 1 and counts["disk_hits"] == 1
         text = summarize_caches(tmp_path)
-        assert "disk_hits=1" in text
+        assert "cache test-disk: hits=1 disk_hits=1" in text
 
 
 class TestForceClearsProbeTier:
-    """Satellite: ``sweep --force`` must clear *every* persisted tier under
-    the results dir — including a stale probe tier — not just baselines."""
-
-    def test_runner_force_routes_through_registry(self, tmp_path):
-        from repro.analysis.sweeprunner import SweepGrid, SweepRunner
-
-        results = tmp_path / "sweep"
-        probe_dir = results / "probe_cache"
-        stale = ProbeCache(disk_dir=probe_dir)
-        stale.ensure("stale-model")
-        stale.put((1, 2, 3), 9)
-        grid = SweepGrid(mitigations=("Graphene",), nrh_values=(128,),
-                         pacram_vendors=(None,),
-                         workload_sets=(("spec06.mcf",),), requests=300)
-        runner = SweepRunner(results, grid)
-        runner.run(jobs=1)
-        assert list(runner.cache_dir().glob("baseline_*.json"))
-        assert list(probe_dir.glob("probe_*.json"))
-        runner.execution.clear_caches()
-        assert not list(runner.cache_dir().glob("baseline_*.json"))
-        assert not list(probe_dir.glob("probe_*.json"))
+    """``sweep --force`` must clear every registered tier under the results
+    dir (``baseline_cache/``), stale entries included; a resume must not."""
 
     def test_cli_force_clears_all_tiers(self, tmp_path):
         from repro.cli import main
 
         results = tmp_path / "sweep"
-        probe_dir = results / "probe_cache"
-        stale = ProbeCache(disk_dir=probe_dir)
-        stale.ensure("stale-model")
-        stale.put((1,), 2)
+        stale = results / "baseline_cache" / "baseline_stale.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text(json.dumps(
+            {"digest": "stale-model", "key": "k", "result": {}}))
         argv = ["sweep", "--dir", str(results), "--jobs", "1",
                 "--mitigations", "Graphene", "--nrh", "128",
                 "--requests", "300"]
         assert main(argv) == 0
-        assert list(probe_dir.glob("probe_*.json"))  # untouched resume
+        assert stale.exists()  # untouched resume
         assert main(argv + ["--force"]) == 0
-        assert not list(probe_dir.glob("probe_*.json"))
+        assert not stale.exists()

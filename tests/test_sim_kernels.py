@@ -11,7 +11,6 @@ fuzzes it.
 
 import pytest
 
-from repro.analysis.runner import effective_sim_kernel
 from repro.errors import ConfigError
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.mitigations import MITIGATION_CLASSES, make_mitigation
@@ -71,12 +70,6 @@ class TestKernelKnob:
         system = MemorySystem(single_core_config, [_trace(requests=10)])
         with pytest.raises(ConfigError):
             system.run("turbo")
-
-    def test_checking_forces_scalar(self):
-        assert effective_sim_kernel("batched", "strict") == "scalar"
-        assert effective_sim_kernel("batched", "tolerant") == "scalar"
-        assert effective_sim_kernel("batched", "off") == "batched"
-        assert effective_sim_kernel(None, "off") == default_sim_kernel()
 
     def test_observer_defaults_to_scalar(self, single_core_config):
         observer = _RecordingObserver()
