@@ -1,35 +1,33 @@
-"""Scalar vs. batched vs. array system-simulation kernels + memoization.
+"""Scalar vs. array system-simulation kernels + memoization.
 
 Runs the same fig16-style workload sweep (mitigation x tRAS factor, each
-point normalized against its no-PaCRAM baseline) three ways:
+point normalized against its no-PaCRAM baseline) two ways:
 
 * **before** — the scalar per-request oracle, every point recomputing its
   baseline (the pre-fast-path cost model);
-* **batched** — the batched kernel with a shared
-  :class:`~repro.analysis.baselines.BaselineCache`, so the baseline runs
-  once per (mitigation, workload) across the whole factor sweep;
 * **array** — the structure-of-arrays kernel
-  (:mod:`repro.sim.arraykernel`) with the same memoized baselines.
+  (:mod:`repro.sim.arraykernel`) with a shared
+  :class:`~repro.analysis.baselines.BaselineCache`, so the baseline runs
+  once per (mitigation, workload) across the whole factor sweep.
 
-Five contracts are asserted, not just reported:
+Four contracts are asserted, not just reported:
 
-* all three phases produce identical normalized series (the scalar path
-  is the parity oracle, and memoized baselines must replay exactly);
+* both phases produce identical normalized series (the scalar path is
+  the parity oracle, and memoized baselines must replay exactly);
 * the fig17/fig18 and fig19 builders produce byte-identical rendered
-  output under any kernel;
-* the batched workflow is at least 5x faster end-to-end on this sweep;
-* the array workflow is at least 6x faster end-to-end, and strictly
-  faster than the batched workflow;
+  output under both kernels;
+* the array workflow is at least 6x faster end-to-end on this sweep;
 * on the mitigation-heavy kernel-level sweep (double-sided attack,
-  per-mechanism ``service_batch`` vs. ``service_array`` with cores and
-  queues pre-built), the array tier's aggregate margin over the batched
-  tier is at least 2.5x across the epoch-batchable mechanisms.
+  per-mechanism ``MemorySystem._run_scalar`` vs. ``service_array`` with
+  the array tier's cores and queues pre-built), the array tier's
+  aggregate margin over the scalar oracle is at least 8x across the
+  epoch-batchable mechanisms.
 
-The 2.5x kernel-level margin is what epoch dispatch bought.  The costs
-both fast tiers used to share verbatim — a mitigation plugin call, two
-``bisect`` probes through a Python key callable, and latency/energy
-bookkeeping on every request — are gone from the array tier's steady
-state: mechanisms grant an ``epoch_credit()`` of guaranteed action-free
+The kernel-level scalar side is exactly what ``--kernel-policy scalar``
+runs: scalar mitigation classes, one plugin call per activation, one
+``Request`` + ``DecodedAddress`` per request, and both queues rescanned
+on every pick.  The array tier's steady state removes those costs:
+mechanisms grant an ``epoch_credit()`` of guaranteed action-free
 activations, the kernel buffers whole epochs into columnar arrays and
 flushes them through one ``on_activation_epoch`` call, latency folds
 per-epoch via ``np.unique``, and a single-queued-read fast path skips
@@ -37,8 +35,7 @@ the scheduler gate entirely.  Hydra is measured and reported but sits
 outside the asserted aggregate: once any row group goes hot, its
 RCC/RCT tiers are order-dependent (LRU recency plus metadata accesses
 on cache misses), so its honest epoch credit is zero until the next
-refresh-window reset and it steps scalar through the hot phase
-(~2.2x measured, structurally capped).
+refresh-window reset and it steps scalar through the hot phase.
 
 Every workflow phase is timed best-of-two and the kernel-level sweep
 interleaved best-of-four: the ratios have small denominators, so a
@@ -60,7 +57,6 @@ from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.mitigations import make_mitigation
 from repro.sim.arraykernel import ArrayCore, SharedQueues, service_array
 from repro.sim.config import SystemConfig
-from repro.sim.kernels import BatchCore, service_batch
 from repro.sim.system import MemorySystem
 from repro.workloads.attack import double_sided_trace
 
@@ -70,15 +66,14 @@ _MITIGATIONS = ("PARA", "Graphene")
 _WORKLOADS = ("spec06.mcf", "ycsb.a")
 _NRH = 64
 _REQUESTS = 2_500
-#: Asserted end-to-end workflow-speedup floors (naive scalar sweep vs.
-#: fast kernel + memoized baselines).
-_BATCHED_FLOOR = 5.0
+#: Asserted end-to-end workflow-speedup floor (naive scalar sweep vs.
+#: array kernel + memoized baselines).
 _ARRAY_FLOOR = 6.0
 
 #: Mitigation-heavy kernel-level sweep: a single-core double-sided attack
 #: at high nRH keeps every mechanism live (counters moving, epochs
-#: bounded) without triggering so often that both kernels degenerate to
-#: the same scalar boundary work.
+#: bounded) without triggering so often that the array kernel degenerates
+#: to the oracle's per-activation boundary work.
 _EPOCH_NRH = 1024
 _EPOCH_HAMMERS = 6_000
 _EPOCH_MECHANISMS = ("PARA", "Graphene", "Hydra", "RFM", "PRAC")
@@ -88,8 +83,8 @@ _EPOCH_MECHANISMS = ("PARA", "Graphene", "Hydra", "RFM", "PRAC")
 #: order-dependent, so its honest credit is zero until the refresh
 #: window resets (see the module docstring).
 _EPOCH_BATCHABLE = ("PARA", "Graphene", "RFM", "PRAC")
-#: Asserted aggregate array-over-batched margin across _EPOCH_BATCHABLE.
-_EPOCH_MARGIN_FLOOR = 2.5
+#: Asserted aggregate array-over-scalar margin across _EPOCH_BATCHABLE.
+_EPOCH_MARGIN_FLOOR = 8.0
 _EPOCH_ROUNDS = 4
 #: Whole sweeps retried (best-of) when a machine-wide blip depresses one.
 _EPOCH_ATTEMPTS = 3
@@ -134,29 +129,28 @@ def _timed_sweep(sim_kernel, make_cache, *, rounds=2):
 
 
 def _epoch_kernel_margin():
-    """Per-mechanism ``service_batch`` vs. ``service_array`` timing.
+    """Per-mechanism ``MemorySystem._run_scalar`` vs. ``service_array``.
 
-    This measures the kernels proper: cores and shared queues are built
-    outside the timed region and the trace is decoded once, so the
-    ratio isolates the per-request drain-loop cost — the thing epoch
-    dispatch exists to eliminate.  The two kernels run interleaved
-    (best-of-``_EPOCH_ROUNDS`` each) so both see the same cache and
-    frequency conditions, and every round's controller stats must match
-    the first round's: a fast kernel that changes results is not a fast
-    kernel.
+    This measures the drain loops proper: systems are built outside the
+    timed region, and the array tier's cores and shared queues too, so
+    the ratio isolates the per-request cost the oracle pays and epoch
+    dispatch exists to eliminate.  The scalar side runs the scalar
+    mitigation classes, as ``--kernel-policy scalar`` does.  The two
+    kernels run interleaved (best-of-``_EPOCH_ROUNDS`` each) so both see
+    the same cache and frequency conditions, and every round's controller
+    stats must match the first round's: a fast kernel that changes
+    results is not a fast kernel.
     """
     config = SystemConfig(num_cores=1)
     traces = [double_sided_trace(config, hammers=_EPOCH_HAMMERS)]
 
-    def batched_run(name):
-        mech = make_mitigation(name, _EPOCH_NRH, batched=True,
+    def scalar_run(name):
+        mech = make_mitigation(name, _EPOCH_NRH, batched=False,
                                config=config)
         sys_ = MemorySystem(config, traces, mitigation=mech)
-        cores = [BatchCore(core) for core in sys_.cores]
         started = time.perf_counter()
-        core_stats = service_batch(sys_, cores)
-        elapsed = time.perf_counter() - started
-        return elapsed, sys_._collect(core_stats)
+        result = sys_._run_scalar()
+        return time.perf_counter() - started, result
 
     def array_run(name):
         mech = make_mitigation(name, _EPOCH_NRH, batched=True,
@@ -178,10 +172,10 @@ def _epoch_kernel_margin():
         gc.disable()
         try:
             for name in _EPOCH_MECHANISMS:
-                best = {"batched": float("inf"), "array": float("inf")}
+                best = {"scalar": float("inf"), "array": float("inf")}
                 reference = None
                 for _ in range(_EPOCH_ROUNDS):
-                    for variant, run in (("batched", batched_run),
+                    for variant, run in (("scalar", scalar_run),
                                          ("array", array_run)):
                         elapsed, result = run(name)
                         best[variant] = min(best[variant], elapsed)
@@ -195,13 +189,13 @@ def _epoch_kernel_margin():
                                                         signature,
                                                         reference)
                 per_mechanism[name] = {
-                    "batched_s": best["batched"],
+                    "scalar_s": best["scalar"],
                     "array_s": best["array"],
-                    "ratio": best["batched"] / best["array"],
+                    "ratio": best["scalar"] / best["array"],
                 }
         finally:
             gc.enable()
-        aggregate = (sum(per_mechanism[m]["batched_s"]
+        aggregate = (sum(per_mechanism[m]["scalar_s"]
                          for m in _EPOCH_BATCHABLE)
                      / sum(per_mechanism[m]["array_s"]
                            for m in _EPOCH_BATCHABLE))
@@ -228,25 +222,21 @@ def _run_all_phases():
     # still-small heap, before the workflow phases allocate theirs.
     per_mechanism, epoch_margin = _epoch_kernel_margin()
     before, before_s, _ = _timed_sweep("scalar", lambda: None)
-    after, after_s, cache = _timed_sweep("batched", BaselineCache)
-    array, array_s, _ = _timed_sweep("array", BaselineCache)
-    return (before, before_s, after, after_s, array, array_s, cache,
-            per_mechanism, epoch_margin)
+    array, array_s, cache = _timed_sweep("array", BaselineCache)
+    return (before, before_s, array, array_s, cache, per_mechanism,
+            epoch_margin)
 
 
 def bench_system_scaling(benchmark):
-    (before, before_s, after, after_s, array, array_s, cache,
-     per_mechanism, epoch_margin) = run_once(benchmark, _run_all_phases)
+    (before, before_s, array, array_s, cache, per_mechanism,
+     epoch_margin) = run_once(benchmark, _run_all_phases)
     # Parity first: a fast path that changes results is not a fast path.
-    assert before == after
     assert before == array
     points = len(before)
     sims_before = points * 2 * len(_WORKLOADS)
-    speedup = before_s / after_s if after_s > 0 else float("inf")
     array_speedup = before_s / array_s if array_s > 0 else float("inf")
-    array_vs_batched = after_s / array_s if array_s > 0 else float("inf")
     epoch_lines = "\n".join(
-        f"  {name:9s} batched={row['batched_s'] * 1e3:7.2f}ms "
+        f"  {name:9s} scalar={row['scalar_s'] * 1e3:7.2f}ms "
         f"array={row['array_s'] * 1e3:7.2f}ms ratio={row['ratio']:.2f}x"
         + ("" if name in _EPOCH_BATCHABLE else "  (reported, not asserted)")
         for name, row in per_mechanism.items())
@@ -254,12 +244,9 @@ def bench_system_scaling(benchmark):
         f"sweep: {len(_MITIGATIONS)} mitigations x {len(_VENDORS)} vendors "
         f"x {len(_TRAS_FACTORS)} tRAS factors x {len(_WORKLOADS)} "
         f"workloads ({sims_before} simulations naively)\n"
-        f"scalar kernel, no cache:   {before_s:.2f}s\n"
-        f"batched kernel + memoized baselines: {after_s:.2f}s\n"
-        f"array kernel + memoized baselines:   {array_s:.2f}s\n"
-        f"speedup (batched): {speedup:.1f}x\n"
-        f"speedup (array):   {array_speedup:.1f}x "
-        f"({array_vs_batched:.2f}x over batched)\n"
+        f"scalar kernel, no cache:           {before_s:.2f}s\n"
+        f"array kernel + memoized baselines: {array_s:.2f}s\n"
+        f"speedup (array): {array_speedup:.1f}x\n"
         f"baseline-cache hits: {cache.hits}  misses: {cache.misses}  "
         f"hit rate: {cache.hit_rate():.2f}\n"
         f"kernel-level epoch-dispatch sweep "
@@ -269,40 +256,33 @@ def bench_system_scaling(benchmark):
         f"({'+'.join(_EPOCH_BATCHABLE)}): {epoch_margin:.2f}x")
     save_result("system_scaling", text)
     payload = {
-        "speedup": speedup,
         "array_speedup": array_speedup,
-        "array_vs_batched": array_vs_batched,
         "before_s": before_s,
-        "after_s": after_s,
         "array_s": array_s,
         "points": points,
         "cache": cache.stats(),
         "series": {f"{m}@{v_}@{f}": v
-                   for (m, v_, f), v in after.items()},
+                   for (m, v_, f), v in array.items()},
         "epoch_kernel_margin": epoch_margin,
         "epoch_kernel_margin_floor": _EPOCH_MARGIN_FLOOR,
         "epoch_kernel_sweep": per_mechanism,
         "epoch_kernel_batchable": list(_EPOCH_BATCHABLE),
-        "floors": {"speedup": _BATCHED_FLOOR,
-                   "array_speedup": _ARRAY_FLOOR,
+        "floors": {"array_speedup": _ARRAY_FLOOR,
                    "epoch_kernel_margin": _EPOCH_MARGIN_FLOOR},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_system_scaling.json").write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    assert speedup >= _BATCHED_FLOOR, f"fast path only {speedup:.1f}x faster"
     assert array_speedup >= _ARRAY_FLOOR, (
         f"array workflow only {array_speedup:.1f}x faster "
         f"(floor {_ARRAY_FLOOR:.0f}x)")
-    assert array_s < after_s, (
-        f"array phase ({array_s:.2f}s) slower than batched ({after_s:.2f}s)")
     assert epoch_margin >= _EPOCH_MARGIN_FLOOR, (
         f"epoch-dispatch kernel margin only {epoch_margin:.2f}x "
         f"(floor {_EPOCH_MARGIN_FLOOR}x) over {_EPOCH_BATCHABLE}")
 
 
 def bench_fig_builders_kernel_parity(benchmark):
-    """fig17/fig18/fig19 render byte-identically under every kernel."""
+    """fig17/fig18/fig19 render byte-identically under both kernels."""
 
     def _render_all(sim_kernel):
         data = fig17_18_performance_energy(
@@ -325,9 +305,7 @@ def bench_fig_builders_kernel_parity(benchmark):
         return "\n".join(lines).encode()
 
     def _all():
-        return (_render_all("scalar"), _render_all("batched"),
-                _render_all("array"))
+        return _render_all("scalar"), _render_all("array")
 
-    scalar_bytes, batched_bytes, array_bytes = run_once(benchmark, _all)
-    assert scalar_bytes == batched_bytes
+    scalar_bytes, array_bytes = run_once(benchmark, _all)
     assert scalar_bytes == array_bytes

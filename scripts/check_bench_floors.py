@@ -11,9 +11,7 @@ Each payload carries its own bounds:
 * ``ceilings`` — metrics that must not rise above a maximum (the fleet
   coordinator's per-task overhead).
 
-The check fails if a bound regresses, if a bounded metric is missing, or
-if a payload carrying ``array_s``/``after_s`` stopped having the array
-phase strictly faster than the batched one.
+The check fails if a bound regresses or if a bounded metric is missing.
 
 Usage::
 
@@ -53,10 +51,6 @@ def check(payload: dict) -> list[str]:
                             "from the payload")
         elif value > ceiling:
             problems.append(f"{metric}: {value:.2f} above ceiling {ceiling}")
-    array_s, after_s = payload.get("array_s"), payload.get("after_s")
-    if array_s is not None and after_s is not None and array_s >= after_s:
-        problems.append(f"array phase ({array_s:.2f}s) not strictly faster "
-                        f"than batched ({after_s:.2f}s)")
     return problems
 
 

@@ -100,7 +100,7 @@ def baseline_key(workloads: tuple[str, ...], traces: list[Trace], *,
     """Identity of one baseline run: every input the result depends on.
 
     The simulation kernel is deliberately *not* part of the key — the
-    batched kernel is bit-exact with the scalar oracle, so either may
+    array kernel is bit-exact with the scalar oracle, so either may
     populate an entry the other consumes (the parity suite enforces this).
     """
     from dataclasses import asdict

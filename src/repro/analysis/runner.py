@@ -61,8 +61,9 @@ def run_simulation(workload_names: tuple[str, ...], *,
     ``violations_path`` is given, in a deterministic JSONL ledger there.
 
     ``sim_kernel`` selects the controller drain loop (``"scalar"`` oracle
-    or the bit-exact ``"batched"`` fast path; ``None`` = process default);
-    checking forces the scalar oracle.  ``cache`` (a
+    or the bit-exact ``"array"`` tier, which also gets the flattened
+    mitigation twins; ``None`` = process default); checking forces the
+    scalar oracle.  ``cache`` (a
     :class:`~repro.analysis.baselines.BaselineCache`) memoizes unchecked
     no-PaCRAM runs across calls — sweep points share their baselines
     instead of re-simulating them.
@@ -98,7 +99,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
         policy = PaCRAM(config, pacram)
         effective_nrh = pacram.scaled_nrh(nrh)
     mechanism = make_mitigation(mitigation, effective_nrh,
-                                batched=(kernel in ("batched", "array")),
+                                batched=(kernel == "array"),
                                 config=config)
     checker = make_checker(
         config, mode=mode,

@@ -36,11 +36,12 @@ from pathlib import Path
 
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.errors import ConfigError, SimulationError
-from repro.exec import checked_kernel, fallback_kernel
+from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.runtime.persist import write_atomic
 from repro.service.execution import JobExecution
 from repro.sim.config import SystemConfig
+from repro.validation import CHECK_MODES
 
 
 def _sanitize(component: str) -> str:
@@ -147,9 +148,19 @@ class SweepGrid:
     requests: int = 2_000
     #: Protocol-checker mode for every point ("off" | "tolerant" | "strict").
     check_protocol: str = "off"
-    #: Simulation kernel for every point ("scalar" | "batched"; None =
+    #: Simulation kernel for every point ("scalar" | "array"; None =
     #: process default).  Checking forces the scalar oracle regardless.
     sim_kernel: str | None = None
+
+    def __post_init__(self) -> None:
+        # A service decodes a submitted grid before queueing it, so a bad
+        # name is refused at submit time instead of failing the job later.
+        if self.sim_kernel is not None:
+            validate_stage_kernel("sim", self.sim_kernel)
+        if self.check_protocol not in CHECK_MODES:
+            raise ConfigError(
+                f"check_protocol must be one of {CHECK_MODES}, "
+                f"got {self.check_protocol!r}")
 
     def points(self) -> list[SweepPoint]:
         out = []

@@ -3,15 +3,16 @@
 Every sweep runs exactly the paper's Algorithm 1 at many test points,
 through one of three device kernels:
 
-* ``vectorized`` (default) — :func:`~repro.characterization.vectorized.
-  measure_rows` measures the whole row batch per test point through the
-  bank-level kernels;
-* ``array`` — :func:`~repro.characterization.arraykernel.measure_rows_array`
-  drives the same batch through the analytic flips-vs-none predicate, with
-  no per-probe model evaluations inside the bisection;
+* ``array`` (default) — :func:`~repro.characterization.arraykernel.
+  measure_rows_array` measures the whole row batch per test point through
+  the analytic flips-vs-none predicate, with no per-probe model
+  evaluations inside the bisection;
 * ``scalar`` — a thin loop over :func:`~repro.characterization.algorithm1.
   measure_row` with a shared :class:`ProbeCache`, the parity oracle for the
-  fast paths.
+  fast paths;
+* ``vectorized`` — :func:`~repro.characterization.vectorized.measure_rows`
+  drives the same batch through the bank-level kernels; only an explicit
+  ``kernel="vectorized"`` reaches it.
 
 All kernels produce bit-identical results (the parity suite asserts it).
 The full-scale paper campaign (3K rows x 7 latencies x many restoration

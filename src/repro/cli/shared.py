@@ -38,10 +38,10 @@ def add_kernel_policy_flag(parser: argparse.ArgumentParser,
     what each choice runs."""
     parser.add_argument("--kernel-policy", default="auto",
                         choices=KERNEL_POLICIES,
-                        help=f"{help_text}: scalar runs the oracles, fast "
-                             f"the vectorized/batched paths, array the "
-                             f"numpy array tiers, auto (default) the "
-                             f"array tiers with the stepping host executor")
+                        help=f"{help_text}: scalar runs the oracles, "
+                             f"array the numpy array tiers, auto (default) "
+                             f"the array tiers with the stepping host "
+                             f"executor")
 
 
 def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:

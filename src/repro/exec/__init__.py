@@ -4,9 +4,8 @@
 
 * :class:`ExecutionPolicy` (:mod:`repro.exec.policy`) — which kernel each
   stage (device characterization, system simulation, program execution)
-  uses, how protocol checking forces the scalar oracles, and whether the
-  persistent cache tiers are active.  Every layer that used to pick a
-  kernel on its own now asks the policy.
+  uses and how protocol checking forces the scalar oracles.  Every layer
+  that used to pick a kernel on its own now asks the policy.
 * :func:`assert_parity` (:mod:`repro.exec.parity`) — the one
   oracle-comparison harness all parity test suites share.
 

@@ -9,9 +9,9 @@ asks it which concrete kernel to run.
 
 Stages and their kernels::
 
-    stage     scalar oracle   fast path    array tier
-    device    scalar          vectorized   array        (repro.dram.kernels)
-    sim       scalar          batched      array        (repro.sim.kernels)
+    stage     scalar oracle   fast kernel  explicit only
+    device    scalar          array        vectorized   (repro.dram.kernels)
+    sim       scalar          array        -            (repro.sim.arraykernel)
     host      stepping        compiled     -            (repro.bender.compile)
 
 The sim stage's array tier additionally switches mitigation dispatch
@@ -20,15 +20,15 @@ from per-activation calls to the epoch protocol
 — a kernel-level change only; the policy still just names the kernel.
 
 ``kernel_policy`` selects per stage: ``"scalar"`` runs every oracle,
-``"fast"`` every fast path, ``"array"`` the numpy structure-of-arrays tier
-(falling back to the fastest kernel on stages without one — the host
-stage's compiled fold), and ``"auto"`` (default) the array tier on the
-device and sim stages and the stepping executor on the host stage.  An
-explicit kernel passed at a call site beats the policy.  Protocol
-checking (``check_protocol != "off"``) beats everything: the checker
-observes the instruction-level oracles, so the scalar kernel is forced
-and the "oracle forced" note is emitted exactly once per policy (i.e.
-once per CLI invocation).
+``"array"`` the numpy structure-of-arrays tier (falling back to the
+fastest kernel on stages without one — the host stage's compiled fold),
+and ``"auto"`` (default) the array tier on the device and sim stages and
+the stepping executor on the host stage.  An explicit kernel passed at a
+call site beats the policy; it is the only way to reach the device
+stage's ``vectorized`` tier.  Protocol checking (``check_protocol !=
+"off"``) beats everything: the checker observes the instruction-level
+oracles, so the scalar kernel is forced and the "oracle forced" note is
+emitted exactly once per policy (i.e. once per CLI invocation).
 
 The forcing *reason* lives with the checker
 (:func:`repro.validation.checker.requires_scalar_oracle`); the *decision*
@@ -43,21 +43,21 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
-#: Per-stage kernel names: stage -> (scalar oracle, fast path[, array
-#: tier]).  The first name is always the oracle, the second the historical
-#: fast path; stages with a numpy structure-of-arrays backend list it
-#: third.
+#: Per-stage kernel names: stage -> (scalar oracle, ..., fastest kernel).
+#: The first name is always the oracle and the last the kernel the
+#: ``array`` policy picks; the device stage keeps its ``vectorized`` tier
+#: in between, reachable only by an explicit ``kernel=``.
 STAGE_KERNELS: dict[str, tuple[str, ...]] = {
     "device": ("scalar", "vectorized", "array"),
-    "sim": ("scalar", "batched", "array"),
+    "sim": ("scalar", "array"),
     "host": ("stepping", "compiled"),
 }
 
 #: What ``auto`` resolves to per stage: the array tier wherever one
 #: exists, since it is bit-identical to the oracle and the fastest kernel
 #: on every measured workload.  The host stage, which has no array tier,
-#: keeps the stepping executor as the safe default; ``fast``/``array``
-#: opt into the compiled fold.
+#: keeps the stepping executor as the safe default; ``array`` opts into
+#: the compiled fold.
 AUTO_KERNELS: dict[str, str] = {
     "device": "array",
     "sim": "array",
@@ -67,7 +67,7 @@ AUTO_KERNELS: dict[str, str] = {
 #: The selectable policies (``--kernel-policy``).  ``array`` picks each
 #: stage's structure-of-arrays tier where one exists and the fastest
 #: remaining kernel elsewhere.
-KERNEL_POLICIES = ("scalar", "fast", "array", "auto")
+KERNEL_POLICIES = ("scalar", "array", "auto")
 
 
 def _check_modes() -> tuple[str, ...]:
@@ -149,8 +149,6 @@ class ExecutionPolicy:
             return scalar
         if self.kernel_policy == "scalar":
             return scalar
-        if self.kernel_policy == "fast":
-            return names[1]
         if self.kernel_policy == "array":
             # The stage's array tier, or the fastest kernel it has (the
             # host stage folds doses analytically either way).

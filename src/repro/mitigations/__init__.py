@@ -63,7 +63,7 @@ def make_mitigation(name: str, nrh: int, *, batched: bool | None = False,
         ) from None
     if batched is None:
         from repro.exec import resolve_kernel
-        batched = resolve_kernel("sim") in ("batched", "array")
+        batched = resolve_kernel("sim") == "array"
     if batched:
         from repro.mitigations.batched import BATCHED_CLASSES
         batched_cls = BATCHED_CLASSES.get(name)

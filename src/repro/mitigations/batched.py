@@ -32,8 +32,9 @@ from the sequential replay.  Epochs that exceed the credited length fall
 back to the base class's sequential replay.
 
 ``make_mitigation(..., batched=True)`` in :mod:`repro.mitigations` selects
-these classes; mechanisms without a batched variant fall back to their
-scalar implementation (which is already allocation-free).
+these classes (every array-kernel simulation does); mechanisms without a
+batched variant fall back to their scalar implementation (which is
+already allocation-free).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Structure-of-arrays system-simulation drain loop (the sim ``array`` tier).
 
-The batched kernel (:mod:`repro.sim.kernels`) already avoids per-request
-dataclass churn, but still pays for one ``__slots__`` record per request,
-attribute-keyed ``insort``/``bisect`` calls, one Python mitigation call per
-activation, and a method call into the bank/rank/channel timeline objects
-for every timing constraint.  This module keeps the whole simulation state
-columnar and dispatches the shared per-request costs in bulk:
+The scalar drain loop (:meth:`repro.sim.system.MemorySystem._run_scalar`)
+materializes a ``Request`` and a ``DecodedAddress`` per request, rescans
+both queues on every pick, makes one Python mitigation call per
+activation, and calls into the bank/rank/channel timeline objects for
+every timing constraint.  This module keeps the whole simulation state
+columnar and dispatches those per-request costs in bulk:
 
 * :class:`ArrayCore` precomputes each request's frontend fetch time and
   retirement position once per trace (the frontend chain is independent
@@ -52,10 +52,10 @@ numpy wins live where work amortizes: whole-trace decode and frontend
 prefix sums at core construction, per-epoch ``np.unique`` aggregation in
 the mitigation tables, and the end-of-run latency fold.
 
-Same contract as the batched kernel: the same operations in the same
-order on the same plugin objects, so results — stats, energies, latency
-histogram, observer event streams — are bit-identical to the scalar
-oracle (the parity suites assert it).
+The contract: the same operations in the same order on the same plugin
+objects as the scalar oracle, so results — stats, energies, latency
+histogram, observer event streams — are bit-identical to it (the parity
+suites assert it).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SharedQueues:
 class ArrayCore:
     """Columnar replica of :class:`repro.sim.core.CoreModel`.
 
-    Beyond :class:`repro.sim.kernels.BatchCore`'s vectorized decode, the
+    Each trace's addresses are decoded in one vectorized pass, and the
     whole frontend timing chain is precomputed: ``fetch_done[i]`` depends
     only on the bubble counts (the window stall pauses *emission*, never
     the chain), so it is accumulated once — float-op order identical to
@@ -148,7 +148,7 @@ class ArrayCore:
         bubbles = trace.bubbles
         addresses = (trace.addresses.astype(np.int64, copy=False)
                      + core.address_offset)
-        # Same vectorized MOP decode as BatchCore (one pass per trace).
+        # AddressMapper's MOP decode, vectorized (one pass per trace).
         value = addresses % mapper.total_lines
         value >>= mapper._col_low_bits
         channel = value & (config.channels - 1)
@@ -233,9 +233,8 @@ def service_array(system: "MemorySystem", cores: list[ArrayCore],
                   shared: SharedQueues) -> list[CoreStats]:
     """Drain every core's trace through the SoA controller state.
 
-    Mirrors :func:`repro.sim.kernels.service_batch` — itself a mirror of
-    ``MemorySystem._run_scalar`` + ``MemoryController.service_one`` — with
-    the timeline objects' state unpacked into flat lists, every timing
+    Mirrors ``MemorySystem._run_scalar`` + ``MemoryController.service_one``
+    with the timeline objects' state unpacked into flat lists, every timing
     method inlined in its exact expression order, and mitigation calls
     batched into credit-guaranteed epochs.  All state is flushed back to
     the controller objects before returning.

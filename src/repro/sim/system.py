@@ -80,12 +80,12 @@ class MemorySystem:
         """Simulate until every core has drained its trace.
 
         ``kernel`` selects the drain-loop implementation: ``"scalar"`` is
-        the per-request oracle below, ``"batched"`` the bit-exact fast path
-        in :mod:`repro.sim.kernels`, ``"array"`` the structure-of-arrays
-        drain loop in :mod:`repro.sim.arraykernel`.  ``None`` resolves
-        through the default :class:`repro.exec.ExecutionPolicy` — with an
-        observer attached, the oracle is the safe default and the fast
-        paths must be requested explicitly.
+        the per-request oracle below, ``"array"`` the bit-exact
+        structure-of-arrays drain loop in :mod:`repro.sim.arraykernel`.
+        ``None`` resolves through the default
+        :class:`repro.exec.ExecutionPolicy` — with an observer attached,
+        the oracle is the safe default and the array tier must be
+        requested explicitly.
         """
         from repro.exec import resolve_kernel
 
@@ -94,9 +94,6 @@ class MemorySystem:
         if kernel == "array":
             from repro.sim.arraykernel import run_array
             return run_array(self)
-        if kernel == "batched":
-            from repro.sim.kernels import run_batched
-            return run_batched(self)
         return self._run_scalar()
 
     def _run_scalar(self) -> SimulationResult:

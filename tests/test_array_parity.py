@@ -47,7 +47,7 @@ def test_device_figures_identical_under_array_policy(figure):
                   label=f"{figure} under the array policy")
 
 
-@pytest.mark.parametrize("sim_kernel", ("batched", "array"))
+@pytest.mark.parametrize("sim_kernel", ("array",))
 def test_fig17_18_identical_across_sim_kernels(sim_kernel):
     kw = dict(mitigations=("PARA",), vendors=("H",), nrh_values=(64,),
               workloads=("spec06.mcf",), requests=300)
@@ -57,7 +57,7 @@ def test_fig17_18_identical_across_sim_kernels(sim_kernel):
         label=f"fig17/18 under the {sim_kernel} kernel")
 
 
-@pytest.mark.parametrize("sim_kernel", ("batched", "array"))
+@pytest.mark.parametrize("sim_kernel", ("array",))
 def test_fig19_identical_across_sim_kernels(sim_kernel):
     kw = dict(densities_gbit=(8,), latency_factors=(1.00, 0.36),
               requests=300)

@@ -45,11 +45,6 @@ class TestResolutionMatrix:
         for stage, names in STAGE_KERNELS.items():
             assert policy.kernel_for(stage) == names[0]
 
-    def test_fast_policy_runs_every_fast_path(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
-        for stage, names in STAGE_KERNELS.items():
-            assert policy.kernel_for(stage) == names[1]
-
     def test_array_policy_picks_array_tier_or_fastest(self):
         policy = ExecutionPolicy(kernel_policy="array")
         assert policy.kernel_for("device") == "array"
@@ -61,13 +56,13 @@ class TestResolutionMatrix:
         # The attached-observer default overrides the policy; an explicit
         # call-site kernel beats both.
         policy = ExecutionPolicy(kernel_policy="scalar")
-        assert policy.kernel_for("sim", "batched") == "batched"
+        assert policy.kernel_for("device", "vectorized") == "vectorized"
         assert policy.kernel_for("sim", "array", observer=True) == "array"
 
     def test_observer_forces_oracle_unless_explicit(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
+        policy = ExecutionPolicy(kernel_policy="array")
         assert policy.kernel_for("sim", observer=True) == "scalar"
-        assert policy.kernel_for("sim", "batched", observer=True) == "batched"
+        assert policy.kernel_for("sim", "array", observer=True) == "array"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="kernel policy"):
@@ -78,7 +73,8 @@ class TestResolutionMatrix:
             validate_stage_kernel("gpu", "scalar")
 
     def test_policies_cover_stage_kernels(self):
-        assert KERNEL_POLICIES == ("scalar", "fast", "array", "auto")
+        assert KERNEL_POLICIES == ("scalar", "array", "auto")
+        assert STAGE_KERNELS["sim"] == ("scalar", "array")
         for stage, names in STAGE_KERNELS.items():
             assert len(names) in (2, 3)
             assert AUTO_KERNELS[stage] in names
@@ -87,7 +83,7 @@ class TestResolutionMatrix:
 class TestCheckedResolution:
     @pytest.mark.parametrize("mode", ("tolerant", "strict"))
     def test_checking_forces_every_oracle(self, mode):
-        policy = ExecutionPolicy(kernel_policy="fast", check_protocol=mode)
+        policy = ExecutionPolicy(kernel_policy="array", check_protocol=mode)
         for stage, names in STAGE_KERNELS.items():
             assert policy.checked_kernel_for(stage) == names[0]
             # Even an explicit fast-tier request is overridden.
@@ -95,11 +91,11 @@ class TestCheckedResolution:
                 assert policy.checked_kernel_for(stage, fast) == names[0]
 
     def test_off_leaves_resolution_alone(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
-        assert policy.checked_kernel_for("sim") == "batched"
+        policy = ExecutionPolicy(kernel_policy="array")
+        assert policy.checked_kernel_for("sim") == "array"
 
     def test_per_call_mode_overrides_policy_mode(self):
-        policy = ExecutionPolicy(kernel_policy="fast", check_protocol="off")
+        policy = ExecutionPolicy(kernel_policy="array", check_protocol="off")
         assert policy.checked_kernel_for(
             "sim", check_protocol="strict") == "scalar"
         checked = ExecutionPolicy(check_protocol="strict")
@@ -107,7 +103,7 @@ class TestCheckedResolution:
             "sim", check_protocol="off") == "array"
 
     def test_note_emitted_exactly_once_per_policy(self, capsys):
-        policy = ExecutionPolicy(kernel_policy="fast",
+        policy = ExecutionPolicy(kernel_policy="array",
                                  check_protocol="strict")
         for _ in range(3):
             policy.checked_kernel_for("sim")
@@ -122,7 +118,7 @@ class TestCheckedResolution:
         assert capsys.readouterr().err == ""
 
     def test_with_overrides_resets_the_note(self, capsys):
-        policy = ExecutionPolicy(kernel_policy="fast",
+        policy = ExecutionPolicy(kernel_policy="array",
                                  check_protocol="strict")
         policy.checked_kernel_for("sim")
         copy = policy.with_overrides()
@@ -150,7 +146,7 @@ class TestDefaultPolicy:
 
     def test_non_policy_rejected(self):
         with pytest.raises(ConfigError):
-            set_default_policy("fast")
+            set_default_policy("array")
 
 
 class TestCliPolicyWiring:
@@ -158,7 +154,7 @@ class TestCliPolicyWiring:
         out = tmp_path / "checked"
         assert main(["sweep", "--dir", str(out), "--jobs", "1",
                      "--mitigations", "Graphene,PARA", "--nrh", "128",
-                     "--requests", "300", "--kernel-policy", "fast",
+                     "--requests", "300", "--kernel-policy", "array",
                      "--check-protocol", "tolerant"]) == 0
         err = capsys.readouterr().err
         assert err.count("oracle") == 1
@@ -182,7 +178,7 @@ class TestCliPolicyWiring:
 class TestSingleResolutionSite:
     """Lint: kernel selection must not leak back into individual layers.
 
-    Dispatching on an already-resolved name (``if kernel == "batched":``)
+    Dispatching on an already-resolved name (``if kernel == "array":``)
     is fine; *choosing* a kernel — forced-scalar assignments, check-mode
     conditionals picking kernel literals, or consulting the auto defaults
     — is only legal inside :mod:`repro.exec`.
@@ -198,7 +194,7 @@ class TestSingleResolutionSite:
         # the decision in the policy)
         r"\brequires_scalar_oracle\b",
         # hardcoded fast-path defaults in signatures
-        r'kernel:\s*str\s*=\s*"(vectorized|batched|compiled|stepping)"',
+        r'kernel:\s*str\s*=\s*"(vectorized|array|compiled|stepping)"',
     )
 
     ALLOWED_DIRS = ("exec",)

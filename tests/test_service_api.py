@@ -2,10 +2,11 @@
 
 End-to-end over a real loopback socket: submit/status/stream/results/
 figure/stop frames, wire-level dedup, hostile-client rejection (unknown
-verbs, malformed ids, disallowed specs; the handshake cases are in
-``test_frame_server.py``), queue recovery after a service restart, and
-the ``job`` CLI verbs driving all of it in-process — with fetched bytes
-compared against a direct batch run of the same spec.
+verbs, malformed ids, disallowed specs, unknown sweep kernels or check
+modes; the handshake cases are in ``test_frame_server.py``), queue
+recovery after a service restart, and the ``job`` CLI verbs driving all
+of it in-process — with fetched bytes compared against a direct batch
+run of the same spec.
 """
 
 import socket
@@ -219,6 +220,28 @@ class TestServiceRejections:
             sock.close()
         assert reply["type"] == "error"
         assert "disallowed type" in reply["error"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("sim_kernel", "batched"),
+        ("check_protocol", "paranoid"),
+    ])
+    def test_unknown_sweep_mode_rejected_at_submit(self, service, field,
+                                                   value):
+        payload = JobSpec("sweep", tiny_grid()).encoded()
+        payload["config"]["fields"][field] = value
+        sock = socket.create_connection(service.bound_address)
+        try:
+            send_frame(sock, {"type": "hello",
+                              "protocol": PROTOCOL_VERSION})
+            assert recv_frame(sock)["type"] == "hello"
+            send_frame(sock, {"type": "submit", "spec": payload})
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "error"
+        assert "must be one of" in reply["error"]
+        assert repr(value) in reply["error"]
+        assert service.manager.store.list_ids() == ()
 
     def test_unknown_verb_errors(self, service):
         sock = socket.create_connection(service.bound_address)

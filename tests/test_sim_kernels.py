@@ -1,12 +1,14 @@
-"""Batched system-simulation kernel: knob plumbing and bit-exact parity.
+"""System-simulation kernels: knob plumbing and bit-exact parity.
 
-The batched kernel (:mod:`repro.sim.kernels`) is a performance
+The array kernel (:mod:`repro.sim.arraykernel`) is a performance
 reimplementation of the scalar drain loop — the acceptance bar is that a
 run's *entire* :class:`SimulationResult` (IPC, energy, latency summary,
 every controller counter) and, with an observer attached, the full command
 event stream are identical between kernels.  These tests pin that
 contract on directed configurations; ``test_property_sim_parity.py``
-fuzzes it.
+fuzzes it.  The flattened mitigation twins of
+:mod:`repro.mitigations.batched`, which array-kernel runs use, are pinned
+against their scalar parents here too.
 """
 
 import pytest
@@ -40,9 +42,9 @@ def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
               batched_mitigation=False, policy_factory=None, **trace_kw):
     """Run identical systems through both kernels; return both results."""
     results = []
-    for kernel in ("scalar", "batched"):
+    for kernel in ("scalar", "array"):
         traces = [_trace(seed=s, **trace_kw) for s in trace_seeds]
-        batched = batched_mitigation and kernel == "batched"
+        batched = batched_mitigation and kernel == "array"
         mechanism = (make_mitigation(mitigation, nrh, batched=batched,
                                      config=config)
                      if mitigation else None)
@@ -55,7 +57,7 @@ def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
 
 class TestKernelKnob:
     def test_known_kernels(self):
-        assert SIM_KERNELS == ("scalar", "batched", "array")
+        assert SIM_KERNELS == ("scalar", "array")
         for kernel in SIM_KERNELS:
             assert resolve_sim_kernel(kernel) == kernel
 
@@ -82,26 +84,26 @@ class TestKernelKnob:
 class TestKernelParity:
     @pytest.mark.parametrize("mitigation", sorted(MITIGATION_CLASSES))
     def test_single_core_all_mitigations(self, single_core_config, mitigation):
-        scalar, batched = _run_pair(single_core_config, [3],
-                                    mitigation=mitigation)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [3],
+                                  mitigation=mitigation)
+        assert_parity(scalar, array)
 
     @pytest.mark.parametrize("mitigation", ["PARA", "Hydra", "Graphene"])
     def test_batched_mitigation_variants(self, single_core_config, mitigation):
-        scalar, batched = _run_pair(single_core_config, [3],
-                                    mitigation=mitigation, nrh=64,
-                                    batched_mitigation=True)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [3],
+                                  mitigation=mitigation, nrh=64,
+                                  batched_mitigation=True)
+        assert_parity(scalar, array)
 
     def test_multicore(self, quad_core_config):
-        scalar, batched = _run_pair(quad_core_config, [1, 2, 3, 4],
-                                    mitigation="PARA")
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(quad_core_config, [1, 2, 3, 4],
+                                  mitigation="PARA")
+        assert_parity(scalar, array)
 
     def test_write_heavy_forwarding(self, single_core_config):
-        scalar, batched = _run_pair(single_core_config, [9],
-                                    write_fraction=0.7, locality=0.2)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [9],
+                                  write_fraction=0.7, locality=0.2)
+        assert_parity(scalar, array)
         assert scalar.controller_stats.forwarded_reads > 0
 
     def test_pacram_policy(self, single_core_config):
@@ -109,10 +111,10 @@ class TestKernelParity:
         from repro.core.pacram import PaCRAM
 
         pacram = pacram_reference_config("H")
-        scalar, batched = _run_pair(
+        scalar, array = _run_pair(
             single_core_config, [5], mitigation="PARA", nrh=8,
             policy_factory=lambda cfg: PaCRAM(cfg, pacram))
-        assert_parity(scalar, batched)
+        assert_parity(scalar, array)
         assert scalar.controller_stats.preventive_refresh_partial > 0
 
     def test_mitigation_counters(self, single_core_config):
@@ -125,7 +127,7 @@ class TestKernelParity:
             MemorySystem(single_core_config, traces_s,
                          mitigation=ms).run("scalar")
             MemorySystem(single_core_config, traces_b,
-                         mitigation=mb).run("batched")
+                         mitigation=mb).run("array")
             assert_parity(ms.counters, mb.counters)
 
 
@@ -147,7 +149,7 @@ class TestObserverStreamParity:
     @pytest.mark.parametrize("mitigation", ["PARA", "RFM", "Hydra"])
     def test_event_streams_identical(self, single_core_config, mitigation):
         streams = []
-        for kernel in ("scalar", "batched"):
+        for kernel in ("scalar", "array"):
             observer = _RecordingObserver()
             system = MemorySystem(
                 single_core_config, [_trace(seed=3)],
@@ -156,7 +158,7 @@ class TestObserverStreamParity:
             system.run(kernel)
             streams.append(observer)
         assert_all_parity(streams[0].events, streams[1].events,
-                          label="batched command stream")
+                          label="array command stream")
         assert streams[0].finalized == streams[1].finalized
         assert len(streams[0].events) > 0
 
