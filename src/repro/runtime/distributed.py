@@ -12,10 +12,11 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   :class:`~repro.runtime.wire.FrameServer` — the listener, ``hello``
   check and close path it shares with ``serve-api`` — leases
   *batches* of tasks to workers (one round trip per batch, not per task),
-  tracks each lease in a monotonic deadline table, and is the only writer
-  of the result store — workers push result bytes back over the wire and
-  the coordinator publishes them with the same atomic durable writes the
-  local pool uses;
+  parks a request it cannot fill yet until a task is ready or the run
+  ends, tracks each lease in a monotonic deadline table, and is the only
+  writer of the result store — workers push result bytes back over the
+  wire and the coordinator publishes them with the same atomic durable
+  writes the local pool uses;
 * **workers** (``repro-experiments worker --connect host:port``, or the
   loopback processes the coordinator spawns itself) pull leases, execute
   them through the identical ``Task`` machinery — failure taxonomy,
@@ -92,8 +93,10 @@ __all__ = ["FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
 #: by ~4x on large ones.
 DEFAULT_LEASE_BATCH = 4
 
-#: How long an idle worker waits before asking again when the coordinator
-#: has nothing ready (everything leased out, or retries backing off).
+#: Longest a parked lease request waits before re-checking on its own.
+#: A worker with nothing to lease is answered as soon as a result, a
+#: requeue, a due retry or the close can answer it (each notifies), so
+#: this only bounds what a missed wake-up costs: one tick, never a hang.
 DEFAULT_POLL_S = 0.05
 
 #: Per-worker counter names, fixed so ``run_report.json`` is stable.
@@ -209,6 +212,8 @@ def run_worker(host: str, port: int, *, worker_id: str | None = None,
                 raise ConfigError(f"coordinator refused worker: "
                                   f"{reply.get('error')}")
             if reply.get("type") == "idle":
+                # Only a coordinator from an older checkout still replies
+                # ``idle``; this one parks the request instead.
                 time.sleep(float(reply.get("poll_s", DEFAULT_POLL_S)))
                 send_frame(sock, {"type": "lease", "max": batch,
                                   "results": []})
@@ -256,7 +261,6 @@ class FleetScheduler(TaskPool):
     def __init__(self, *, workers: int = 2,
                  serve: tuple[str, int] | None = None,
                  lease_batch: int = DEFAULT_LEASE_BATCH,
-                 poll_s: float = DEFAULT_POLL_S,
                  **pool_options: Any) -> None:
         super().__init__(**pool_options)
         if workers < 0:
@@ -271,7 +275,6 @@ class FleetScheduler(TaskPool):
         self.workers = workers
         self.serve = serve
         self.lease_batch = lease_batch
-        self.poll_s = poll_s
         #: ``(host, port)`` actually bound, set once listening (tests and
         #: external workers need the ephemeral port).
         self.bound_address: tuple[str, int] | None = None
@@ -297,8 +300,7 @@ class _FleetRun:
         self.results = results
         self.report = report
         self.pending = pending
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
+        self.cond = threading.Condition()
         self.queue: list[tuple[Task, bool]] = []
         #: (ready_at, seq, task, charge) — scheduled retries.
         self.retries: list[tuple[float, int, Task, bool]] = []
@@ -388,16 +390,19 @@ class _FleetRun:
     def _shutdown(self) -> None:
         """Tear the fleet down without orphans, however the run ended.
 
-        Remote leases first: closing the server wakes every connection
-        thread parked in ``recv``, which then closes its connection, so
-        each worker sees "coordinator gone" and exits on its own.
+        Remote leases first: setting ``closing`` wakes every lease
+        request parked on the condition, which is answered ``shutdown``,
+        and closing the server wakes every connection thread blocked in
+        ``recv``, which then closes its connection, so each worker exits
+        on its own.
         Spawned loopback workers then get one short grace period
         *collectively*, and stragglers are escalated SIGTERM -> join ->
         SIGKILL — an interrupted coordinator (Ctrl-C mid-sweep) must
         never leave live children behind.
         """
-        with self.lock:
+        with self.cond:
             self.closing = True
+            self.cond.notify_all()
         self.server.close()
         deadline = time.monotonic() + 0.5
         for proc in self._procs:
@@ -420,13 +425,14 @@ class _FleetRun:
         message = hello
         try:
             while True:
+                maxn = max(1, int(message.get("max") or self.p.lease_batch))
                 with self.cond:
                     self._ingest(worker, message.get("results") or [])
-                    reply = self._grant(
-                        worker,
-                        max(1, int(message.get("max")
-                                   or self.p.lease_batch)))
                     self.cond.notify_all()
+                    reply = self._grant(worker, maxn)
+                    while reply is None:  # parked: nothing ready yet
+                        self.cond.wait(timeout=self._park_s())
+                        reply = self._grant(worker, maxn)
                 send_frame(conn, reply)
                 if reply["type"] == "shutdown":
                     with self.cond:
@@ -507,7 +513,9 @@ class _FleetRun:
         self._seq += 1
         heapq.heappush(self.retries, (ready_at, self._seq, task, charge))
 
-    def _grant(self, worker: str, maxn: int) -> dict:
+    def _grant(self, worker: str, maxn: int) -> dict | None:
+        """The reply to a lease request, or ``None`` while nothing is
+        ready but tasks are still out (the caller parks the request)."""
         if self.closing:  # a frame buffered at close earns no new lease
             return {"type": "shutdown"}
         now = self.p.clock()
@@ -541,7 +549,15 @@ class _FleetRun:
             return {"type": "lease", "tasks": specs, "blobs": bodies}
         if not self.outstanding:
             return {"type": "shutdown"}
-        return {"type": "idle", "poll_s": self.p.poll_s}
+        return None
+
+    def _park_s(self) -> float:
+        """Bound on one parked wait: the next retry's ready time, capped
+        at :data:`DEFAULT_POLL_S`."""
+        if self.retries:
+            return max(0.0, min(DEFAULT_POLL_S,
+                                self.retries[0][0] - self.p.clock()))
+        return DEFAULT_POLL_S
 
     def _spec(self, task: Task, gen: int) -> dict:
         path_str = str(task.path)
@@ -705,3 +721,4 @@ class _FleetRun:
                 self._push_retry(task, now + delay, charge=True)
             else:
                 self._fail(task, f"{error}", TIMEOUT)
+            self.cond.notify_all()  # re-bound parked waits, or end the run

@@ -42,7 +42,6 @@ import base64
 import json
 import socket
 import threading
-import time
 from collections import deque
 from pathlib import Path
 
@@ -63,7 +62,9 @@ __all__ = ["CharacterizationService", "SERVICE_NAME"]
 #: from a fleet coordinator listening on the same kind of socket.
 SERVICE_NAME = "repro-characterization-service"
 
-#: How often stream handlers re-poll the event log and job state.
+#: How often a stream forwards a running job's new progress events.  A
+#: stream never waits this long for its job's end: the runner wakes every
+#: stream when a job finishes.
 DEFAULT_STREAM_POLL_S = 0.05
 
 
@@ -93,6 +94,8 @@ class CharacterizationService:
         self._queue: deque[str] = deque()
         self._queued: set[str] = set()
         self._cond = threading.Condition()
+        #: Jobs the runner has finished, done or failed (under ``_cond``).
+        self._finished_runs = 0
         self._stop = threading.Event()
         self.server: FrameServer | None = None
         self._runner: threading.Thread | None = None
@@ -181,6 +184,10 @@ class CharacterizationService:
                 self.manager.run(job_id)
             except Exception:  # noqa: BLE001 — recorded as failed in store
                 pass
+            finally:
+                with self._cond:
+                    self._finished_runs += 1
+                    self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # connection handler (one thread per client)
@@ -239,6 +246,10 @@ class CharacterizationService:
         State is snapshotted *before* each read: the manager closes the
         event log before flipping the record to a terminal state, so a
         terminal snapshot guarantees the following read drains the file.
+        Between reads the handler waits until the runner finishes a job,
+        the service stops, or ``poll_s`` passes (to forward a running
+        job's progress): the finished-runs count is read before the
+        snapshot, so a job that ends after it is never waited out.
         """
         try:
             job_id = message.get("job_id")
@@ -249,6 +260,8 @@ class CharacterizationService:
         path = self.manager.store.events_path(job_id)
         offset = 0
         while True:
+            with self._cond:
+                finished = self._finished_runs
             record = self.manager.store.load(job_id)
             state = record.state
             offset = self._emit_new_events(conn, path, offset)
@@ -261,7 +274,11 @@ class CharacterizationService:
                                   "state": state,
                                   "error": "service stopping"})
                 return
-            time.sleep(self.poll_s)
+            with self._cond:
+                self._cond.wait_for(
+                    lambda: (self._finished_runs != finished
+                             or self._stop.is_set()),
+                    timeout=self.poll_s)
 
     def _emit_new_events(self, conn: socket.socket, path: Path,
                          offset: int) -> int:

@@ -5,6 +5,7 @@ import os
 import pickle
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from repro.runtime.distributed import FleetScheduler, echo_point, run_worker
 from repro.runtime.wire import (
     BLOB_MIN,
     COMPRESS_MIN,
+    PROTOCOL_VERSION,
     FrameError,
     blob_digest,
     callable_ref,
@@ -66,6 +68,14 @@ def _kernel_echo(n, path, broken):
     carry ``broken=False`` — the degradation-path stand-in."""
     if broken:
         raise RuntimeError("fast kernel exploded (injected)")
+    echo_point(n, path)
+
+
+def _gated_echo(marker, gate, n, path):
+    """Touches ``marker``, then holds its lease until ``gate`` exists."""
+    Path(marker).touch()
+    while not Path(gate).exists():
+        time.sleep(0.01)
     echo_point(n, path)
 
 
@@ -541,6 +551,67 @@ class TestFleetShutdown:
         run.queue.append((tasks[0], True))
         run.closing = True
         assert run._grant("w1", 4) == {"type": "shutdown"}
+
+    def test_worker_with_nothing_to_lease_is_parked(self, tmp_path):
+        """A lease request that finds nothing ready waits on the
+        coordinator and is answered ``shutdown`` once the run ends; it is
+        never told to sleep out an ``idle`` reply."""
+        gate = tmp_path / "gate"
+        markers = [tmp_path / f"started-{n}" for n in range(2)]
+        tasks = [Task(key=f"g{n}", path=tmp_path / f"g{n}.json",
+                      fn=_gated_echo,
+                      args=(str(markers[n]), str(gate), n,
+                            str(tmp_path / f"g{n}.json")))
+                 for n in range(2)]
+        pool = make_scheduler("fleet", workers=0, serve="127.0.0.1:0",
+                              lease_batch=4)
+        results, errors = {}, []
+
+        def drive():
+            try:
+                results.update(pool.run(tasks, loader=_load_echo))
+            except Exception as error:  # noqa: BLE001 — surfaced below
+                errors.append(error)
+
+        coordinator = threading.Thread(target=drive)
+        coordinator.start()
+        worker = peer = None
+        try:
+            assert pool.serving.wait(timeout=10.0)
+            host, port = pool.bound_address
+            # The real worker leases both tasks in one batch of four.
+            worker = threading.Thread(
+                target=run_worker, args=(host, port),
+                kwargs={"worker_id": "busy",
+                        "scratch_dir": tmp_path / "scratch"})
+            worker.start()
+            deadline = time.monotonic() + 10.0
+            while not markers[0].exists():
+                assert time.monotonic() < deadline, "task never started"
+                time.sleep(0.01)
+            peer = socket.create_connection((host, port), timeout=10.0)
+            send_frame(peer, {"type": "hello", "worker": "parked",
+                              "protocol": PROTOCOL_VERSION, "max": 4,
+                              "results": []})
+            peer.settimeout(0.5)
+            with pytest.raises(socket.timeout):
+                recv_frame(peer)  # parked: no reply while tasks are out
+            peer.settimeout(10.0)
+            gate.touch()
+            frames = []
+            while (frame := recv_frame(peer)) is not None:
+                frames.append(frame)
+            assert frames == [{"type": "shutdown"}]
+        finally:
+            gate.touch()
+            if peer is not None:
+                peer.close()
+            if worker is not None:
+                worker.join(timeout=30.0)
+            coordinator.join(timeout=30.0)
+        assert not coordinator.is_alive() and not worker.is_alive()
+        assert not errors
+        assert results == {"g0": 1, "g1": 2}
 
     def test_interrupt_leaves_no_surviving_workers(self, tmp_path):
         """Regression: Ctrl-C mid-fleet-run must SIGTERM-and-join the

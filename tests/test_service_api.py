@@ -10,6 +10,7 @@ run of the same spec.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -126,6 +127,42 @@ class TestServiceEndToEnd:
         assert end["state"] == DONE
         assert [e["event"] for e in events][0] == "start"
         assert [e["event"] for e in events][-1] == "finish"
+
+    def test_streams_end_with_their_jobs_not_the_poll_tick(self, tmp_path):
+        """The runner wakes every waiting stream when a job ends, so even
+        a 60 s progress interval holds back no ``end`` frame — with
+        several streams waiting on queued jobs at once, and thread
+        switches forced often to shake out a lost wake-up."""
+        svc = CharacterizationService(tmp_path / "jobs",
+                                      options=RunOptions(jobs=1), poll_s=60)
+        specs = [JobSpec("sweep", tiny_grid(requests=200 + n))
+                 for n in range(3)]
+        ends = {}
+
+        def follow(spec):
+            with ServiceClient(address(svc)) as client:
+                job_id = client.submit(spec)["job_id"]
+                ends[job_id] = client.stream(job_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            svc.start()
+            streamers = [threading.Thread(target=follow, args=(spec,))
+                         for spec in specs]
+            for streamer in streamers:
+                streamer.start()
+            deadline = time.monotonic() + 15.0
+            for streamer in streamers:
+                streamer.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(streamer.is_alive() for streamer in streamers), \
+                "a stream outlived its job"
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop()
+        assert sorted(ends) == sorted(spec.job_id for spec in specs)
+        assert all(end["type"] == "end" and end["state"] == DONE
+                   for end in ends.values())
 
     def test_fetch_writes_the_result_files(self, service, tmp_path):
         grid = tiny_grid()
