@@ -18,7 +18,12 @@ that wrapper is allowed to cost:
   imports and memoized set-up;
 * **byte-identity** — the serviced rows are asserted identical to the
   batch rows while we are at it (the same contract CI's service-smoke
-  job checks over the real CLI).
+  job checks over the real CLI);
+* **a warm fleet** — a service on a 2-worker fleet forks its workers
+  once, at start: after one warm-up job, three distinct one-point sweeps
+  must start no process (``fleet_worker_starts``), and the median job
+  minus the same sweeps' warm batch median (``fleet_job_overhead_s``)
+  stays under the per-job ceiling.
 
 The persisted ``BENCH_service_overhead.json`` carries the ``ceilings``
 that ``scripts/check_bench_floors.py`` re-checks in CI against the
@@ -28,6 +33,8 @@ artifact that actually shipped.
 import json
 import statistics
 import time
+from contextlib import contextmanager
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -47,6 +54,8 @@ SUBMIT_CEILING_MS = 50.0
 STATUS_CEILING_MS = 50.0
 STREAM_CEILING_MS = 250.0
 JOB_OVERHEAD_CEILING_S = 2.0
+#: A fleet-backed service forks its workers at start, never per job.
+FLEET_WORKER_STARTS_CEILING = 0
 
 _VERB_REPS = 20
 
@@ -55,6 +64,12 @@ def _grid() -> SweepGrid:
     return SweepGrid(mitigations=("PARA",), nrh_values=(64,),
                      pacram_vendors=(None, "H"),
                      workload_sets=(("spec06.mcf",),), requests=200)
+
+
+def _one_point(requests: int) -> SweepGrid:
+    return SweepGrid(mitigations=("PARA",), nrh_values=(64,),
+                     pacram_vendors=(None,),
+                     workload_sets=(("spec06.mcf",),), requests=requests)
 
 
 def _rows(results_dir: Path) -> dict[str, bytes]:
@@ -70,6 +85,61 @@ def _median_ms(fn, reps: int = _VERB_REPS) -> float:
         fn()
         samples.append((time.perf_counter() - started) * 1000.0)
     return statistics.median(samples)
+
+
+@contextmanager
+def _process_starts():
+    """Collect the name of every process started inside the block."""
+    names: list[str] = []
+    real_start = BaseProcess.start
+
+    def start(process):
+        names.append(process.name)
+        real_start(process)
+
+    BaseProcess.start = start
+    try:
+        yield names
+    finally:
+        BaseProcess.start = real_start
+
+
+def _fleet_phase(tmp: Path) -> dict:
+    """Three new jobs on a warm fleet-backed service vs the batch path."""
+    warmup, *grids = [_one_point(requests)
+                      for requests in (150, 200, 250, 300)]
+    # Both sides are warmed by the same throwaway job first.
+    SweepRunner(tmp / "fleet_warmup", warmup).run(jobs=1)
+    batch_s = []
+    for index, grid in enumerate(grids):
+        started = time.perf_counter()
+        SweepRunner(tmp / f"fleet_batch{index}", grid).run(jobs=1)
+        batch_s.append(time.perf_counter() - started)
+    service = CharacterizationService(
+        tmp / "fleet_jobs", options=RunOptions(scheduler="fleet", workers=2))
+    service.start()
+    try:
+        with ServiceClient(service.bound_address) as client:
+            frame = client.submit(JobSpec("sweep", warmup))
+            assert client.stream(frame["job_id"])["state"] == "done"
+            job_s = []
+            with _process_starts() as starts:
+                for index, grid in enumerate(grids):
+                    started = time.perf_counter()
+                    frame = client.submit(JobSpec("sweep", grid))
+                    end = client.stream(frame["job_id"])
+                    rows = client.results(frame["job_id"])
+                    job_s.append(time.perf_counter() - started)
+                    assert end["state"] == "done", end
+                    assert rows == _rows(tmp / f"fleet_batch{index}"), \
+                        "fleet-serviced rows differ from the batch run"
+    finally:
+        service.stop()
+    return {"fleet_batch_s": statistics.median(batch_s),
+            "fleet_job_s": statistics.median(job_s),
+            "fleet_job_overhead_s": (statistics.median(job_s)
+                                     - statistics.median(batch_s)),
+            "fleet_worker_starts": len(starts)}
 
 
 def _run_bench() -> dict:
@@ -118,6 +188,7 @@ def _run_bench() -> dict:
                     .read_text().splitlines())
         finally:
             service.stop()
+        payload.update(_fleet_phase(tmp))
     return payload
 
 
@@ -126,7 +197,9 @@ def bench_service_overhead(benchmark):
     payload["ceilings"] = {"submit_ms": SUBMIT_CEILING_MS,
                            "status_ms": STATUS_CEILING_MS,
                            "stream_ms": STREAM_CEILING_MS,
-                           "job_overhead_s": JOB_OVERHEAD_CEILING_S}
+                           "job_overhead_s": JOB_OVERHEAD_CEILING_S,
+                           "fleet_worker_starts": FLEET_WORKER_STARTS_CEILING,
+                           "fleet_job_overhead_s": JOB_OVERHEAD_CEILING_S}
     # The in-process asserts mirror scripts/check_bench_floors.py, which
     # re-checks the persisted payload in CI.
     for metric, ceiling in payload["ceilings"].items():
@@ -146,7 +219,16 @@ def bench_service_overhead(benchmark):
              f"stream replay ({payload['events']} events): "
              f"{payload['stream_ms']:.2f} ms median (ceiling "
              f"{STREAM_CEILING_MS:.0f} ms)",
-             "rows byte-identical to the batch run"]
+             "rows byte-identical to the batch run",
+             f"fleet-backed service, warm (2 workers): median new "
+             f"one-point job {payload['fleet_job_s']:.3f}s vs batch "
+             f"{payload['fleet_batch_s']:.3f}s (overhead "
+             f"{payload['fleet_job_overhead_s']:.3f}s, ceiling "
+             f"{JOB_OVERHEAD_CEILING_S:.0f}s)",
+             f"processes started during the 3 fleet jobs: "
+             f"{payload['fleet_worker_starts']} (ceiling "
+             f"{FLEET_WORKER_STARTS_CEILING})",
+             "fleet rows byte-identical to the batch run"]
     save_result("service_overhead", "\n".join(lines))
 
     RESULTS_DIR.mkdir(exist_ok=True)

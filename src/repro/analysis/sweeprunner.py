@@ -33,6 +33,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.errors import ConfigError, SimulationError
@@ -42,6 +43,9 @@ from repro.runtime.persist import write_atomic
 from repro.service.execution import JobExecution
 from repro.sim.config import SystemConfig
 from repro.validation import CHECK_MODES
+
+if TYPE_CHECKING:
+    from repro.runtime.distributed import Fleet
 
 
 def _sanitize(component: str) -> str:
@@ -289,7 +293,8 @@ class SweepRunner:
             task_timeout_s: float | None = None,
             scheduler: str = "local", workers: int | None = None,
             serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None) -> list[SweepRow]:
+            lease_batch: int | None = None,
+            fleet: Fleet | None = None) -> list[SweepRow]:
         """Run (or resume) the whole grid; returns rows in grid order.
 
         ``jobs`` controls the worker-process count (``None`` = all cores);
@@ -302,7 +307,8 @@ class SweepRunner:
         (:mod:`repro.runtime.scheduler`): ``local`` drains on this host,
         ``fleet`` leases points to ``workers`` spawned loopback workers
         and/or external ``repro-experiments worker`` clients connecting to
-        ``serve`` — rows are byte-identical either way.
+        ``serve``, or borrows the open ``fleet`` — rows are byte-identical
+        either way.
         """
         points = self.grid.points()
         results = self.execution.run([self._task(p) for p in points],
@@ -310,7 +316,8 @@ class SweepRunner:
                                      jobs=jobs, progress=progress,
                                      task_timeout_s=task_timeout_s,
                                      scheduler=scheduler, workers=workers,
-                                     serve=serve, lease_batch=lease_batch)
+                                     serve=serve, lease_batch=lease_batch,
+                                     fleet=fleet)
         return [results[p.key] for p in points]
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.characterization.results import ModuleCharacterization
 from repro.characterization.sweeps import characterize_module
@@ -37,6 +38,9 @@ from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.service.execution import JobExecution
 from repro.validation.physics import model_digest
+
+if TYPE_CHECKING:
+    from repro.runtime.distributed import Fleet
 
 
 @dataclass
@@ -162,7 +166,7 @@ class CharacterizationCampaign:
             task_timeout_s: float | None = None,
             scheduler: str = "local", workers: int | None = None,
             serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None,
+            lease_batch: int | None = None, fleet: Fleet | None = None,
             ) -> dict[str, ModuleCharacterization]:
         """Run (or resume) the whole campaign; returns all results.
 
@@ -177,7 +181,8 @@ class CharacterizationCampaign:
         (:mod:`repro.runtime.scheduler`): ``local`` drains on this host,
         ``fleet`` leases modules to ``workers`` spawned loopback workers
         and/or external ``repro-experiments worker`` clients connecting to
-        ``serve`` — results are byte-identical either way.
+        ``serve``, or borrows the open ``fleet`` — results are
+        byte-identical either way.
         """
         tasks = [self._task(module_id)
                  for module_id in self.config.module_ids]
@@ -185,7 +190,8 @@ class CharacterizationCampaign:
                                   jobs=jobs, progress=progress,
                                   task_timeout_s=task_timeout_s,
                                   scheduler=scheduler, workers=workers,
-                                  serve=serve, lease_batch=lease_batch)
+                                  serve=serve, lease_batch=lease_batch,
+                                  fleet=fleet)
 
     def load(self) -> dict[str, ModuleCharacterization]:
         """Load a completed campaign's results without running anything."""

@@ -141,7 +141,8 @@ def register(subparsers) -> None:
                                    "are byte-identical either way)")
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="fleet only: loopback workers spawned "
-                                   "per job (default: 2)")
+                                   "once, at start, and shared by every "
+                                   "job (default: 2)")
     serve_parser.add_argument("--fleet-serve", default=None,
                               metavar="HOST:PORT",
                               help="fleet only: listen here for external "

@@ -12,11 +12,17 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   :class:`~repro.runtime.wire.FrameServer` — the listener, ``hello``
   check and close path it shares with ``serve-api`` — leases
   *batches* of tasks to workers (one round trip per batch, not per task),
-  parks a request it cannot fill yet until a task is ready or the run
-  ends, tracks each lease in a monotonic deadline table, and is the only
-  writer of the result store — workers push result bytes back over the
-  wire and the coordinator publishes them with the same atomic durable
-  writes the local pool uses;
+  parks a request it cannot fill yet until a task is ready or the fleet
+  closes, tracks each lease in a monotonic deadline table, and is the
+  only writer of the result store — workers push result bytes back over
+  the wire and the coordinator publishes them with the same atomic
+  durable writes the local pool uses;
+* the **fleet** (:class:`Fleet`: listener, loopback worker processes,
+  connections) has a lifetime of its own, and runs borrow it one at a
+  time.  A batch run opens a private fleet and closes it when it ends; a
+  fleet-backed ``serve-api`` opens one at start and keeps it, workers
+  connected and parked, until it stops — so no job forks, tears down or
+  re-imports, and external workers serve every job;
 * **workers** (``repro-experiments worker --connect host:port``, or the
   loopback processes the coordinator spawns itself) pull leases, execute
   them through the identical ``Task`` machinery — failure taxonomy,
@@ -31,7 +37,9 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   attempt, bounded by ``max_infra_retries``), an overrun lease is a
   **timeout** (revoked — the in-flight generation is invalidated so a
   late result is dropped as stale — and reassigned, charged), worker-side
-  exceptions classify exactly as they would locally.
+  exceptions classify exactly as they would locally.  Lease generations
+  are fleet-wide, so a late result never matches a later run's lease of
+  the same key either.
 
 Because every task derives its result only from its arguments and seed,
 and retries/reassignments re-run the same pure function, the published
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import base64
 import heapq
+import itertools
 import json
 import os
 import shutil
@@ -85,7 +94,7 @@ from repro.runtime.wire import (
     send_frame,
 )
 
-__all__ = ["FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
+__all__ = ["Fleet", "FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
            "echo_point"]
 
 #: Tasks per lease.  Batching amortizes the request/reply round trip; the
@@ -94,9 +103,10 @@ __all__ = ["FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
 DEFAULT_LEASE_BATCH = 4
 
 #: Longest a parked lease request waits before re-checking on its own.
-#: A worker with nothing to lease is answered as soon as a result, a
-#: requeue, a due retry or the close can answer it (each notifies), so
-#: this only bounds what a missed wake-up costs: one tick, never a hang.
+#: A worker with nothing to lease is answered as soon as a new run, a
+#: result, a requeue, a due retry or the close can answer it (each
+#: notifies), so this only bounds what a missed wake-up costs: one tick,
+#: never a hang.
 DEFAULT_POLL_S = 0.05
 
 #: Per-worker counter names, fixed so ``run_report.json`` is stable.
@@ -181,8 +191,9 @@ def run_worker(host: str, port: int, *, worker_id: str | None = None,
 
     Blocks until the coordinator says ``shutdown`` or the connection
     drops; returns 0 on a clean shutdown and 3 if the coordinator went
-    away first (the run may simply have finished while this worker was
-    idle — the coordinator closes every connection when it is done).
+    away first (its fleet may simply have closed while this worker was
+    idle — closing drops every connection).  Between runs of a fleet that
+    stays open, the worker's lease request waits on the coordinator.
     ``scratch_dir`` overrides the temporary scratch root (kept if given,
     deleted otherwise).  Connecting retries with bounded exponential
     backoff for up to ``connect_timeout_s`` (a worker started moments
@@ -205,7 +216,7 @@ def run_worker(host: str, port: int, *, worker_id: str | None = None,
             try:
                 reply = recv_frame(sock)
             except (ConnectionError, OSError):
-                return 3  # coordinator gone (usually: the run finished)
+                return 3  # coordinator gone (usually: the fleet closed)
             if reply is None or reply.get("type") == "shutdown":
                 return 0
             if reply.get("type") == "error":
@@ -246,176 +257,213 @@ class _Lease:
     task: Task
 
 
+def _check_shape(workers: int, serve: tuple[str, int] | None,
+                 lease_batch: int) -> None:
+    if workers < 0:
+        raise ConfigError(f"workers must be >= 0, got {workers}")
+    if workers == 0 and serve is None:
+        raise ConfigError(
+            "a fleet needs spawned loopback workers (workers >= 1) "
+            "or a serve address for external ones")
+    if lease_batch < 1:
+        raise ConfigError(
+            f"lease_batch must be >= 1, got {lease_batch}")
+
+
 class FleetScheduler(TaskPool):
     """The ``fleet`` scheduler backend: lease tasks to a worker fleet.
 
     Inherits every shared contract from :class:`TaskPool` — resume/reuse,
     quarantine, the error ledger, ``run_report.json``, retry accounting —
     and overrides only the drain: instead of a local process pool, tasks
-    are leased over TCP to ``workers`` spawned loopback worker processes
-    and/or external ``repro-experiments worker`` clients connecting to the
-    ``serve`` address.  ``timeout_s`` / per-task deadlines become lease
-    deadlines enforced by the coordinator's revocation table.
+    are leased over TCP to the workers of a :class:`Fleet`.  A run borrows
+    the open ``fleet`` it is given and leaves it open; without one, each
+    run opens a private fleet of ``workers`` spawned loopback worker
+    processes and/or external ``repro-experiments worker`` clients
+    connecting to the ``serve`` address, and closes it when it ends.
+    ``timeout_s`` / per-task deadlines become lease deadlines enforced by
+    the coordinator's revocation table.
     """
 
-    def __init__(self, *, workers: int = 2,
+    def __init__(self, *, fleet: Fleet | None = None, workers: int = 2,
                  serve: tuple[str, int] | None = None,
                  lease_batch: int = DEFAULT_LEASE_BATCH,
                  **pool_options: Any) -> None:
         super().__init__(**pool_options)
-        if workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {workers}")
-        if workers == 0 and serve is None:
-            raise ConfigError(
-                "a fleet needs spawned loopback workers (workers >= 1) "
-                "or a serve address for external ones")
-        if lease_batch < 1:
-            raise ConfigError(
-                f"lease_batch must be >= 1, got {lease_batch}")
+        if fleet is None:
+            _check_shape(workers, serve, lease_batch)
+        self.fleet = fleet
         self.workers = workers
         self.serve = serve
         self.lease_batch = lease_batch
         #: ``(host, port)`` actually bound, set once listening (tests and
         #: external workers need the ephemeral port).
         self.bound_address: tuple[str, int] | None = None
-        #: Set while the coordinator is accepting connections.
+        #: Set while a run's fleet is accepting connections.
         self.serving = threading.Event()
 
     def _execute(self, pending: list[Task], loader: Callable[[Path], Any],
                  results: dict[str, Any], report: PoolReport) -> None:
+        fleet = self.fleet
         try:
-            _FleetRun(self, pending, loader, results, report).execute()
+            if fleet is None:
+                fleet = Fleet(workers=self.workers, serve=self.serve,
+                              lease_batch=self.lease_batch)
+            self.bound_address = fleet.address
+            self.serving.set()
+            fleet.drain(_FleetRun(fleet, self, pending, loader, results,
+                                  report))
         finally:
             self.serving.clear()
+            if fleet is not None and fleet is not self.fleet:
+                fleet.close()
 
 
-class _FleetRun:
-    """One fleet run: the lease table, retry schedule, and worker server."""
+class Fleet:
+    """A worker fleet with a lifetime of its own; runs borrow it in turn.
 
-    def __init__(self, pool: FleetScheduler, pending: list[Task],
-                 loader: Callable[[Path], Any], results: dict[str, Any],
-                 report: PoolReport) -> None:
-        self.p = pool
-        self.loader = loader
-        self.results = results
-        self.report = report
-        self.pending = pending
+    Holds what outlives one run: the listener, the ``workers`` loopback
+    worker processes it forks itself, one connection thread per worker
+    (external ones connect to ``serve``), and the parking of lease
+    requests nothing can fill yet.  One run at a time drains through
+    :meth:`drain`; between runs every worker stays connected with its
+    lease request parked, so the next run leases to warm workers.  A
+    request is answered ``shutdown`` only once :meth:`close` is called,
+    by whoever opened the fleet.
+    """
+
+    def __init__(self, *, workers: int = 2,
+                 serve: tuple[str, int] | None = None,
+                 lease_batch: int = DEFAULT_LEASE_BATCH) -> None:
+        _check_shape(workers, serve, lease_batch)
+        self.serve = serve
+        self.lease_batch = lease_batch
         self.cond = threading.Condition()
-        self.queue: list[tuple[Task, bool]] = []
-        #: (ready_at, seq, task, charge) — scheduled retries.
-        self.retries: list[tuple[float, int, Task, bool]] = []
-        self.attempts = {task.key: 0 for task in pending}
-        self.gens: dict[str, int] = {}
-        self.leases: dict[str, _Lease] = {}
-        self.outstanding = {task.key for task in pending}
-        self.blob_table: dict[str, Any] = {}
-        self.worker_sent: dict[str, set[str]] = {}
-        self.worker_stats: dict[str, dict[str, int]] = {}
+        #: The run draining through the fleet right now, if any.
+        self.run: _FleetRun | None = None
         self.connected: set[str] = set()
-        self.degraded_keys: set[str] = set()
-        self.infra_strikes: dict[str, int] = {}
+        #: Blob digests each connected worker holds: a worker keeps every
+        #: blob it was sent for as long as its connection lives.
+        self.worker_sent: dict[str, set[str]] = {}
+        #: Lease generations, fleet-wide: a late result from an earlier
+        #: run never matches a later run's lease of the same key.
+        self.gens = itertools.count(1)
         self.closing = False
-        self._seq = 0
-        self._procs: list[Any] = []
-
-    # ------------------------------------------------------------------
-    def execute(self) -> None:
-        for task, _charge in ((t, True) for t in self.pending):
-            self.queue.append((task, True))
-        self.server = FrameServer(self.p.serve or ("127.0.0.1", 0),
+        self._procs: list[Any] = [None] * workers
+        self.server = FrameServer(serve or ("127.0.0.1", 0),
                                   self._serve_worker, "worker")
-        self.p.bound_address = self.server.address
-        # Everything past the listener — including spawning — runs under
-        # the shutdown guarantee: a Ctrl-C or crash anywhere below must
-        # never orphan a spawned worker or leave a lease connection open.
+        #: ``(host, port)`` actually bound (the port may be ephemeral).
+        self.address: tuple[str, int] = self.server.address
+        # Everything past the listener — including forking — runs under
+        # the close guarantee: a Ctrl-C or crash anywhere below must
+        # never orphan a spawned worker or leave the port open.
         try:
-            # Spawn loopback workers BEFORE starting any thread: forking
+            # Fork the loopback workers BEFORE starting any thread: forking
             # a multi-threaded parent can deadlock the child on inherited
             # lock state.  The workers connect immediately and block in
             # the listen backlog until the server starts accepting.
-            self._spawn_workers()
+            self._spawn_missing()
             self.server.start()
-            self.p.serving.set()
-            with self.cond:
-                while self.outstanding:
-                    self._revoke_overdue()
-                    if self._fleet_dead():
-                        self._fail_remaining(
-                            "every fleet worker is gone (no connections, "
-                            "no live spawned workers)")
-                        break
-                    self.cond.wait(timeout=0.05)
-        finally:
-            self._shutdown()
-        self.report.final_mode = "fleet"
-        self.report.scheduler = "fleet"
-        self.report.workers = {worker: dict(stats) for worker, stats
-                               in sorted(self.worker_stats.items())}
+        except BaseException:
+            self.close()
+            raise
 
-    def _spawn_workers(self) -> None:
-        if not self.p.workers:
-            return
+    def _spawn_missing(self) -> None:
+        """Fork a loopback worker into every slot without a live one."""
         import multiprocessing
 
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork
             ctx = multiprocessing.get_context("spawn")
-        for index in range(self.p.workers):
+        for index, proc in enumerate(self._procs):
+            if proc is not None and proc.is_alive():
+                continue
             proc = ctx.Process(
-                target=run_worker, args=self.p.bound_address,
+                target=run_worker, args=self.address,
                 kwargs={"worker_id": f"w{index + 1}",
-                        "batch": self.p.lease_batch},
+                        "batch": self.lease_batch},
                 daemon=True, name=f"repro-fleet-w{index + 1}")
             proc.start()
-            self._procs.append(proc)
+            self._procs[index] = proc
 
-    def _fleet_dead(self) -> bool:
-        """No worker will ever serve this run again.
+    def close(self) -> None:
+        """Tear the fleet down without orphans (idempotent).
 
-        Only decidable for a pure loopback fleet: with an explicit serve
-        address, an external worker may still connect, so the coordinator
-        keeps waiting (the operator owns that fleet's lifecycle).
-        """
-        if self.connected or self.p.serve is not None:
-            return False
-        return all(not proc.is_alive() for proc in self._procs)
-
-    def _fail_remaining(self, reason: str) -> None:
-        for key in sorted(self.outstanding):
-            task = next(t for t in self.pending if t.key == key)
-            self._fail(task, reason, INFRASTRUCTURE)
-        self.outstanding.clear()
-
-    def _shutdown(self) -> None:
-        """Tear the fleet down without orphans, however the run ended.
-
-        Remote leases first: setting ``closing`` wakes every lease
-        request parked on the condition, which is answered ``shutdown``,
-        and closing the server wakes every connection thread blocked in
-        ``recv``, which then closes its connection, so each worker exits
-        on its own.
+        Setting ``closing`` wakes every lease request parked on the
+        condition, which is answered ``shutdown``, and closing the server
+        wakes every connection thread blocked in ``recv``, which then
+        closes its connection, so each worker exits on its own.
         Spawned loopback workers then get one short grace period
         *collectively*, and stragglers are escalated SIGTERM -> join ->
         SIGKILL — an interrupted coordinator (Ctrl-C mid-sweep) must
         never leave live children behind.
         """
         with self.cond:
+            if self.closing:
+                return
             self.closing = True
             self.cond.notify_all()
         self.server.close()
+        procs = [proc for proc in self._procs if proc is not None]
         deadline = time.monotonic() + 0.5
-        for proc in self._procs:
+        for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
+        for proc in procs:
             if proc.is_alive():
                 proc.terminate()  # SIGTERM: let multiprocessing clean up
-        for proc in self._procs:
+        for proc in procs:
             if proc.is_alive():
                 proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=1.0)
+
+    # ------------------------------------------------------------------
+    def drain(self, run: _FleetRun) -> None:
+        """Lease ``run``'s tasks until none is outstanding.
+
+        Loopback workers that died since the last run are replaced
+        first, and every worker already connected is reported to the run
+        through ``worker_joined``, so each run names the workers that
+        serve it.  A run whose workers are all gone for good fails its
+        remaining tasks.
+        """
+        if not self.closing:
+            self._spawn_missing()
+        with self.cond:
+            if self.run is not None:
+                raise ConfigError("a fleet drains one run at a time")
+            self.run = run
+            for count, worker in enumerate(sorted(self.connected), 1):
+                run._joined(worker, count)
+            self.cond.notify_all()  # hand the parked requests their leases
+            try:
+                while run.outstanding:
+                    run._revoke_overdue()
+                    if self._dead():
+                        run._fail_remaining(
+                            "every fleet worker is gone (no connections, "
+                            "no live spawned workers)")
+                        break
+                    self.cond.wait(timeout=0.05)
+            finally:
+                self.run = None
+        run._finish()
+
+    def _dead(self) -> bool:
+        """No worker will ever serve the active run again.
+
+        Always so once the fleet closes; otherwise only decidable for a
+        pure loopback fleet: with an explicit serve address, an external
+        worker may still connect, so the run keeps waiting (the operator
+        owns that fleet's lifecycle).
+        """
+        if self.closing:
+            return True
+        if self.connected or self.serve is not None:
+            return False
+        return all(not proc.is_alive() for proc in self._procs)
 
     # ------------------------------------------------------------------
     # connection handler (one thread per worker)
@@ -425,25 +473,43 @@ class _FleetRun:
         message = hello
         try:
             while True:
-                maxn = max(1, int(message.get("max") or self.p.lease_batch))
+                maxn = max(1, int(message.get("max") or self.lease_batch))
                 with self.cond:
-                    self._ingest(worker, message.get("results") or [])
+                    # A result that outlived its run matches no lease.
+                    if self.run is not None:
+                        self.run._ingest(worker,
+                                         message.get("results") or [])
                     self.cond.notify_all()
-                    reply = self._grant(worker, maxn)
-                    while reply is None:  # parked: nothing ready yet
+                    reply = self._reply(worker, maxn)
+                    while reply is None:  # parked: nothing to lease yet
                         self.cond.wait(timeout=self._park_s())
-                        reply = self._grant(worker, maxn)
+                        reply = self._reply(worker, maxn)
                 send_frame(conn, reply)
                 if reply["type"] == "shutdown":
                     with self.cond:
-                        self.connected.discard(worker)
-                        self.cond.notify_all()
+                        self._leave(worker)
                     return
                 message = recv_frame(conn)
                 if message is None:
                     raise ConnectionError("worker closed the connection")
         except Exception as error:  # noqa: BLE001 — classified as a loss
-            self._worker_lost(worker, error)
+            with self.cond:
+                self._leave(worker)
+                if self.run is not None and not self.closing:
+                    self.run._worker_lost(worker, error,
+                                          len(self.connected))
+
+    def _reply(self, worker: str, maxn: int) -> dict | None:
+        """The reply to a lease request, or ``None`` to park it: while no
+        run is active, or the active one has nothing ready (lock held)."""
+        if self.run is None:
+            return {"type": "shutdown"} if self.closing else None
+        return self.run._grant(worker, maxn)
+
+    def _park_s(self) -> float:
+        if self.run is None:
+            return DEFAULT_POLL_S
+        return self.run._park_s()
 
     def _register(self, requested: str) -> str:
         with self.cond:
@@ -453,12 +519,68 @@ class _FleetRun:
                 worker = f"{requested}#{suffix}"
                 suffix += 1
             self.connected.add(worker)
-            self.worker_stats.setdefault(
-                worker, {name: 0 for name in _WORKER_STATS})
-            self.p.progress.worker_joined(worker, len(self.connected))
+            self.worker_sent[worker] = set()
+            if self.run is not None:
+                self.run._joined(worker, len(self.connected))
             return worker
 
-    def _worker_lost(self, worker: str, error: BaseException) -> None:
+    def _leave(self, worker: str) -> None:
+        """Forget a closed connection (lock held)."""
+        self.connected.discard(worker)
+        self.worker_sent.pop(worker, None)
+        self.cond.notify_all()
+
+
+class _FleetRun:
+    """One run's lease table on a :class:`Fleet`.
+
+    The queue, retry schedule, attempts, leases and per-worker counters
+    of one :meth:`TaskPool.run` — all that must not outlive it.  Every
+    method runs with the fleet's condition held.
+    """
+
+    def __init__(self, fleet: Fleet, pool: FleetScheduler,
+                 pending: list[Task], loader: Callable[[Path], Any],
+                 results: dict[str, Any], report: PoolReport) -> None:
+        self.fleet = fleet
+        self.p = pool
+        self.loader = loader
+        self.results = results
+        self.report = report
+        self.pending = pending
+        self.queue: list[tuple[Task, bool]] = [(task, True)
+                                               for task in pending]
+        #: (ready_at, seq, task, charge) — scheduled retries.
+        self.retries: list[tuple[float, int, Task, bool]] = []
+        self.attempts = {task.key: 0 for task in pending}
+        self.leases: dict[str, _Lease] = {}
+        self.outstanding = {task.key for task in pending}
+        self.blob_table: dict[str, Any] = {}
+        self.worker_stats: dict[str, dict[str, int]] = {}
+        self.degraded_keys: set[str] = set()
+        self.infra_strikes: dict[str, int] = {}
+        self._seq = 0
+
+    # ------------------------------------------------------------------
+    def _joined(self, worker: str, workers: int) -> None:
+        self.worker_stats.setdefault(
+            worker, {name: 0 for name in _WORKER_STATS})
+        self.p.progress.worker_joined(worker, workers)
+
+    def _finish(self) -> None:
+        self.report.final_mode = "fleet"
+        self.report.scheduler = "fleet"
+        self.report.workers = {worker: dict(stats) for worker, stats
+                               in sorted(self.worker_stats.items())}
+
+    def _fail_remaining(self, reason: str) -> None:
+        for key in sorted(self.outstanding):
+            task = next(t for t in self.pending if t.key == key)
+            self._fail(task, reason, INFRASTRUCTURE)
+        self.outstanding.clear()
+
+    def _worker_lost(self, worker: str, error: BaseException,
+                     workers: int) -> None:
         """A connection died: requeue its leases without charging them.
 
         The worker's results died with it through no fault of the tasks —
@@ -467,38 +589,31 @@ class _FleetRun:
         on is eventually abandoned as ``infrastructure`` instead of
         looping forever.
         """
-        with self.cond:
-            self.connected.discard(worker)
-            if self.closing:
-                self.cond.notify_all()
-                return
-            stats = self.worker_stats.setdefault(
-                worker, {name: 0 for name in _WORKER_STATS})
-            for key, lease in sorted(self.leases.items()):
-                if lease.worker != worker:
-                    continue
-                del self.leases[key]
-                stats["disconnects"] += 1
-                task = lease.task
-                # Refund the attempt charged at grant: requeue uncharged.
-                self.attempts[key] -= 1
-                strikes = self.infra_strikes.get(key, 0) + 1
-                self.infra_strikes[key] = strikes
-                self.report.infra_pauses += 1
-                self.p._record(key, strikes, f"worker lost: {error}",
-                               action="worker-lost", worker=worker,
-                               **{"class": INFRASTRUCTURE})
-                if strikes > self.p.max_infra_retries:
-                    self._fail(task, f"worker lost: {error} "
-                                     f"({strikes} strikes)", INFRASTRUCTURE)
-                else:
-                    self.queue.append((task, True))
-            self.p.progress.worker_left(worker, len(self.connected),
-                                        f"{error}")
-            self.cond.notify_all()
+        stats = self.worker_stats.setdefault(
+            worker, {name: 0 for name in _WORKER_STATS})
+        for key, lease in sorted(self.leases.items()):
+            if lease.worker != worker:
+                continue
+            del self.leases[key]
+            stats["disconnects"] += 1
+            task = lease.task
+            # Refund the attempt charged at grant: requeue uncharged.
+            self.attempts[key] -= 1
+            strikes = self.infra_strikes.get(key, 0) + 1
+            self.infra_strikes[key] = strikes
+            self.report.infra_pauses += 1
+            self.p._record(key, strikes, f"worker lost: {error}",
+                           action="worker-lost", worker=worker,
+                           **{"class": INFRASTRUCTURE})
+            if strikes > self.p.max_infra_retries:
+                self._fail(task, f"worker lost: {error} "
+                                 f"({strikes} strikes)", INFRASTRUCTURE)
+            else:
+                self.queue.append((task, True))
+        self.p.progress.worker_left(worker, workers, f"{error}")
 
     # ------------------------------------------------------------------
-    # lease granting (lock held)
+    # lease granting
     # ------------------------------------------------------------------
     def _pop_ready(self, now: float) -> tuple[Task, bool] | None:
         while self.retries and self.retries[0][0] <= now:
@@ -515,8 +630,8 @@ class _FleetRun:
 
     def _grant(self, worker: str, maxn: int) -> dict | None:
         """The reply to a lease request, or ``None`` while nothing is
-        ready but tasks are still out (the caller parks the request)."""
-        if self.closing:  # a frame buffered at close earns no new lease
+        ready (the caller parks the request)."""
+        if self.fleet.closing:  # a frame buffered at close earns no lease
             return {"type": "shutdown"}
         now = self.p.clock()
         specs: list[dict] = []
@@ -527,29 +642,27 @@ class _FleetRun:
             task, charge = item
             if charge:
                 self.attempts[task.key] += 1
-            gen = self.gens[task.key] = self.gens.get(task.key, 0) + 1
+            gen = next(self.fleet.gens)
             timeout = task.timeout_s if task.timeout_s is not None \
                 else self.p.timeout_s
             deadline = now + timeout if timeout is not None else None
             self.leases[task.key] = _Lease(worker, gen, deadline, task)
             specs.append(self._spec(task, gen))
-        if specs:
-            sent = self.worker_sent.setdefault(worker, set())
-            needed: set[str] = set()
-            for spec in specs:
-                needed |= referenced_blobs(spec["args"])
-                if spec["fallback"] is not None:
-                    needed |= referenced_blobs(spec["fallback"])
-            bodies = {digest: self.blob_table[digest]
-                      for digest in sorted(needed - sent)}
-            sent.update(bodies)
-            self.p.progress.lease_update(
-                worker, sum(1 for lease in self.leases.values()
-                            if lease.worker == worker))
-            return {"type": "lease", "tasks": specs, "blobs": bodies}
-        if not self.outstanding:
-            return {"type": "shutdown"}
-        return None
+        if not specs:
+            return None
+        sent = self.fleet.worker_sent.setdefault(worker, set())
+        needed: set[str] = set()
+        for spec in specs:
+            needed |= referenced_blobs(spec["args"])
+            if spec["fallback"] is not None:
+                needed |= referenced_blobs(spec["fallback"])
+        bodies = {digest: self.blob_table[digest]
+                  for digest in sorted(needed - sent)}
+        sent.update(bodies)
+        self.p.progress.lease_update(
+            worker, sum(1 for lease in self.leases.values()
+                        if lease.worker == worker))
+        return {"type": "lease", "tasks": specs, "blobs": bodies}
 
     def _park_s(self) -> float:
         """Bound on one parked wait: the next retry's ready time, capped
@@ -575,7 +688,7 @@ class _FleetRun:
                 "path": task.path.name}
 
     # ------------------------------------------------------------------
-    # result ingestion (lock held)
+    # result ingestion
     # ------------------------------------------------------------------
     def _ingest(self, worker: str, entries: list[dict]) -> None:
         stats = self.worker_stats[worker]
@@ -686,7 +799,7 @@ class _FleetRun:
         self.outstanding.discard(task.key)
 
     # ------------------------------------------------------------------
-    # lease watchdog (main thread, lock held)
+    # lease watchdog (the draining thread)
     # ------------------------------------------------------------------
     def _revoke_overdue(self) -> None:
         """Revoke leases past their deadline and reassign the tasks.
@@ -701,7 +814,6 @@ class _FleetRun:
             if lease.deadline is None or lease.deadline > now:
                 continue
             del self.leases[key]
-            self.gens[key] = self.gens.get(key, 0) + 1
             task = lease.task
             self.report.lease_revocations += 1
             self.report.timeouts.append(key)
@@ -721,4 +833,4 @@ class _FleetRun:
                 self._push_retry(task, now + delay, charge=True)
             else:
                 self._fail(task, f"{error}", TIMEOUT)
-            self.cond.notify_all()  # re-bound parked waits, or end the run
+            self.fleet.cond.notify_all()  # re-bound parked waits, end the run

@@ -17,7 +17,9 @@ points.  What varies is only *where* the draining happens:
     clients (spawned loopback workers and/or external connections), and
     writes the results they push back into the same content-addressed
     store.  Results are byte-identical to a ``local`` run for any worker
-    count or failure interleaving.
+    count or failure interleaving.  Each run opens a private fleet and
+    closes it when it ends, unless it is lent an open one
+    (:func:`open_fleet`) that outlives it, as ``serve-api`` does.
 
 Call sites never branch on the name: :func:`make_scheduler` is the one
 resolution site, mirroring how :mod:`repro.exec` resolves kernels.
@@ -25,13 +27,16 @@ resolution site, mirroring how :mod:`repro.exec` resolves kernels.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError
 from repro.runtime.engine import TaskPool
 
-__all__ = ["SCHEDULER_NAMES", "make_scheduler", "parse_address",
-           "validate_scheduler"]
+if TYPE_CHECKING:
+    from repro.runtime.distributed import Fleet
+
+__all__ = ["SCHEDULER_NAMES", "make_scheduler", "open_fleet",
+           "parse_address", "validate_scheduler"]
 
 #: Every scheduler backend, oracle (reference) first.
 SCHEDULER_NAMES = ("local", "fleet")
@@ -58,36 +63,60 @@ def parse_address(address: str) -> tuple[str, int]:
     return host or "0.0.0.0", port
 
 
+def _fleet_shape(workers: int | None, serve: str | tuple[str, int] | None,
+                 lease_batch: int | None) -> dict[str, Any]:
+    """The fleet knobs that were given, with ``serve`` parsed."""
+    if isinstance(serve, str):
+        serve = parse_address(serve)
+    shape = {"workers": workers, "serve": serve, "lease_batch": lease_batch}
+    return {name: value for name, value in shape.items()
+            if value is not None}
+
+
+def open_fleet(*, workers: int | None = None,
+               serve: str | tuple[str, int] | None = None,
+               lease_batch: int | None = None) -> Fleet:
+    """Open a worker fleet that several runs can borrow in turn.
+
+    Pass it to :func:`make_scheduler` as ``fleet``; whoever opens it
+    closes it (:meth:`~repro.runtime.distributed.Fleet.close`).
+    """
+    from repro.runtime.distributed import Fleet
+
+    return Fleet(**_fleet_shape(workers, serve, lease_batch))
+
+
 def make_scheduler(name: str = "local", *,
                    workers: int | None = None,
                    serve: str | tuple[str, int] | None = None,
                    lease_batch: int | None = None,
+                   fleet: Fleet | None = None,
                    **pool_options: Any) -> TaskPool:
     """Build the scheduler backend ``name`` resolves to.
 
     ``pool_options`` are the shared :class:`TaskPool` knobs (jobs,
-    retries, backoff, ledger/report paths, timeouts, progress, seed);
-    ``workers``/``serve``/``lease_batch`` configure the fleet backend and
-    are rejected for ``local``, where they would silently do nothing.
+    retries, backoff, ledger/report paths, timeouts, progress, seed).
+    ``workers``/``serve``/``lease_batch`` shape the private fleet each
+    ``fleet`` run opens, and ``fleet`` lends the runs an open one instead,
+    which has its own shape.  All four are rejected for ``local``, where
+    they would silently do nothing.
     """
     validate_scheduler(name)
+    given = [flag for flag, value in
+             (("workers", workers), ("serve", serve),
+              ("lease_batch", lease_batch), ("fleet", fleet))
+             if value is not None]
     if name == "local":
-        ignored = [flag for flag, value in
-                   (("workers", workers), ("serve", serve),
-                    ("lease_batch", lease_batch)) if value is not None]
-        if ignored:
+        if given:
             raise ConfigError(
-                f"{', '.join(ignored)} only apply to --scheduler fleet")
+                f"{', '.join(given)} only apply to --scheduler fleet")
         return TaskPool(**pool_options)
     from repro.runtime.distributed import FleetScheduler
 
-    if isinstance(serve, str):
-        serve = parse_address(serve)
-    fleet_options: dict[str, Any] = {}
-    if workers is not None:
-        fleet_options["workers"] = workers
-    if serve is not None:
-        fleet_options["serve"] = serve
-    if lease_batch is not None:
-        fleet_options["lease_batch"] = lease_batch
-    return FleetScheduler(**fleet_options, **pool_options)
+    if fleet is None:
+        return FleetScheduler(**_fleet_shape(workers, serve, lease_batch),
+                              **pool_options)
+    if len(given) > 1:
+        raise ConfigError(f"{', '.join(given[:-1])} shape a new fleet; "
+                          f"an open fleet has its own")
+    return FleetScheduler(fleet=fleet, **pool_options)

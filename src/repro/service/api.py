@@ -24,9 +24,13 @@ opens every connection), on the same
 
 Jobs execute **sequentially** in one runner thread (queue fairness:
 first submitted, first run), each fanning out through the scheduler seam
-(local pool or worker fleet) per the service's ``RunOptions``.  On
-startup, jobs a previous service process left ``queued`` or orphaned in
-``running`` are re-enqueued and resume from their persisted results.
+(local pool or worker fleet) per the service's ``RunOptions``.  A
+fleet-backed service opens its fleet once, at start and before any
+thread exists, and every job borrows it: the loopback workers (and any
+external ``repro-experiments worker``) stay connected between jobs until
+the runner stops, which closes the fleet.  On startup, jobs a previous
+service process left ``queued`` or orphaned in ``running`` are
+re-enqueued and resume from their persisted results.
 
 Trust model: the service *decodes client payloads*, the inverse of the
 fleet's worker-trusts-coordinator direction — job specs therefore only
@@ -46,7 +50,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.runtime.scheduler import parse_address
+from repro.runtime.scheduler import open_fleet, parse_address
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     FrameServer,
@@ -104,13 +108,29 @@ class CharacterizationService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> tuple[str, int]:
-        """Bind, recover the queue from the store, start serving."""
-        self.server = FrameServer(self.serve, self._serve_conn, "client")
-        self.bound_address = self.server.address
-        self._recover_queue()
-        self._runner = threading.Thread(target=self._run_loop, daemon=True,
-                                        name="service-runner")
-        self._runner.start()
+        """Open the fleet (if the options select one), bind, recover the
+        queue from the store, start serving.
+
+        The fleet opens first: forking its loopback workers is safest
+        before this service starts any thread.
+        """
+        options = self.manager.defaults
+        if options.scheduler == "fleet":
+            self.manager.fleet = open_fleet(
+                workers=options.workers, serve=options.serve,
+                lease_batch=options.lease_batch)
+        try:
+            self.server = FrameServer(self.serve, self._serve_conn,
+                                      "client")
+            self.bound_address = self.server.address
+            self._recover_queue()
+            self._runner = threading.Thread(target=self._run_loop,
+                                            daemon=True,
+                                            name="service-runner")
+            self._runner.start()
+        except BaseException:
+            self._close_fleet()
+            raise
         self.server.start()
         return self.bound_address
 
@@ -131,6 +151,7 @@ class CharacterizationService:
     def stop(self, *, wait: bool = True) -> None:
         """Shut the service down (idempotent).
 
+        The runner closes the fleet once its current job ends.
         ``wait=False`` is the in-connection-handler form: it returns
         without waiting for the runner to finish its current job.
         """
@@ -172,22 +193,29 @@ class CharacterizationService:
             return position
 
     def _run_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop.is_set():
-                    self._cond.wait(timeout=0.2)
-                if self._stop.is_set():
-                    return
-                job_id = self._queue.popleft()
-                self._queued.discard(job_id)
-            try:
-                self.manager.run(job_id)
-            except Exception:  # noqa: BLE001 — recorded as failed in store
-                pass
-            finally:
+        try:
+            while True:
                 with self._cond:
-                    self._finished_runs += 1
-                    self._cond.notify_all()
+                    while not self._queue and not self._stop.is_set():
+                        self._cond.wait(timeout=0.2)
+                    if self._stop.is_set():
+                        return
+                    job_id = self._queue.popleft()
+                    self._queued.discard(job_id)
+                try:
+                    self.manager.run(job_id)
+                except Exception:  # noqa: BLE001 — recorded as failed
+                    pass
+                finally:
+                    with self._cond:
+                        self._finished_runs += 1
+                        self._cond.notify_all()
+        finally:
+            self._close_fleet()
+
+    def _close_fleet(self) -> None:
+        if self.manager.fleet is not None:
+            self.manager.fleet.close()
 
     # ------------------------------------------------------------------
     # connection handler (one thread per client)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.runtime import (
     LEDGER_NAME,
@@ -32,6 +32,9 @@ from repro.runtime import (
     make_scheduler,
 )
 from repro.runtime.cache import clear_disk_tiers, summarize_caches
+
+if TYPE_CHECKING:
+    from repro.runtime.distributed import Fleet
 
 __all__ = ["JobExecution"]
 
@@ -84,10 +87,11 @@ class JobExecution:
                   timeout_s: float | None = None, scheduler: str = "local",
                   workers: int | None = None,
                   serve: str | tuple[str, int] | None = None,
-                  lease_batch: int | None = None) -> TaskPool:
+                  lease_batch: int | None = None,
+                  fleet: Fleet | None = None) -> TaskPool:
         """Build this job's execution backend (ledger/report pre-wired)."""
         return make_scheduler(scheduler, workers=workers, serve=serve,
-                              lease_batch=lease_batch,
+                              lease_batch=lease_batch, fleet=fleet,
                               jobs=jobs, ledger_path=self.ledger_path(),
                               report_path=self.report_path(),
                               timeout_s=timeout_s, seed=self.seed,
@@ -105,21 +109,23 @@ class JobExecution:
             task_timeout_s: float | None = None,
             scheduler: str = "local", workers: int | None = None,
             serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None) -> dict[str, Any]:
+            lease_batch: int | None = None,
+            fleet: Fleet | None = None) -> dict[str, Any]:
         """Run (or resume) ``tasks`` and return ``{key: loaded result}``.
 
         Valid on-disk results are reused, corrupt ones quarantined and
         re-run; ``force`` discards persisted results and every cache tier
         first.  Results are byte-identical for any ``jobs``, either
         scheduler backend, and any failure interleaving — the engine's
-        contract, inherited wholesale.
+        contract, inherited wholesale.  ``fleet`` lends a ``fleet`` run an
+        open worker fleet instead of opening a private one.
         """
         if force:
             self.clear_caches()
         pool = self.scheduler(jobs=jobs, progress=progress,
                               timeout_s=task_timeout_s, scheduler=scheduler,
                               workers=workers, serve=serve,
-                              lease_batch=lease_batch)
+                              lease_batch=lease_batch, fleet=fleet)
         return pool.run(tasks, loader=loader, force=force)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.runtime import LEDGER_NAME, REPORT_NAME, ProgressReporter
@@ -43,6 +44,9 @@ from repro.service.jobs import (
     JobSpec,
     JobStore,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.distributed import Fleet
 
 __all__ = ["EventLogProgress", "JobManager", "RunOptions", "TeeProgress",
            "JOB_FIGURES", "replay_event"]
@@ -233,6 +237,9 @@ class JobManager:
                  defaults: RunOptions | None = None) -> None:
         self.store = JobStore(root)
         self.defaults = defaults or RunOptions()
+        #: An open worker fleet that ``fleet`` runs borrow instead of
+        #: each opening its own; its opener (the service) closes it.
+        self.fleet: Fleet | None = None
         self._active: set[str] = set()
         self._lock = threading.Lock()
 
@@ -280,14 +287,18 @@ class JobManager:
             reporter: ProgressReporter = events
             if progress is not None:
                 reporter = TeeProgress((events, progress))
+            if options.scheduler == "fleet" and self.fleet is not None:
+                placement = {"fleet": self.fleet}
+            else:
+                placement = {"workers": options.workers,
+                             "serve": options.serve,
+                             "lease_batch": options.lease_batch}
             try:
                 runner = self._runner(record)
                 runner.run(force=options.force, jobs=options.jobs,
                            progress=reporter,
                            task_timeout_s=options.task_timeout_s,
-                           scheduler=options.scheduler,
-                           workers=options.workers, serve=options.serve,
-                           lease_batch=options.lease_batch)
+                           scheduler=options.scheduler, **placement)
             except BaseException as error:
                 events.close()
                 self.store.transition(

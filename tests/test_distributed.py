@@ -1,9 +1,11 @@
 """Tests for the fleet scheduler: wire protocol, codec, coordinator."""
 
+import base64
 import json
 import os
 import pickle
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from repro.errors import ConfigError, ExecutionError
 from repro.runtime import (
     SCHEDULER_NAMES,
+    ProgressReporter,
     Task,
     TaskPool,
     make_scheduler,
@@ -20,7 +23,12 @@ from repro.runtime import (
     validate_scheduler,
     write_atomic,
 )
-from repro.runtime.distributed import FleetScheduler, echo_point, run_worker
+from repro.runtime.distributed import (
+    Fleet,
+    FleetScheduler,
+    echo_point,
+    run_worker,
+)
 from repro.runtime.wire import (
     BLOB_MIN,
     COMPRESS_MIN,
@@ -77,6 +85,11 @@ def _gated_echo(marker, gate, n, path):
     while not Path(gate).exists():
         time.sleep(0.01)
     echo_point(n, path)
+
+
+def _exit_worker(path):
+    """Kills the worker process that runs it, as a crash would."""
+    os._exit(1)
 
 
 def _sibling_writer(n, path):
@@ -543,13 +556,14 @@ class TestFleetShutdown:
         """Closing leaves a worker connection's write side open, and a
         frame buffered before it is still read: it must earn a shutdown,
         not a lease whose result can never come back."""
-        from repro.runtime.distributed import _FleetRun
+        from repro.runtime.distributed import Fleet, _FleetRun
         from repro.runtime.engine import PoolReport
         tasks = _echo_tasks(tmp_path, count=1)
-        run = _FleetRun(make_scheduler("fleet", workers=1), tasks,
+        fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
+        run = _FleetRun(fleet, make_scheduler("fleet", fleet=fleet), tasks,
                         _load_echo, {}, PoolReport())
         run.queue.append((tasks[0], True))
-        run.closing = True
+        fleet.close()
         assert run._grant("w1", 4) == {"type": "shutdown"}
 
     def test_worker_with_nothing_to_lease_is_parked(self, tmp_path):
@@ -663,3 +677,131 @@ class TestFleetShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+
+
+# ----------------------------------------------------------------------
+# one open fleet, several runs
+# ----------------------------------------------------------------------
+class _Joins(ProgressReporter):
+    def __init__(self):
+        self.workers = []
+
+    def worker_joined(self, worker, workers):
+        self.workers.append(worker)
+
+
+def _outcome(spec, echo):
+    """A worker's ``ok`` entry for ``spec`` whose row carries ``echo``."""
+    row = json.dumps({"n": int(spec["key"][1:]), "echo": echo},
+                     sort_keys=True) + "\n"
+    return {"key": spec["key"], "gen": spec["gen"], "status": "ok",
+            "degraded": False,
+            "files": {spec["path"]: base64.b64encode(row.encode()).decode()}}
+
+
+class TestOpenFleet:
+    def test_runs_borrow_an_open_fleet_and_leave_it_open(self, tmp_path):
+        fleet = Fleet(workers=1)
+        try:
+            tasks_done, joins = [], _Joins()
+            for count in (2, 3):
+                pool = make_scheduler("fleet", fleet=fleet, progress=joins)
+                results = pool.run(_echo_tasks(tmp_path / f"r{count}", count),
+                                   loader=_load_echo)
+                assert results == {f"p{n}": n * n + 1 for n in range(count)}
+                tasks_done.append(pool.last_report.workers["w1"]["tasks"])
+                socket.create_connection(fleet.address, timeout=5.0).close()
+            assert tasks_done == [2, 3]  # counters stay per run
+            assert joins.workers == ["w1", "w1"]  # each run names it
+        finally:
+            fleet.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(fleet.address, timeout=5.0)
+
+    def test_runs_reusing_keys_take_turns_under_thread_churn(self, tmp_path):
+        """``force`` runs of the same keys, one after another on a fleet
+        of more workers than cores, with thread switches forced often:
+        every run gets exactly its own results, and no result crosses
+        into the next run as stale."""
+        fleet = Fleet(workers=3, lease_batch=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        deadline = time.monotonic() + 60.0
+        try:
+            for _ in range(4):
+                pool = make_scheduler("fleet", fleet=fleet)
+                results = pool.run(_echo_tasks(tmp_path), loader=_load_echo,
+                                   force=True)
+                assert results == {f"p{n}": n * n + 1 for n in range(6)}
+                stats = pool.last_report.workers.values()
+                assert sum(worker["tasks"] for worker in stats) == 6
+                assert sum(worker["stale_results"] for worker in stats) == 0
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+            fleet.close()
+
+    def test_run_whose_workers_die_fails_and_the_next_replaces_them(
+            self, tmp_path):
+        fleet = Fleet(workers=1)
+        try:
+            path = tmp_path / "a" / "crash.json"
+            crash = Task(key="crash", path=path, fn=_exit_worker,
+                         args=(str(path),))
+            with pytest.raises(ExecutionError,
+                               match=r"crash \[infrastructure\]"):
+                make_scheduler("fleet", fleet=fleet).run(
+                    [crash], loader=_load_echo)
+            results = make_scheduler("fleet", fleet=fleet).run(
+                _echo_tasks(tmp_path / "b", 2), loader=_load_echo)
+            assert results == {"p0": 1, "p1": 2}
+        finally:
+            fleet.close()
+
+    def test_result_from_an_earlier_run_is_stale(self, tmp_path):
+        """A ``force`` re-run reuses task keys: a late result carrying
+        the first run's lease generation must not match the second run's
+        lease of the same key."""
+        fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
+        peer = None
+        runs = []
+
+        def drive(count, **options):
+            pool = make_scheduler("fleet", fleet=fleet)
+            runner = threading.Thread(target=lambda: runs.append(pool.run(
+                _echo_tasks(tmp_path, count), loader=_load_echo, **options)))
+            runner.start()
+            return pool, runner
+
+        try:
+            peer = socket.create_connection(fleet.address, timeout=10.0)
+            send_frame(peer, {"type": "hello", "worker": "slow",
+                              "protocol": PROTOCOL_VERSION, "max": 1,
+                              "results": []})
+            _, first = drive(1)
+            [early] = recv_frame(peer)["tasks"]
+            send_frame(peer, {"type": "lease", "max": 1,
+                              "results": [_outcome(early, 1)]})
+            first.join(timeout=10.0)
+            assert not first.is_alive()
+
+            pool, second = drive(2, force=True)
+            [again] = recv_frame(peer)["tasks"]
+            assert again["key"] == early["key"] == "p0"
+            assert again["gen"] != early["gen"]
+            send_frame(peer, {"type": "lease", "max": 1,
+                              "results": [_outcome(early, 999)]})
+            [other] = recv_frame(peer)["tasks"]  # the late one was ingested
+            assert json.loads((tmp_path / "p0.json").read_text())["echo"] == 1
+            send_frame(peer, {"type": "lease", "max": 1,
+                              "results": [_outcome(again, 1),
+                                          _outcome(other, 2)]})
+            second.join(timeout=10.0)
+            assert not second.is_alive()
+        finally:
+            fleet.close()
+            if peer is not None:
+                peer.close()
+        assert runs == [{"p0": 1}, {"p0": 1, "p1": 2}]
+        assert pool.last_report.workers["slow"]["stale_results"] == 1
+        assert pool.last_report.computed == ["p0", "p1"]

@@ -24,6 +24,7 @@ from repro.analysis.sweeprunner import (
 )
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.runtime.distributed import run_worker
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     recv_frame,
@@ -362,6 +363,68 @@ class TestServiceFleet:
                 assert client.results(frame["job_id"]) == expected
         finally:
             svc.stop()
+
+    def test_external_worker_serves_every_job(self, tmp_path):
+        """Regression: the fleet outlives each job, so one external
+        worker serves the next job too instead of being sent away when
+        the first one ends."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        svc = CharacterizationService(
+            tmp_path / "jobs",
+            options=RunOptions(scheduler="fleet", workers=0,
+                               serve=("127.0.0.1", port)),
+            poll_s=0.01)
+        svc.start()
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(run_worker(
+                "127.0.0.1", port, worker_id="ext",
+                scratch_dir=tmp_path / "scratch")))
+        worker.start()
+        try:
+            with ServiceClient(address(svc)) as client:
+                client.sock.settimeout(15.0)
+                for n in range(2):
+                    spec = JobSpec("sweep", tiny_grid(requests=200 + n))
+                    frame = client.submit(spec)
+                    assert client.stream(frame["job_id"])["state"] == DONE
+                    assert worker.is_alive(), "worker sent away after a job"
+        finally:
+            svc.stop()
+            worker.join(timeout=15.0)
+        assert not worker.is_alive() and codes == [0]
+
+    def test_fleet_forks_its_workers_once_and_leaves_nothing_behind(
+            self, tmp_path, monkeypatch):
+        import multiprocessing
+        from multiprocessing.process import BaseProcess
+
+        started = []
+        real_start = BaseProcess.start
+
+        def counting_start(process):
+            started.append(process.name)
+            real_start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", counting_start)
+        svc = CharacterizationService(
+            tmp_path / "jobs",
+            options=RunOptions(scheduler="fleet", workers=2), poll_s=0.01)
+        svc.start()
+        try:
+            with ServiceClient(address(svc)) as client:
+                for n in range(3):
+                    spec = JobSpec("sweep", tiny_grid(requests=200 + n))
+                    frame = client.submit(spec)
+                    assert client.stream(frame["job_id"])["state"] == DONE
+        finally:
+            svc.stop()
+        assert len(started) == 2, started
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(svc.manager.fleet.address, timeout=5.0)
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
