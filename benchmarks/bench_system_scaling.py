@@ -10,7 +10,7 @@ point normalized against its no-PaCRAM baseline) two ways:
   :class:`~repro.analysis.baselines.BaselineCache`, so the baseline runs
   once per (mitigation, workload) across the whole factor sweep.
 
-Four contracts are asserted, not just reported:
+Five contracts are asserted, not just reported:
 
 * both phases produce identical normalized series (the scalar path is
   the parity oracle, and memoized baselines must replay exactly);
@@ -21,7 +21,10 @@ Four contracts are asserted, not just reported:
   per-mechanism ``MemorySystem._run_scalar`` vs. ``service_array`` with
   the array tier's cores and queues pre-built), the array tier's
   aggregate margin over the scalar oracle is at least 8x across the
-  epoch-batchable mechanisms.
+  epoch-batchable mechanisms;
+* one array sweep from cleared input memos builds each of its 2 distinct
+  traces once, not once per simulation (80): the per-process trace memo
+  of :func:`repro.workloads.synth.generate_trace` at work.
 
 The kernel-level scalar side is exactly what ``--kernel-policy scalar``
 runs: scalar mitigation classes, one plugin call per activation, one
@@ -55,10 +58,16 @@ from repro.analysis.baselines import BaselineCache
 from repro.analysis.figures import fig17_18_performance_energy, fig19_periodic
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.mitigations import make_mitigation
-from repro.sim.arraykernel import ArrayCore, SharedQueues, service_array
+from repro.sim.arraykernel import (
+    ArrayCore,
+    SharedQueues,
+    clear_decode_memo,
+    service_array,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.system import MemorySystem
 from repro.workloads.attack import double_sided_trace
+from repro.workloads.synth import clear_trace_memo, trace_generations
 
 _TRAS_FACTORS = (0.81, 0.64, 0.45, 0.36, 0.27)
 _VENDORS = ("H", "S")
@@ -88,6 +97,9 @@ _EPOCH_MARGIN_FLOOR = 8.0
 _EPOCH_ROUNDS = 4
 #: Whole sweeps retried (best-of) when a machine-wide blip depresses one.
 _EPOCH_ATTEMPTS = 3
+#: Asserted ceiling on traces one array sweep builds from cleared memos:
+#: one per distinct (workload, requests, seed) input.
+_TRACE_GENERATION_CEILING = len(_WORKLOADS)
 
 
 def _sweep(sim_kernel, cache):
@@ -126,6 +138,14 @@ def _timed_sweep(sim_kernel, make_cache, *, rounds=2):
         sweep = _sweep(sim_kernel, cache=cache)
         best_s = min(best_s, time.perf_counter() - started)
     return sweep, best_s, cache
+
+
+def _array_trace_generations():
+    """Traces one array sweep builds when it starts from cleared memos."""
+    clear_trace_memo()
+    clear_decode_memo()
+    _sweep("array", BaselineCache())
+    return trace_generations()
 
 
 def _epoch_kernel_margin():
@@ -223,13 +243,14 @@ def _run_all_phases():
     per_mechanism, epoch_margin = _epoch_kernel_margin()
     before, before_s, _ = _timed_sweep("scalar", lambda: None)
     array, array_s, cache = _timed_sweep("array", BaselineCache)
+    generations = _array_trace_generations()
     return (before, before_s, array, array_s, cache, per_mechanism,
-            epoch_margin)
+            epoch_margin, generations)
 
 
 def bench_system_scaling(benchmark):
     (before, before_s, array, array_s, cache, per_mechanism,
-     epoch_margin) = run_once(benchmark, _run_all_phases)
+     epoch_margin, generations) = run_once(benchmark, _run_all_phases)
     # Parity first: a fast path that changes results is not a fast path.
     assert before == array
     points = len(before)
@@ -249,6 +270,8 @@ def bench_system_scaling(benchmark):
         f"speedup (array): {array_speedup:.1f}x\n"
         f"baseline-cache hits: {cache.hits}  misses: {cache.misses}  "
         f"hit rate: {cache.hit_rate():.2f}\n"
+        f"traces built by one array sweep from cleared memos: "
+        f"{generations} for {sims_before} simulations\n"
         f"kernel-level epoch-dispatch sweep "
         f"(nrh={_EPOCH_NRH}, {_EPOCH_HAMMERS} hammer pairs):\n"
         f"{epoch_lines}\n"
@@ -267,8 +290,10 @@ def bench_system_scaling(benchmark):
         "epoch_kernel_margin_floor": _EPOCH_MARGIN_FLOOR,
         "epoch_kernel_sweep": per_mechanism,
         "epoch_kernel_batchable": list(_EPOCH_BATCHABLE),
+        "array_trace_generations": generations,
         "floors": {"array_speedup": _ARRAY_FLOOR,
                    "epoch_kernel_margin": _EPOCH_MARGIN_FLOOR},
+        "ceilings": {"array_trace_generations": _TRACE_GENERATION_CEILING},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_system_scaling.json").write_text(
@@ -279,6 +304,9 @@ def bench_system_scaling(benchmark):
     assert epoch_margin >= _EPOCH_MARGIN_FLOOR, (
         f"epoch-dispatch kernel margin only {epoch_margin:.2f}x "
         f"(floor {_EPOCH_MARGIN_FLOOR}x) over {_EPOCH_BATCHABLE}")
+    assert generations <= _TRACE_GENERATION_CEILING, (
+        f"one array sweep built {generations} traces "
+        f"(ceiling {_TRACE_GENERATION_CEILING})")
 
 
 def bench_fig_builders_kernel_parity(benchmark):

@@ -500,6 +500,9 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
     """
     if mix is None:
         mix = multicore_mixes(1)[0]
+    # Nothing mutates a trace, so every run below shares these.
+    traces = [workload_by_name(name, requests=requests, seed=7 + i)
+              for i, name in enumerate(mix)]
     out: dict[int, dict[float, dict[str, float]]] = {}
     for density in densities_gbit:
         # tRFC grows sublinearly with density (JEDEC: ~1.45x per doubling;
@@ -509,8 +512,6 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
         timing = SystemConfig().timing
         scaled_timing = replace(timing, tRFC=timing.tRFC * trfc_scale)
         config = SystemConfig(num_cores=len(mix), timing=scaled_timing)
-        traces = [workload_by_name(name, requests=requests, seed=7 + i)
-                  for i, name in enumerate(mix)]
         # Hypothetical no-refresh baseline: scale periodic latency to ~0.
         baseline_policy = PeriodicPaCRAM(config, latency_factor_rfc=1e-6,
                                          npcr=10**9)
@@ -520,9 +521,7 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
         out[density] = {}
         for factor in latency_factors:
             policy = PeriodicPaCRAM(config, latency_factor_rfc=factor)
-            traces2 = [workload_by_name(name, requests=requests, seed=7 + i)
-                       for i, name in enumerate(mix)]
-            result = MemorySystem(config, traces2,
+            result = MemorySystem(config, traces,
                                   mitigation=make_mitigation("None", 1),
                                   policy=policy).run(sim_kernel)
             ws = sum(result.ipc[c] / baseline.ipc[c] for c in result.ipc)

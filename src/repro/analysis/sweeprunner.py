@@ -32,6 +32,7 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -63,7 +64,7 @@ class SweepPoint:
     pacram_vendor: str | None  #: None = no PaCRAM
     workloads: tuple[str, ...]
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Stable, filesystem-safe identity of this point.
 
@@ -71,6 +72,7 @@ class SweepPoint:
         ``+``, or path separators must not corrupt the row path), and a
         short hash of the *raw* fields keeps sanitized collisions apart —
         including ``pacram_vendor=None`` vs. a literal ``"none"`` vendor.
+        Computed once per point: a sweep reads it about nine times.
         """
         raw = json.dumps([self.mitigation, self.nrh, self.pacram_vendor,
                           list(self.workloads)])

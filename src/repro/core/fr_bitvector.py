@@ -10,39 +10,43 @@ partial restorations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 
 class FRBitVector:
-    """Per-row F/P state for one DRAM module, as the SRAM array would hold it."""
+    """Per-row F/P state for one DRAM module, as the SRAM array would hold it.
+
+    The model stores only the rows in P-state: between two ``t_FCRI``
+    resets a run fully restores a few rows out of millions, so a set of
+    them answers every query that a dense bit array would, without
+    allocating one.  :attr:`storage_bits` still reports the modeled SRAM.
+    """
 
     def __init__(self, banks: int, rows_per_bank: int) -> None:
         if banks <= 0 or rows_per_bank <= 0:
             raise ConfigError("banks and rows_per_bank must be positive")
         self.banks = banks
         self.rows_per_bank = rows_per_bank
-        # True = F-state (needs full restoration).
-        self._bits = np.ones((banks, rows_per_bank), dtype=bool)
+        #: (bank, row) pairs in P-state; every other row is in F-state.
+        self._restored: set[tuple[int, int]] = set()
 
     def needs_full_restoration(self, bank: int, row: int) -> bool:
         """Whether the row is in F-state."""
         self._check(bank, row)
-        return bool(self._bits[bank, row])
+        return (bank, row) not in self._restored
 
     def mark_fully_restored(self, bank: int, row: int) -> None:
         """Full charge restoration performed: row moves to P-state."""
         self._check(bank, row)
-        self._bits[bank, row] = False
+        self._restored.add((bank, row))
 
     def reset_all(self) -> None:
         """Periodic t_FCRI reset: every row returns to F-state."""
-        self._bits[:] = True
+        self._restored.clear()
 
     def fraction_in_f_state(self) -> float:
         """Fraction of rows currently requiring full restoration."""
-        return float(self._bits.mean())
+        return (self.storage_bits - len(self._restored)) / self.storage_bits
 
     @property
     def storage_bits(self) -> int:

@@ -12,6 +12,7 @@ root.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -23,10 +24,12 @@ def derive_seed(parent_seed: int, *path: object) -> int:
 
     The derivation is a SHA-256 over the parent seed and the string forms of
     the path components, truncated to 64 bits.  It is stable across runs,
-    platforms, and Python versions.
+    platforms, and Python versions.  Any integer seed works, numpy
+    scalars included: ``derive_seed(np.int32(-1), ...)`` equals
+    ``derive_seed(-1, ...)``.
     """
     hasher = hashlib.sha256()
-    hasher.update(str(parent_seed & _MASK64).encode())
+    hasher.update(str(operator.index(parent_seed) & _MASK64).encode())
     for part in path:
         hasher.update(b"/")
         hasher.update(str(part).encode())
@@ -46,7 +49,9 @@ class SeedTree:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed & _MASK64
+        # operator.index first: a signed numpy scalar cannot take the
+        # 64-bit mask itself (np.int64(7) & _MASK64 overflows).
+        self.seed = operator.index(seed) & _MASK64
 
     def child(self, *path: object) -> "SeedTree":
         """Return the child node addressed by ``path``."""

@@ -9,7 +9,9 @@ columnar and dispatches those per-request costs in bulk:
 
 * :class:`ArrayCore` precomputes each request's frontend fetch time and
   retirement position once per trace (the frontend chain is independent
-  of load completions — window stalls gate *emission*, not the chain);
+  of load completions — window stalls gate *emission*, not the chain),
+  and a process shares those columns across every run of the same
+  read-only trace (:func:`decoded_columns`);
   the per-core emission cursors live in parallel lists inside
   :func:`service_array`, so resuming a window-stalled core after a read
   completion runs one small closure over flat lists instead of a method
@@ -60,8 +62,10 @@ suites assert it).
 
 from __future__ import annotations
 
+import os
+import threading
 from bisect import bisect_right, insort_right
-from collections import deque
+from collections import OrderedDict, deque
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -73,6 +77,7 @@ from repro.mitigations.base import (
     PreventiveRefresh,
     RfmCommand,
 )
+from repro.sim.addrmap import AddressMapper
 from repro.sim.commands import (
     ActCommand,
     CasCommand,
@@ -82,6 +87,7 @@ from repro.sim.commands import (
     PreventiveRefreshCmd,
     RefCommand,
 )
+from repro.sim.config import SystemConfig
 from repro.sim.core import CoreModel
 from repro.sim.energy import (
     E_ACT_BASE_NJ,
@@ -118,6 +124,134 @@ class SharedQueues:
         self.completion: list[float] = []
 
 
+#: Decoded columns are memoized per process and bounded by the requests
+#: they hold (about 215 bytes each, so about 13 MiB when full).  One
+#: evaluation pass needs about 7,200: 18 decodings of 400 requests.
+_DECODE_BUDGET = 65_536
+#: key -> (trace arrays, columns), least recently used first.
+_decoded: OrderedDict[tuple, tuple] = OrderedDict()
+_decoded_requests = 0
+_decode_lock = threading.Lock()
+
+
+def _fresh_decode_lock() -> None:
+    # A fork while another thread holds the lock must not hand the child
+    # a lock that nobody will ever release.
+    global _decode_lock
+    _decode_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_decode_lock)
+
+
+def clear_decode_memo() -> None:
+    """Forget every memoized decoding."""
+    global _decoded_requests
+    with _decode_lock:
+        _decoded.clear()
+        _decoded_requests = 0
+
+
+def _read_only(array: np.ndarray) -> bool:
+    """Whether nothing can write into ``array``: neither it nor any array
+    it is a view of is writeable."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def decoded_columns(core: CoreModel) -> tuple[list, list, list, float]:
+    """``core``'s ``(tails, positions, fetch_done, final_frontend)``.
+
+    Memoized per (trace arrays, core id, address offset, config) when the
+    trace's arrays are read-only, as generated traces are: a sweep
+    simulates the same few traces hundreds of times.  A writable trace
+    is decoded afresh on every call, so editing it in place between runs
+    can never serve a stale decoding.  An entry holds the arrays
+    themselves, so the ``id`` values in its key cannot be recycled while
+    it lives.
+    """
+    global _decoded_requests
+    trace = core.trace
+    arrays = (trace.bubbles, trace.is_write, trace.addresses)
+    inputs = (core.core_id, core.address_offset, core.config)
+    if not all(map(_read_only, arrays)):
+        return _decode(arrays, *inputs)
+    key = (*map(id, arrays), *inputs)
+    with _decode_lock:
+        entry = _decoded.get(key)
+        if entry is not None:
+            _decoded.move_to_end(key)
+            return entry[1]
+    columns = _decode(arrays, *inputs)
+    n = len(trace)
+    if n <= _DECODE_BUDGET:
+        with _decode_lock:
+            if key not in _decoded:
+                _decoded[key] = (arrays, columns)
+                _decoded_requests += n
+            while _decoded_requests > _DECODE_BUDGET:
+                _, (evicted, _columns) = _decoded.popitem(last=False)
+                _decoded_requests -= len(evicted[0])
+    return columns
+
+
+def _decode(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], core_id: int,
+            address_offset: int, config: SystemConfig,
+            ) -> tuple[list, list, list, float]:
+    """Decode one core's trace into the columns the drain loop reads.
+
+    A pure function of its arguments (it builds its own mapper from
+    ``config``), which is what lets :func:`decoded_columns` share them.
+    """
+    bubbles, is_write, addresses = arrays
+    mapper = AddressMapper(config)
+    addresses = addresses.astype(np.int64, copy=False) + address_offset
+    # AddressMapper's MOP decode, vectorized (one pass per trace).
+    value = addresses % mapper.total_lines
+    value >>= mapper._col_low_bits
+    channel = value & (config.channels - 1)
+    value >>= mapper._channel_bits
+    bank = value & (config.banks_per_group - 1)
+    value >>= mapper._bank_bits
+    group = value & (config.bank_groups - 1)
+    value >>= mapper._group_bits
+    rank = value & (config.ranks - 1)
+    value >>= mapper._rank_bits
+    value >>= mapper._col_high_bits
+    rank_channel = rank + config.ranks * channel
+    flat = bank + config.banks_per_group * (
+        group + config.bank_groups * rank_channel)
+    # The static tail of each queue entry — (flat, row, is_read, address,
+    # core, rank, channel, group) — zipped once, so emission builds an
+    # entry with a single concat instead of eight column reads.
+    tails = list(zip(
+        flat.tolist(), value.tolist(), np.logical_not(is_write).tolist(),
+        addresses.tolist(), repeat(core_id), rank_channel.tolist(),
+        channel.tolist(), group.tolist()))
+    n = len(tails)
+    # position_i = i + sum(bubbles[:i+1]) — integer arithmetic, exact.
+    positions = (np.cumsum(bubbles) + np.arange(n, dtype=np.int64)).tolist()
+    # The frontend chain alternates two additions per request —
+    # fetch_done = frontend + b*cycle/width; frontend = fetch_done + step —
+    # so the running value is the prefix sum of the interleaved term
+    # sequence [t_0, step, t_1, step, ...].  np.cumsum (ufunc accumulate)
+    # adds strictly left to right, which is exactly the scalar
+    # accumulation order, so the precomputed chain is bit-identical to
+    # the per-pump one.
+    cycle = config.core_cycle_ns
+    width = config.issue_width
+    step = cycle / width
+    terms = np.empty(2 * n, dtype=np.float64)
+    terms[0::2] = bubbles * cycle / width
+    terms[1::2] = step
+    chain = np.cumsum(terms)
+    final_frontend = float(chain[-1]) if n else 0.0
+    return tails, positions, chain[0::2].tolist(), final_frontend
+
+
 class ArrayCore:
     """Columnar replica of :class:`repro.sim.core.CoreModel`.
 
@@ -125,10 +259,12 @@ class ArrayCore:
     whole frontend timing chain is precomputed: ``fetch_done[i]`` depends
     only on the bubble counts (the window stall pauses *emission*, never
     the chain), so it is accumulated once — float-op order identical to
-    the per-pump accumulation.  Emission itself (window checks, issue
-    floor, insort into the shared queues) is run by
-    :func:`service_array`'s pump closure over flat per-core state; the
-    final cursor values are written back here so :meth:`stats` sees them.
+    the per-pump accumulation.  Those columns are read-only and shared
+    across runs of the same trace (:func:`decoded_columns`).  Emission
+    itself (window checks, issue floor, insort into the shared queues) is
+    run by :func:`service_array`'s pump closure over flat per-core state;
+    the final cursor values are written back here so :meth:`stats` sees
+    them.
     """
 
     __slots__ = ("core_id", "_clock_ghz", "_window", "_n", "_tails",
@@ -138,59 +274,13 @@ class ArrayCore:
 
     def __init__(self, core: CoreModel, shared: SharedQueues) -> None:
         config = core.config
-        mapper = core.mapper
-        trace = core.trace
         self.core_id = core.core_id
         self._clock_ghz = config.core_clock_ghz
         self._window = config.instruction_window
-        self._n = len(trace)
         self._shared = shared
-        bubbles = trace.bubbles
-        addresses = (trace.addresses.astype(np.int64, copy=False)
-                     + core.address_offset)
-        # AddressMapper's MOP decode, vectorized (one pass per trace).
-        value = addresses % mapper.total_lines
-        value >>= mapper._col_low_bits
-        channel = value & (config.channels - 1)
-        value >>= mapper._channel_bits
-        bank = value & (config.banks_per_group - 1)
-        value >>= mapper._bank_bits
-        group = value & (config.bank_groups - 1)
-        value >>= mapper._group_bits
-        rank = value & (config.ranks - 1)
-        value >>= mapper._rank_bits
-        value >>= mapper._col_high_bits
-        rank_channel = rank + config.ranks * channel
-        flat = bank + config.banks_per_group * (
-            group + config.bank_groups * rank_channel)
-        # The static tail of each queue entry — (flat, row, is_read,
-        # address, core, rank, channel, group) — zipped once, so emission
-        # builds an entry with a single concat instead of eight column
-        # reads.
-        self._tails = list(zip(
-            flat.tolist(), value.tolist(),
-            np.logical_not(trace.is_write).tolist(), addresses.tolist(),
-            repeat(self.core_id), rank_channel.tolist(), channel.tolist(),
-            group.tolist()))
-        # position_i = i + sum(bubbles[:i+1]) — integer arithmetic, exact.
-        self._positions = (np.cumsum(bubbles)
-                           + np.arange(self._n, dtype=np.int64)).tolist()
-        # The frontend chain alternates two additions per request —
-        # fetch_done = frontend + b*cycle/width; frontend = fetch_done +
-        # step — so the running value is the prefix sum of the interleaved
-        # term sequence [t_0, step, t_1, step, ...].  np.cumsum (ufunc
-        # accumulate) adds strictly left to right, which is exactly the
-        # scalar accumulation order, so the precomputed chain is
-        # bit-identical to the per-pump one.
-        cycle = config.core_cycle_ns
-        width = config.issue_width
-        step = cycle / width
-        terms = np.empty(2 * self._n, dtype=np.float64)
-        terms[0::2] = bubbles * cycle / width
-        terms[1::2] = step
-        chain = np.cumsum(terms)
-        self._fetch_done = chain[0::2].tolist()
-        self._final_frontend = float(chain[-1]) if self._n else 0.0
+        (self._tails, self._positions, self._fetch_done,
+         self._final_frontend) = decoded_columns(core)
+        self._n = len(self._tails)
         self._index = 0
         self._issue_floor_ns = 0.0
         #: (position, rid) of in-flight reads, oldest first.

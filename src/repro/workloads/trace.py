@@ -18,7 +18,13 @@ from repro.errors import ConfigError
 
 @dataclass
 class Trace:
-    """One workload's memory trace."""
+    """One workload's memory trace.
+
+    Readers never write into the arrays or reassign a field, so traces
+    can be shared: :func:`~repro.workloads.synth.generate_trace` hands
+    every caller the same object with read-only arrays.  Hand-built and
+    loaded traces stay writable.
+    """
 
     name: str
     bubbles: np.ndarray  #: int64[n] non-memory instructions before request i

@@ -1,9 +1,13 @@
 """Tests for the FR bit vector and the PaCRAM refresh-latency policy."""
 
+import tracemalloc
+
 import pytest
 
+from repro.analysis.runner import pacram_reference_config
 from repro.core.config import PaCRAMConfig
 from repro.core.fr_bitvector import FRBitVector
+from repro.core.ondie import SelfManagingDRAMPaCRAM
 from repro.core.pacram import PaCRAM
 from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
@@ -40,6 +44,32 @@ class TestFRBitVector:
             fr.needs_full_restoration(2, 0)
         with pytest.raises(ConfigError):
             fr.mark_fully_restored(0, 64)
+
+    def test_fraction_counts_marked_rows(self):
+        fr = FRBitVector(32, 65_536)
+        rows = [(0, 0), (3, 17), (31, 65_535), (3, 17), (7, 1000)]
+        for bank, row in rows:
+            fr.mark_fully_restored(bank, row)
+        k = len(set(rows))
+        assert fr.fraction_in_f_state() == (
+            (fr.storage_bits - k) / fr.storage_bits)
+        fr.reset_all()
+        assert fr.fraction_in_f_state() == 1.0
+
+    @pytest.mark.parametrize("policy_class",
+                             [PaCRAM, SelfManagingDRAMPaCRAM])
+    def test_policy_allocates_no_dense_vector(self, policy_class):
+        # The dense 32 x 65,536 bool array cost 2 MiB per PaCRAM run.
+        config = SystemConfig()
+        pacram_config = pacram_reference_config("H")
+        tracemalloc.start()
+        try:
+            policy = policy_class(config, pacram_config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert policy.fr.storage_bits == 32 * 65_536
+        assert peak < 64 * 1024
 
 
 def make_policy(module_id: str, factor: float) -> tuple[PaCRAM, SystemConfig]:

@@ -1,6 +1,9 @@
 """Tests for the deterministic seed tree."""
 
+import numpy as np
+
 from repro.rng import SeedTree, derive_seed
+from repro.workloads.suites import multicore_mixes
 
 
 class TestDeriveSeed:
@@ -50,3 +53,25 @@ class TestSeedTree:
         root = SeedTree(1)
         deep = root.child("a").child("b").child("c")
         assert deep.seed == root.child("a").child("b").child("c").seed
+
+
+class TestNumpySeeds:
+    """A seed taken from a numpy array derives what the equal int does."""
+
+    def test_seed_tree_accepts_signed_numpy_scalar(self):
+        assert SeedTree(np.int64(7)).seed == SeedTree(7).seed
+        assert type(SeedTree(np.uint64(7)).seed) is int
+
+    def test_derive_seed_accepts_numpy_scalar(self):
+        assert derive_seed(np.int32(-1), "x") == derive_seed(-1, "x")
+        assert derive_seed(np.int64(42), "a", 1) == derive_seed(42, "a", 1)
+
+    def test_python_int_derivations_unchanged(self):
+        # Pinned values: the coercion must not move any existing seed.
+        assert derive_seed(42, "a", 1) == 11762897121494800953
+        assert derive_seed(-1, "x") == 1262423522532324915
+        assert SeedTree(2025).child("m", "H5").seed == 10319639703576567857
+
+    def test_multicore_mixes_with_numpy_seed(self):
+        assert multicore_mixes(2, seed=np.int64(11)) == multicore_mixes(
+            2, seed=11)

@@ -11,8 +11,13 @@ fuzzes it.  The flattened mitigation twins of
 against their scalar parents here too.
 """
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.errors import ConfigError
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.mitigations import MITIGATION_CLASSES, make_mitigation
@@ -21,6 +26,8 @@ from repro.mitigations.batched import (
     BatchedHydra,
     BatchedPARA,
 )
+from repro.sim import arraykernel
+from repro.sim.arraykernel import clear_decode_memo, decoded_columns
 from repro.sim.config import SystemConfig
 from repro.sim.kernels import (
     SIM_KERNELS,
@@ -28,7 +35,9 @@ from repro.sim.kernels import (
     resolve_sim_kernel,
 )
 from repro.sim.system import MemorySystem
-from repro.workloads.synth import TraceSpec, generate_trace
+from repro.workloads.suites import multicore_mixes
+from repro.workloads.synth import TraceSpec, clear_trace_memo, generate_trace
+from repro.workloads.trace import Trace
 
 
 def _trace(seed=3, requests=1200, **overrides):
@@ -202,3 +211,105 @@ class TestBatchedMitigationUnits:
             for i in range(400):
                 assert list(scalar.on_activation(1, i % 7, float(i))) \
                     == list(batched.on_activation(1, i % 7, float(i)))
+
+
+def _clear_memos():
+    clear_trace_memo()
+    clear_decode_memo()
+
+
+class TestInputMemos:
+    """Memoized traces and decoded columns never change a result."""
+
+    def test_results_independent_of_run_order(self):
+        def run(names, **kwargs):
+            return run_simulation(names, requests=400, sim_kernel="array",
+                                  **kwargs)
+
+        first = dict(mitigation="Graphene", nrh=64,
+                     pacram=pacram_reference_config("H"))
+        _clear_memos()
+        before = run(("spec06.mcf",), **first)
+        run(("spec06.mcf",), mitigation="PARA", nrh=64)
+        run(multicore_mixes(1)[0], mitigation="PARA", nrh=256)
+        run(("ycsb.a",), mitigation="RFM", nrh=64,
+            pacram=pacram_reference_config("S"))
+        after = run(("spec06.mcf",), **first)
+        _clear_memos()
+        cold = run(("spec06.mcf",), **first)
+        assert_parity(before, after)
+        assert_parity(cold, after)
+
+    @staticmethod
+    def _run(config, trace, kernel):
+        return MemorySystem(config, [trace]).run(kernel)
+
+    def test_writable_trace_decoded_afresh(self, single_core_config):
+        base = _trace(requests=600)
+        trace = Trace(base.name, base.bubbles.copy(), base.is_write.copy(),
+                      base.addresses.copy())
+        first = self._run(single_core_config, trace, "array")
+        trace.addresses *= 7
+        trace.bubbles[::2] += 3
+        second = self._run(single_core_config, trace, "array")
+        assert_parity(self._run(single_core_config, trace, "scalar"), second)
+        assert second.elapsed_ns != first.elapsed_ns
+
+    def test_read_only_view_of_writable_array_decoded_afresh(
+            self, single_core_config):
+        base = _trace(requests=600)
+        buffers = [np.array(base.bubbles), np.array(base.is_write),
+                   np.array(base.addresses)]
+        views = [buffer.view() for buffer in buffers]
+        for view in views:
+            view.flags.writeable = False
+        trace = Trace(base.name, *views)
+        first = self._run(single_core_config, trace, "array")
+        buffers[2] *= 7
+        second = self._run(single_core_config, trace, "array")
+        assert_parity(self._run(single_core_config, trace, "scalar"), second)
+        assert second.elapsed_ns != first.elapsed_ns
+
+    def test_decode_memo_consistent_under_threads(self, monkeypatch):
+        config = SystemConfig(num_cores=4)
+        traces = [_trace(seed=seed, requests=300) for seed in range(6)]
+        cores = [core for first in (0, 2)
+                 for core in MemorySystem(config,
+                                          traces[first:first + 4]).cores]
+        expected = [
+            arraykernel._decode(
+                (core.trace.bubbles, core.trace.is_write,
+                 core.trace.addresses),
+                core.core_id, core.address_offset, core.config)
+            for core in cores]
+        # 8 decodings of 300 requests against a budget of 1,000: every
+        # round evicts, so a lost update would show in the bookkeeping.
+        monkeypatch.setattr(arraykernel, "_DECODE_BUDGET", 1_000)
+        clear_decode_memo()
+        failures = []
+
+        def hammer():
+            try:
+                for _ in range(40):
+                    for core, want in zip(cores, expected):
+                        if decoded_columns(core) != want:
+                            failures.append(f"core {core.core_id} differs")
+            except Exception as error:  # a thread's error fails the test
+                failures.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        held = sum(len(arrays[0])
+                   for arrays, _ in arraykernel._decoded.values())
+        assert arraykernel._decoded_requests == held <= 1_000
+        clear_decode_memo()

@@ -11,7 +11,12 @@ from repro.workloads.suites import (
     workload_by_name,
     workload_spec,
 )
-from repro.workloads.synth import TraceSpec, generate_trace
+from repro.workloads.synth import (
+    TraceSpec,
+    clear_trace_memo,
+    generate_trace,
+    trace_generations,
+)
 from repro.workloads.trace import Trace
 
 
@@ -112,6 +117,46 @@ class TestGenerateTrace:
             TraceSpec("x", 1.0, 1.5, 100)
         with pytest.raises(ConfigError):
             generate_trace(TraceSpec("x", 1.0, 0.5, 100), requests=0)
+
+    def test_arrays_read_only(self):
+        trace = generate_trace(TraceSpec("ro", 10.0, 0.5, 2048),
+                               requests=300, seed=1)
+        for array in (trace.bubbles, trace.is_write, trace.addresses):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_equal_arguments_equal_content(self):
+        spec = TraceSpec("eq", 10.0, 0.5, 2048)
+        a = generate_trace(spec, requests=300, seed=1)
+        b = generate_trace(TraceSpec("eq", 10.0, 0.5, 2048), requests=300,
+                           seed=np.int64(1))
+        assert b is a
+        clear_trace_memo()
+        c = generate_trace(spec, requests=300, seed=1)
+        assert c is not a
+        for name in ("bubbles", "is_write", "addresses"):
+            assert (getattr(c, name) == getattr(a, name)).all()
+
+    def test_float_requests_rejected_before_and_after_int(self):
+        spec = TraceSpec("fl", 10.0, 0.5, 2048)
+        clear_trace_memo()
+        with pytest.raises(TypeError):
+            generate_trace(spec, requests=400.0)
+        generate_trace(spec, requests=400)
+        with pytest.raises(TypeError):
+            generate_trace(spec, requests=400.0)
+        with pytest.raises(TypeError):
+            generate_trace(spec, requests=400, seed=7.0)
+
+    def test_memo_bounded(self):
+        spec = TraceSpec("bound", 10.0, 0.5, 2048)
+        clear_trace_memo()
+        first = generate_trace(spec, requests=20, seed=0)
+        for seed in range(1, 40):
+            generate_trace(spec, requests=20, seed=seed)
+        assert trace_generations() == 40
+        assert generate_trace(spec, requests=20, seed=0) is not first
 
 
 class TestSuites:
