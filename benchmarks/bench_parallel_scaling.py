@@ -37,7 +37,7 @@ from repro.characterization.campaign import (
     CharacterizationCampaign,
 )
 from repro.runtime import REPORT_NAME, Task, make_scheduler
-from repro.runtime.distributed import echo_point
+from repro.runtime.distributed import echo_point, lease_spec
 from repro.runtime.wire import canonical_blob, referenced_blobs
 
 #: Loopback fleet sizes exercised for byte-identity.
@@ -108,25 +108,19 @@ def _bench_overhead(tmp: Path) -> dict:
 
 def _bench_payload(tmp: Path) -> dict:
     """Warm-lease spec size vs the pickled-Task wire baseline."""
-    from repro.runtime.distributed import _FleetRun
-
-    class _SpecOnly:
-        blob_table: dict = {}
-
-    encoder = _SpecOnly()
     sizes = {}
     campaign = CharacterizationCampaign(
         tmp / "payload", CampaignConfig(per_region=4))
     sweep = SweepRunner(tmp / "payload", _scaling_grid())
     for label, task in (("campaign", campaign._task("S6")),
                         ("sweep", sweep._task(_scaling_grid().points()[0]))):
-        encoder.blob_table = {}
-        spec = _FleetRun.__dict__["_spec"](encoder, task, 1)
+        blob_table: dict = {}
+        spec = lease_spec(task, 1, blob_table)
         assert referenced_blobs(spec["args"]), \
             f"{label} config was not blob-interned"
         warm = len(canonical_blob(spec).encode())
         cold = warm + sum(len(canonical_blob(b).encode())
-                          for b in encoder.blob_table.values())
+                          for b in blob_table.values())
         # A pickle-based scheduler ships the whole Task per lease; the
         # spec carries the same information (fn, args, fallback, key,
         # path), so that is the like-for-like baseline.

@@ -34,8 +34,6 @@ from repro.runtime.failures import (
     TRANSIENT,
     TaskTimeout,
     classify_failure,
-    register_failure,
-    reset_failure_rules,
 )
 from repro.runtime.persist import (
     CORRUPT_SUFFIX,
@@ -78,10 +76,8 @@ __all__ = [
     "make_scheduler",
     "parse_address",
     "quarantine",
-    "register_failure",
     "registered_tiers",
     "reset_cache_counters",
-    "reset_failure_rules",
     "summarize_caches",
     "validate_scheduler",
     "write_atomic",

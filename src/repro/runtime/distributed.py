@@ -32,14 +32,18 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   (campaign/sweep configs) are content-addressed blobs sent at most once
   per worker (:mod:`repro.runtime.wire`), so warm workers receive
   digest-sized leases, and results compress above a size threshold;
-* failures map onto the PR-7 taxonomy: a worker crash or disconnect is
-  **infrastructure** (the lease is requeued without charging the point an
-  attempt, bounded by ``max_infra_retries``), an overrun lease is a
-  **timeout** (revoked — the in-flight generation is invalidated so a
-  late result is dropped as stale — and reassigned, charged), worker-side
-  exceptions classify exactly as they would locally.  Lease generations
-  are fleet-wide, so a late result never matches a later run's lease of
-  the same key either.
+* failures follow the local pool's retry policy, because both backends
+  account them through one class (:class:`repro.runtime.engine._Attempts`)
+  and every record names its worker: worker-side exceptions and
+  coordinator-side publish errors classify exactly as they would locally
+  (an ``ENOSPC`` pauses, probes the result directory and retries
+  uncharged); a worker crash or disconnect is **infrastructure** (its
+  leases are requeued at once without charging the points an attempt,
+  bounded by ``max_infra_retries``); an overrun lease is a **timeout**
+  (revoked — the in-flight generation is invalidated so a late result is
+  dropped as stale — and reassigned, charged).  Lease generations are
+  fleet-wide, so a late result never matches a later run's lease of the
+  same key either.
 
 Because every task derives its result only from its arguments and seed,
 and retries/reassignments re-run the same pure function, the published
@@ -55,7 +59,6 @@ coordinator you control (the CLI's own loopback fleet always qualifies).
 from __future__ import annotations
 
 import base64
-import heapq
 import itertools
 import json
 import os
@@ -69,16 +72,15 @@ from pathlib import Path, PurePosixPath
 from typing import Any, Callable
 
 from repro.errors import ConfigError
-from repro.runtime.engine import Task, TaskPool, PoolReport
+from repro.runtime.engine import PoolReport, Task, TaskPool, _Attempts
 from repro.runtime.failures import (
+    FAILURE_CLASSES,
     INFRASTRUCTURE,
-    PERMANENT,
     TIMEOUT,
     TRANSIENT,
-    TaskTimeout,
     classify_failure,
 )
-from repro.runtime.persist import quarantine, write_atomic
+from repro.runtime.persist import write_atomic
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     FrameError,
@@ -94,8 +96,8 @@ from repro.runtime.wire import (
     send_frame,
 )
 
-__all__ = ["Fleet", "FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
-           "echo_point"]
+__all__ = ["Fleet", "FleetScheduler", "run_worker", "lease_spec",
+           "DEFAULT_LEASE_BATCH", "echo_point"]
 
 #: Tasks per lease.  Batching amortizes the request/reply round trip; the
 #: default keeps a small grid spread across workers while cutting frames
@@ -439,7 +441,7 @@ class Fleet:
                 run._joined(worker, count)
             self.cond.notify_all()  # hand the parked requests their leases
             try:
-                while run.outstanding:
+                while run.attempts.outstanding:
                     run._revoke_overdue()
                     if self._dead():
                         run._fail_remaining(
@@ -531,11 +533,32 @@ class Fleet:
         self.cond.notify_all()
 
 
+def lease_spec(task: Task, gen: int, blob_table: dict[str, Any]) -> dict:
+    """Encode ``task`` as lease generation ``gen`` for the wire.
+
+    Heavy arguments are interned into ``blob_table`` (digest -> body), so
+    the spec carries digests and each body ships to a worker only once.
+    """
+    path_str = str(task.path)
+    args = intern_args(
+        [encode_value(a, task_path=path_str) for a in task.args], blob_table)
+    fallback = None
+    if task.fallback_args is not None:
+        fallback = intern_args(
+            [encode_value(a, task_path=path_str) for a in task.fallback_args],
+            blob_table)
+    return {"key": task.key, "gen": gen, "fn": callable_ref(task.fn),
+            "args": args, "fallback": fallback, "path": task.path.name}
+
+
 class _FleetRun:
     """One run's lease table on a :class:`Fleet`.
 
-    The queue, retry schedule, attempts, leases and per-worker counters
-    of one :meth:`TaskPool.run` — all that must not outlive it.  Every
+    The leases, blob table and per-worker counters of one
+    :meth:`TaskPool.run` — all that must not outlive it.  What becomes of
+    each outcome (queue, retries, attempts, strikes, verdicts) is the
+    run's :class:`~repro.runtime.engine._Attempts`, the same retry policy
+    the local drain uses, with every record naming its worker.  Every
     method runs with the fleet's condition held.
     """
 
@@ -544,22 +567,11 @@ class _FleetRun:
                  results: dict[str, Any], report: PoolReport) -> None:
         self.fleet = fleet
         self.p = pool
-        self.loader = loader
-        self.results = results
         self.report = report
-        self.pending = pending
-        self.queue: list[tuple[Task, bool]] = [(task, True)
-                                               for task in pending]
-        #: (ready_at, seq, task, charge) — scheduled retries.
-        self.retries: list[tuple[float, int, Task, bool]] = []
-        self.attempts = {task.key: 0 for task in pending}
+        self.attempts = _Attempts(pool, pending, loader, results, report)
         self.leases: dict[str, _Lease] = {}
-        self.outstanding = {task.key for task in pending}
         self.blob_table: dict[str, Any] = {}
         self.worker_stats: dict[str, dict[str, int]] = {}
-        self.degraded_keys: set[str] = set()
-        self.infra_strikes: dict[str, int] = {}
-        self._seq = 0
 
     # ------------------------------------------------------------------
     def _joined(self, worker: str, workers: int) -> None:
@@ -568,27 +580,21 @@ class _FleetRun:
         self.p.progress.worker_joined(worker, workers)
 
     def _finish(self) -> None:
+        for worker in self.attempts.degraded.values():
+            self.worker_stats[worker]["degraded"] += 1
         self.report.final_mode = "fleet"
         self.report.scheduler = "fleet"
         self.report.workers = {worker: dict(stats) for worker, stats
                                in sorted(self.worker_stats.items())}
 
     def _fail_remaining(self, reason: str) -> None:
-        for key in sorted(self.outstanding):
-            task = next(t for t in self.pending if t.key == key)
-            self._fail(task, reason, INFRASTRUCTURE)
-        self.outstanding.clear()
+        outstanding = self.attempts.outstanding
+        for key in sorted(outstanding):
+            self.attempts.abandon(outstanding[key], reason, INFRASTRUCTURE)
 
     def _worker_lost(self, worker: str, error: BaseException,
                      workers: int) -> None:
-        """A connection died: requeue its leases without charging them.
-
-        The worker's results died with it through no fault of the tasks —
-        the PR-7 infrastructure rule — but each loss still counts an
-        infra strike, so a poison task that kills every worker it lands
-        on is eventually abandoned as ``infrastructure`` instead of
-        looping forever.
-        """
+        """A connection died: requeue its leases without charging them."""
         stats = self.worker_stats.setdefault(
             worker, {name: 0 for name in _WORKER_STATS})
         for key, lease in sorted(self.leases.items()):
@@ -596,58 +602,28 @@ class _FleetRun:
                 continue
             del self.leases[key]
             stats["disconnects"] += 1
-            task = lease.task
-            # Refund the attempt charged at grant: requeue uncharged.
-            self.attempts[key] -= 1
-            strikes = self.infra_strikes.get(key, 0) + 1
-            self.infra_strikes[key] = strikes
-            self.report.infra_pauses += 1
-            self.p._record(key, strikes, f"worker lost: {error}",
-                           action="worker-lost", worker=worker,
-                           **{"class": INFRASTRUCTURE})
-            if strikes > self.p.max_infra_retries:
-                self._fail(task, f"worker lost: {error} "
-                                 f"({strikes} strikes)", INFRASTRUCTURE)
-            else:
-                self.queue.append((task, True))
+            self.attempts.lost(lease.task, f"worker lost: {error}",
+                               worker=worker)
         self.p.progress.worker_left(worker, workers, f"{error}")
 
     # ------------------------------------------------------------------
     # lease granting
     # ------------------------------------------------------------------
-    def _pop_ready(self, now: float) -> tuple[Task, bool] | None:
-        while self.retries and self.retries[0][0] <= now:
-            _, _, task, charge = heapq.heappop(self.retries)
-            self.queue.append((task, charge))
-        if self.queue:
-            return self.queue.pop(0)
-        return None
-
-    def _push_retry(self, task: Task, ready_at: float, *,
-                    charge: bool) -> None:
-        self._seq += 1
-        heapq.heappush(self.retries, (ready_at, self._seq, task, charge))
-
     def _grant(self, worker: str, maxn: int) -> dict | None:
         """The reply to a lease request, or ``None`` while nothing is
         ready (the caller parks the request)."""
         if self.fleet.closing:  # a frame buffered at close earns no lease
             return {"type": "shutdown"}
-        now = self.p.clock()
+        self.attempts.admit_due()
         specs: list[dict] = []
         while len(specs) < maxn:
-            item = self._pop_ready(now)
-            if item is None:
+            task = self.attempts.take()
+            if task is None:
                 break
-            task, charge = item
-            if charge:
-                self.attempts[task.key] += 1
             gen = next(self.fleet.gens)
-            timeout = task.timeout_s if task.timeout_s is not None \
-                else self.p.timeout_s
-            deadline = now + timeout if timeout is not None else None
-            self.leases[task.key] = _Lease(worker, gen, deadline, task)
-            specs.append(self._spec(task, gen))
+            self.leases[task.key] = _Lease(worker, gen,
+                                           self.attempts.deadline(task), task)
+            specs.append(lease_spec(task, gen, self.blob_table))
         if not specs:
             return None
         sent = self.fleet.worker_sent.setdefault(worker, set())
@@ -667,25 +643,10 @@ class _FleetRun:
     def _park_s(self) -> float:
         """Bound on one parked wait: the next retry's ready time, capped
         at :data:`DEFAULT_POLL_S`."""
-        if self.retries:
-            return max(0.0, min(DEFAULT_POLL_S,
-                                self.retries[0][0] - self.p.clock()))
-        return DEFAULT_POLL_S
-
-    def _spec(self, task: Task, gen: int) -> dict:
-        path_str = str(task.path)
-        args = intern_args(
-            [encode_value(a, task_path=path_str) for a in task.args],
-            self.blob_table)
-        fallback = None
-        if task.fallback_args is not None:
-            fallback = intern_args(
-                [encode_value(a, task_path=path_str)
-                 for a in task.fallback_args],
-                self.blob_table)
-        return {"key": task.key, "gen": gen, "fn": callable_ref(task.fn),
-                "args": args, "fallback": fallback,
-                "path": task.path.name}
+        ready_at = self.attempts.next_due()
+        if ready_at is None:
+            return DEFAULT_POLL_S
+        return max(0.0, min(DEFAULT_POLL_S, ready_at - self.p.clock()))
 
     # ------------------------------------------------------------------
     # result ingestion
@@ -703,40 +664,36 @@ class _FleetRun:
                 continue
             del self.leases[key]
             task = lease.task
-            if entry.get("degraded") and key not in self.degraded_keys:
-                self.degraded_keys.add(key)
-                self.report.degraded.append(key)
-                message = entry.get("degraded_error", "fast kernel failed")
-                stats["degraded"] += 1
-                self.p._record(key, self.attempts[key], message,
-                               action="degraded", worker=worker)
-                self.p.progress.task_degraded(key, message)
+            if entry.get("degraded"):
+                self.attempts.degrade(
+                    task, entry.get("degraded_error", "fast kernel failed"),
+                    worker=worker)
             if entry.get("status") == "ok":
-                self._publish_ok(task, worker, entry, stats)
-            else:
-                stats["failures"] += 1
-                self._failed_attempt(
-                    task, worker, str(entry.get("error", "worker error")),
-                    str(entry.get("error_class", TRANSIENT)))
+                self._publish(task, worker, entry.get("files") or {}, stats)
+                continue
+            stats["failures"] += 1
+            classification = entry.get("error_class")
+            if classification not in FAILURE_CLASSES:  # untrusted wire
+                classification = TRANSIENT
+            self.attempts.failed(task, str(entry.get("error", "worker error")),
+                                 classification, worker=worker)
 
-    def _publish_ok(self, task: Task, worker: str, entry: dict,
-                    stats: dict[str, int]) -> None:
+    def _publish(self, task: Task, worker: str, files: dict[str, str],
+                 stats: dict[str, int]) -> None:
+        """Publish a worker's shipped files, then load the result."""
         try:
-            self._publish_files(task, entry.get("files") or {})
-            loaded = self.loader(task.path)
-        except Exception as error:  # noqa: BLE001 — classified transient
-            if task.path.exists():
-                quarantine(task.path)
-            self.report.quarantined.append(task.key)
-            # A corrupt shipped result is recomputable by construction:
-            # always a (transient) retry, never a permanent verdict.
-            self._failed_attempt(task, worker, f"{error}", TRANSIENT)
+            self._publish_files(task, files)
+        except Exception as error:  # noqa: BLE001 — classified below
+            # A malformed shipment is that worker's fault, not the
+            # point's; a coordinator-side fault (a full disk) is
+            # classified exactly like a worker's.
+            classification = TRANSIENT if isinstance(error, FrameError) \
+                else classify_failure(error)
+            self.attempts.failed(task, f"{error}", classification,
+                                 worker=worker)
             return
-        self.results[task.key] = loaded
-        self.report.computed.append(task.key)
-        self.outstanding.discard(task.key)
-        stats["tasks"] += 1
-        self.p.progress.task_done(task.key, worker=worker)
+        if self.attempts.load(task, worker=worker):
+            stats["tasks"] += 1
 
     def _publish_files(self, task: Task, files: dict[str, str]) -> None:
         """Atomically write the worker's shipped files into the store."""
@@ -754,83 +711,25 @@ class _FleetRun:
             write_atomic(task.path.parent / rel, text,
                          durable=(name == task.path.name))
 
-    def _failed_attempt(self, task: Task, worker: str, message: str,
-                        classification: str) -> None:
-        if classification not in (TRANSIENT, PERMANENT, TIMEOUT,
-                                  INFRASTRUCTURE):
-            classification = TRANSIENT
-        key = task.key
-        attempt = self.attempts[key]
-        self.p._record(key, attempt, message, action="attempt",
-                       worker=worker, **{"class": classification})
-        if classification == PERMANENT:
-            self._fail(task, message, classification)
-            return
-        if classification == INFRASTRUCTURE:
-            # The worker's *environment* failed (full disk, OOM): refund
-            # the attempt and retry after a pause, bounded separately.
-            self.attempts[key] -= 1
-            strikes = self.infra_strikes.get(key, 0) + 1
-            self.infra_strikes[key] = strikes
-            self.report.infra_pauses += 1
-            if strikes > self.p.max_infra_retries:
-                self._fail(task, message, INFRASTRUCTURE)
-                return
-            self.p.progress.task_retry(key, strikes, message,
-                                       classification=INFRASTRUCTURE)
-            self._push_retry(task, self.p.clock() + self.p.infra_pause_s,
-                             charge=True)
-            return
-        if attempt < self.p.max_attempts:
-            self.report.retried.append(key)
-            self.p.progress.task_retry(key, attempt, message,
-                                       classification=classification)
-            delay = self.p.backoff_for(key, attempt)
-            self._push_retry(task, self.p.clock() + delay, charge=True)
-        else:
-            self._fail(task, message, classification)
-
-    def _fail(self, task: Task, error: str, classification: str) -> None:
-        self.report.failed[task.key] = error
-        self.report.failure_classes[task.key] = classification
-        self.p._record(task.key, self.attempts[task.key], error,
-                       action="abandoned", **{"class": classification})
-        self.p.progress.task_failed(task.key, error)
-        self.outstanding.discard(task.key)
-
     # ------------------------------------------------------------------
     # lease watchdog (the draining thread)
     # ------------------------------------------------------------------
     def _revoke_overdue(self) -> None:
         """Revoke leases past their deadline and reassign the tasks.
 
-        The PR-7 watchdog, coordinator-style: the overrunning worker is
+        The local watchdog, coordinator-style: the overrunning worker is
         not killed (it may be another host), but its lease generation is
-        invalidated — a late result is dropped as stale — and the task is
-        recharged and rescheduled exactly like a local watchdog timeout.
+        invalidated — a late result is dropped as stale — and the task
+        gets the same timeout verdict as a local one.
         """
         now = self.p.clock()
         for key, lease in sorted(self.leases.items()):
             if lease.deadline is None or lease.deadline > now:
                 continue
             del self.leases[key]
-            task = lease.task
             self.report.lease_revocations += 1
-            self.report.timeouts.append(key)
             self.worker_stats[lease.worker]["revoked"] += 1
-            timeout = task.timeout_s if task.timeout_s is not None \
-                else self.p.timeout_s
-            attempt = self.attempts[key]
-            error = TaskTimeout(
-                f"no result within {timeout:g}s (attempt {attempt}; "
-                f"lease revoked from {lease.worker})")
-            self.p.progress.task_timeout(key, attempt, timeout)
-            self.p._record(key, attempt, f"{error}", action="timeout",
-                           worker=lease.worker, **{"class": TIMEOUT})
-            if attempt < self.p.max_attempts:
-                self.report.retried.append(key)
-                delay = self.p.backoff_for(key, attempt)
-                self._push_retry(task, now + delay, charge=True)
-            else:
-                self._fail(task, f"{error}", TIMEOUT)
+            self.attempts.timed_out(
+                lease.task, f"lease revoked from {lease.worker}",
+                worker=lease.worker)
             self.fleet.cond.notify_all()  # re-bound parked waits, end the run

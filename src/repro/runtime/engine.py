@@ -43,6 +43,14 @@ that engine for the in-process reproduction:
   rebuilds, machine-readable for dashboards and asserted consistent with
   the ledger by a property test.
 
+Both schedulers share one retry policy: a run's :class:`_Attempts` owns
+the ready queue and the retry heap, attempts and infrastructure strikes,
+degradation, the timeout verdict, quarantine of a result that fails to
+load, and abandonment, with every ledger record and progress hook these
+emit.  The local drain (:class:`_Drain`: pool, isolated and inline
+execution, the watchdog) and the fleet's lease table
+(:mod:`repro.runtime.distributed`) each keep only how they run tasks.
+
 Workers must be module-level callables with picklable arguments (they cross
 a ``ProcessPoolExecutor`` boundary when ``jobs > 1``), and results flow back
 through the filesystem, not the pipe: the parent re-loads ``task.path``
@@ -53,7 +61,9 @@ run would reload.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -234,7 +244,6 @@ class TaskPool:
                  progress: ProgressReporter | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        import os
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -343,8 +352,8 @@ class TaskPool:
         The scheduler seam: :class:`TaskPool` drains through a local
         process pool; :class:`repro.runtime.distributed.FleetScheduler`
         overrides this one method to drain through a worker fleet.  Reuse,
-        quarantine, ledgering, reporting, and the failure contract all
-        live in :meth:`run` and are shared by every backend.
+        ledgering and reporting live in :meth:`run`, the retry policy in
+        :class:`_Attempts`; every backend shares both.
         """
         _Drain(self, pending, loader, results, report).execute()
 
@@ -398,19 +407,21 @@ class TaskPool:
 
     # ------------------------------------------------------------------
     def _record(self, key: str, attempt: int, error: str, *,
-                action: str, worker: str = "local", **extra: str) -> None:
+                action: str, worker: str | None = None,
+                **extra: str) -> None:
         """Append one event to the error ledger (if one is configured).
 
         Each record carries the retry ``attempt`` number, the monotonic
         ``elapsed_s`` since the run started (wall-clock ``time`` can jump
         backwards under NTP; debugging a retry storm needs real durations),
         and the ``worker`` the event is attributed to — ``"local"`` for the
-        in-process pool, the worker id for fleet runs.
+        in-process pool (``worker=None``), the worker id for fleet runs.
         """
         if self.ledger_path is None:
             return
         record = {"key": key, "action": action, "attempt": attempt,
-                  "error": error, "worker": worker, "time": time.time(),
+                  "error": error, "worker": worker or "local",
+                  "time": time.time(),
                   "elapsed_s": round(
                       time.monotonic() - self._run_started_monotonic, 6),
                   **extra}
@@ -435,17 +446,36 @@ class TaskPool:
         write_atomic(self.ledger_path, "".join(lines))
 
 
-class _Drain:
-    """One run's drain loop: submissions, deadlines, retries, pools.
+def _probe_ok(task: Task) -> bool:
+    """Whether the task's result directory accepts writes again."""
+    probe = task.path.parent / f".probe.{os.getpid()}.tmp"
+    try:
+        task.path.parent.mkdir(parents=True, exist_ok=True)
+        probe.write_text("probe")
+        probe.unlink()
+        return True
+    except OSError:
+        try:
+            probe.unlink(missing_ok=True)
+        except OSError:
+            pass
+        return False
 
-    Execution modes, in degradation order:
 
-    * ``pool`` — one ``ProcessPoolExecutor`` with up to ``jobs`` workers;
-    * ``isolated`` — after ``max_pool_rebuilds`` broken pools, one fresh
-      single-worker pool per outstanding point, so a poison task breaks
-      only its own pool and is identifiable (and chargeable);
-    * ``inline`` — ``jobs=1``, or worker processes cannot be spawned at
-      all; tasks run in the parent, where deadlines are unenforceable.
+class _Attempts:
+    """One run's retry policy, shared by the local and the fleet drain.
+
+    A drain hands tasks out and reports what became of each; this class
+    decides what happens next and keeps the books: the ready queue and
+    the retry heap, the attempts charged to each point, infrastructure
+    strikes (refund the attempt, pause, probe the result directory),
+    kernel degradation, the timeout verdict, loading (or quarantining)
+    computed results, done and abandoned points, and every ledger record
+    and progress hook these transitions emit.
+
+    ``worker`` names the fleet worker an event is attributed to; the
+    local pool's anonymous processes pass ``None``, ledgered as
+    ``"local"``.  The fleet calls every method with its condition held.
     """
 
     def __init__(self, pool: TaskPool, pending: list[Task],
@@ -455,7 +485,259 @@ class _Drain:
         self.loader = loader
         self.results = results
         self.report = report
-        self.pending = pending
+        #: (task, whether handing it out charges an attempt)
+        self.queue: deque[tuple[Task, bool]] = deque(
+            (task, True) for task in pending)
+        #: (ready_at, seq, task, probe, worker) — scheduled retries, each
+        #: charged an attempt when handed out again.
+        self.retries: list[tuple[float, int, Task, bool, str | None]] = []
+        self.charged = {task.key: 0 for task in pending}
+        #: Points neither done nor abandoned yet.
+        self.outstanding = {task.key: task for task in pending}
+        #: Degraded points, each with the worker its degradation names.
+        self.degraded: dict[str, str | None] = {}
+        self.infra_strikes: dict[str, int] = {}
+        self._seq = itertools.count()
+
+    # ------------------------------------------------------------------
+    # the queue
+    # ------------------------------------------------------------------
+    def take(self) -> Task | None:
+        """The next ready task, charged an attempt if it owes one."""
+        if not self.queue:
+            return None
+        task, charge = self.queue.popleft()
+        if charge:
+            self.charged[task.key] += 1
+        return task
+
+    def requeue(self, task: Task) -> None:
+        """Run ``task`` again at once, uncharged: its result died with
+        its worker through no fault of its own."""
+        self.queue.append((task, False))
+
+    def deadline(self, task: Task) -> float | None:
+        """When ``task``, handed out now, is overdue (``None``: never)."""
+        timeout = self._timeout(task)
+        return None if timeout is None else self.p.clock() + timeout
+
+    def next_due(self) -> float | None:
+        """Ready time of the earliest scheduled retry, if any."""
+        return self.retries[0][0] if self.retries else None
+
+    def admit_due(self) -> None:
+        """Move every retry whose time has come onto the ready queue."""
+        now = self.p.clock()
+        while self.retries and self.retries[0][0] <= now:
+            _, _, task, probe, worker = heapq.heappop(self.retries)
+            self._admit(task, probe, worker)
+
+    def wait_for_retry(self) -> None:
+        """Nothing in flight: sleep until the earliest retry, admit it.
+
+        After sleeping the full remaining delay the retry is treated as
+        due unconditionally — injected test clocks may not advance, and
+        trusting the sleep keeps the schedule deterministic for them.
+        """
+        ready_at, _, task, probe, worker = heapq.heappop(self.retries)
+        delay = ready_at - self.p.clock()
+        if delay > 0:
+            self.p.sleep(delay)
+        self._admit(task, probe, worker)
+
+    def _admit(self, task: Task, probe: bool, worker: str | None) -> None:
+        if probe and not _probe_ok(task):
+            if self._strike(
+                    task, "result directory not writable (probe failed)",
+                    worker, action="infra-pause",
+                    verdict="infrastructure failure outlasted "
+                            f"{self.p.max_infra_retries} probes"):
+                self._push_retry(task, self.p.clock() + self.p.infra_pause_s,
+                                 probe=True, worker=worker)
+            return
+        self.queue.append((task, True))
+
+    def _push_retry(self, task: Task, ready_at: float, *, probe: bool,
+                    worker: str | None) -> None:
+        heapq.heappush(self.retries,
+                       (ready_at, next(self._seq), task, probe, worker))
+
+    # ------------------------------------------------------------------
+    # outcomes
+    # ------------------------------------------------------------------
+    def load(self, task: Task, *, worker: str | None = None) -> bool:
+        """Load ``task``'s computed result; whether the point is done.
+
+        A result that fails to load is quarantined and retried: it is
+        recomputable by construction, so always a (transient) retry,
+        never a permanent verdict.
+        """
+        try:
+            loaded = self.loader(task.path)
+        except Exception as error:  # noqa: BLE001 — corrupt / schema-invalid
+            if task.path.exists():
+                quarantine(task.path)
+                self.report.quarantined.append(task.key)
+            self.failed(task, f"{error}", TRANSIENT, worker=worker)
+            return False
+        self.results[task.key] = loaded
+        self.report.computed.append(task.key)
+        del self.outstanding[task.key]
+        if worker is None:
+            self.p.progress.task_done(task.key)
+        else:
+            self.p.progress.task_done(task.key, worker=worker)
+        return True
+
+    def failed(self, task: Task, error: str, classification: str, *,
+               worker: str | None = None) -> None:
+        """One charged attempt at ``task`` raised ``error``.
+
+        An infrastructure fault (e.g. ``ENOSPC``) is the environment's,
+        not the point's: the attempt is refunded and the point retried
+        after a pause and a probe of its result directory, bounded
+        separately by ``max_infra_retries`` so a dead disk cannot loop
+        forever.
+        """
+        if classification == INFRASTRUCTURE:
+            self.charged[task.key] -= 1
+            if self._strike(task, error, worker, action="infra-pause",
+                            verdict=error):
+                self.p.progress.task_retry(
+                    task.key, self.infra_strikes[task.key], error,
+                    classification=INFRASTRUCTURE)
+                self._push_retry(task, self.p.clock() + self.p.infra_pause_s,
+                                 probe=True, worker=worker)
+            return
+        self.p._record(task.key, self.charged[task.key], error,
+                       action="attempt", worker=worker,
+                       **{"class": classification})
+        self.charge(task, error, classification, worker=worker)
+
+    def charge(self, task: Task, error: str, classification: str, *,
+               worker: str | None = None) -> None:
+        """Settle a charged, already ledgered failure of ``task``: one
+        free re-run on its fallback kernel, a retry after backoff, or
+        abandonment."""
+        if (task.fallback_args is not None and classification != TIMEOUT
+                and self.degrade(task, error, worker=worker)):
+            self.queue.append(
+                (replace(task, args=task.fallback_args, fallback_args=None),
+                 False))
+            return
+        attempt = self.charged[task.key]
+        if classification == PERMANENT or attempt >= self.p.max_attempts:
+            self.abandon(task, error, classification, worker=worker)
+            return
+        self.p.progress.task_retry(task.key, attempt, error,
+                                   classification=classification)
+        self._retry_later(task, attempt, worker)
+
+    def degrade(self, task: Task, error: str, *,
+                worker: str | None = None) -> bool:
+        """Note that ``task`` falls back to its scalar-oracle kernel;
+        false if it already has (degradation happens at most once).
+
+        Kernel graceful degradation: the fallback re-run is free, so a
+        numpy edge case costs one point's speed, not the campaign.
+        """
+        if task.key in self.degraded:
+            return False
+        self.degraded[task.key] = worker
+        self.report.degraded.append(task.key)
+        self.p._record(task.key, self.charged[task.key], error,
+                       action="degraded", worker=worker)
+        self.p.progress.task_degraded(task.key, error)
+        return True
+
+    def timed_out(self, task: Task, remedy: str, *,
+                  worker: str | None = None) -> None:
+        """``task`` produced no result by its deadline; ``remedy`` says
+        what was done to its worker.  Retried (charged) or abandoned."""
+        timeout = self._timeout(task)
+        attempt = self.charged[task.key]
+        error = TaskTimeout(f"no result within {timeout:g}s "
+                            f"(attempt {attempt}; {remedy})")
+        self.report.timeouts.append(task.key)
+        self.p.progress.task_timeout(task.key, attempt, timeout)
+        self.p._record(task.key, attempt, f"{error}", action="timeout",
+                       worker=worker, **{"class": TIMEOUT})
+        if attempt < self.p.max_attempts:
+            self._retry_later(task, attempt, worker)
+        else:
+            self.abandon(task, f"{error}", TIMEOUT, worker=worker)
+
+    def lost(self, task: Task, error: str, *, worker: str) -> None:
+        """``task``'s worker died with its result: refund the attempt,
+        count an infrastructure strike — a poison task that kills every
+        worker it lands on is abandoned, not looped forever — and
+        requeue it at once."""
+        self.charged[task.key] -= 1
+        if self._strike(task, error, worker, action="worker-lost",
+                        verdict=f"{error} "
+                                f"({self.p.max_infra_retries + 1} strikes)"):
+            self.queue.append((task, True))
+
+    def abandon(self, task: Task, error: str, classification: str, *,
+                worker: str | None = None) -> None:
+        """Give ``task`` up: it fails the run as ``classification``."""
+        self.report.failed[task.key] = error
+        self.report.failure_classes[task.key] = classification
+        self.p._record(task.key, self.charged[task.key], error,
+                       action="abandoned", worker=worker,
+                       **{"class": classification})
+        self.p.progress.task_failed(task.key, error)
+        self.outstanding.pop(task.key, None)
+
+    # ------------------------------------------------------------------
+    def _strike(self, task: Task, error: str, worker: str | None, *,
+                action: str, verdict: str) -> bool:
+        """Count and ledger one infrastructure strike against ``task``;
+        past ``max_infra_retries`` it is abandoned with ``verdict``.
+        Returns whether the task may run again."""
+        strikes = self.infra_strikes.get(task.key, 0) + 1
+        self.infra_strikes[task.key] = strikes
+        self.report.infra_pauses += 1
+        self.p._record(task.key, strikes, error, action=action,
+                       worker=worker, **{"class": INFRASTRUCTURE})
+        if strikes <= self.p.max_infra_retries:
+            return True
+        self.abandon(task, verdict, INFRASTRUCTURE, worker=worker)
+        return False
+
+    def _retry_later(self, task: Task, attempt: int,
+                     worker: str | None) -> None:
+        self.report.retried.append(task.key)
+        self._push_retry(
+            task, self.p.clock() + self.p.backoff_for(task.key, attempt),
+            probe=False, worker=worker)
+
+    def _timeout(self, task: Task) -> float | None:
+        return task.timeout_s if task.timeout_s is not None \
+            else self.p.timeout_s
+
+
+class _Drain:
+    """One run's local drain loop: submissions, deadlines, pools.
+
+    Execution modes, in degradation order:
+
+    * ``pool`` — one ``ProcessPoolExecutor`` with up to ``jobs`` workers;
+    * ``isolated`` — after ``max_pool_rebuilds`` broken pools, one fresh
+      single-worker pool per outstanding point, so a poison task breaks
+      only its own pool and is identifiable (and chargeable);
+    * ``inline`` — ``jobs=1``, or worker processes cannot be spawned at
+      all; tasks run in the parent, where deadlines are unenforceable.
+
+    What becomes of each outcome is the run's :class:`_Attempts`.
+    """
+
+    def __init__(self, pool: TaskPool, pending: list[Task],
+                 loader: Callable[[Path], Any], results: dict[str, Any],
+                 report: PoolReport) -> None:
+        self.p = pool
+        self.report = report
+        self.attempts = _Attempts(pool, pending, loader, results, report)
         self.workers = min(pool.jobs, len(pending))
         self.mode = "pool" if self.workers > 1 else "inline"
         self.executor: Any = None
@@ -463,27 +745,19 @@ class _Drain:
         self.futures: dict[Future, Task] = {}
         self.future_gen: dict[Future, int] = {}
         self.deadlines: dict[Future, float] = {}
-        #: (ready_at, seq, task, charge_attempt, probe_infrastructure)
-        self.retries: list[tuple[float, int, Task, bool, bool]] = []
-        self.queue: deque[tuple[Task, bool]] = deque()
-        self.attempts = {task.key: 0 for task in pending}
-        self.degraded_keys: set[str] = set()
-        self.infra_strikes: dict[str, int] = {}
-        self._seq = 0
 
     # ------------------------------------------------------------------
     def execute(self) -> None:
+        attempts = self.attempts
         self._new_executor()
-        for task in self.pending:
-            self.queue.append((task, True))
         try:
-            while self.queue or self.retries or self.futures:
+            while attempts.queue or attempts.retries or self.futures:
                 self._submit_ready()
                 if not self.futures:
-                    if self.queue:
+                    if attempts.queue:
                         continue  # isolated-mode gate re-opens next pass
-                    if self.retries:
-                        self._wait_for_retry()
+                    if attempts.retries:
+                        attempts.wait_for_retry()
                     continue
                 done, _ = wait(self.futures, timeout=self._tick(),
                                return_when=FIRST_COMPLETED)
@@ -546,8 +820,8 @@ class _Drain:
         Their results died with the pool through no fault of their own;
         stale completions of the popped futures are ignored later.
         """
-        for future, task in list(self.futures.items()):
-            self.queue.append((task, False))
+        for task in self.futures.values():
+            self.attempts.requeue(task)
         self.futures.clear()
         self.future_gen.clear()
         self.deadlines.clear()
@@ -556,19 +830,15 @@ class _Drain:
     # submission
     # ------------------------------------------------------------------
     def _submit_ready(self) -> None:
-        now = self.p.clock()
-        while self.retries and self.retries[0][0] <= now:
-            _, _, task, charge, probe = heapq.heappop(self.retries)
-            self._enqueue_or_probe(task, charge, probe)
-        while self.queue:
-            if self.mode == "isolated" and self.futures:
-                return  # one outstanding point at a time when isolating
-            task, charge = self.queue.popleft()
-            self._submit(task, charge)
+        self.attempts.admit_due()
+        # One outstanding point at a time when isolating.
+        while not (self.mode == "isolated" and self.futures):
+            task = self.attempts.take()
+            if task is None:
+                return
+            self._submit(task)
 
-    def _submit(self, task: Task, charge: bool) -> None:
-        if charge:
-            self.attempts[task.key] += 1
+    def _submit(self, task: Task) -> None:
         while True:
             try:
                 future = self.executor.submit(task.fn, *task.args)
@@ -581,80 +851,22 @@ class _Drain:
             break
         self.futures[future] = task
         self.future_gen[future] = self.generation
-        timeout = task.timeout_s if task.timeout_s is not None \
-            else self.p.timeout_s
-        if timeout is not None and self.mode != "inline":
-            self.deadlines[future] = self.p.clock() + timeout
-
-    def _push_retry(self, task: Task, ready_at: float, *, charge: bool,
-                    probe: bool) -> None:
-        self._seq += 1
-        heapq.heappush(self.retries, (ready_at, self._seq, task, charge, probe))
-
-    def _enqueue_or_probe(self, task: Task, charge: bool, probe: bool) -> None:
-        if probe and not self._probe_ok(task):
-            strikes = self.infra_strikes.get(task.key, 0) + 1
-            self.infra_strikes[task.key] = strikes
-            self.report.infra_pauses += 1
-            self.p._record(task.key, strikes,
-                           "result directory not writable (probe failed)",
-                           action="infra-pause",
-                           **{"class": INFRASTRUCTURE})
-            if strikes > self.p.max_infra_retries:
-                self._fail(task, "infrastructure failure outlasted "
-                                 f"{self.p.max_infra_retries} probes",
-                           INFRASTRUCTURE)
-            else:
-                self._push_retry(task,
-                                 self.p.clock() + self.p.infra_pause_s,
-                                 charge=charge, probe=True)
-            return
-        self.queue.append((task, charge))
-
-    def _probe_ok(self, task: Task) -> bool:
-        """Whether the task's result directory accepts writes again."""
-        import os
-        probe = task.path.parent / f".probe.{os.getpid()}{'.tmp'}"
-        try:
-            task.path.parent.mkdir(parents=True, exist_ok=True)
-            probe.write_text("probe")
-            probe.unlink()
-            return True
-        except OSError:
-            try:
-                probe.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
+        deadline = self.attempts.deadline(task)
+        if deadline is not None and self.mode != "inline":
+            self.deadlines[future] = deadline
 
     # ------------------------------------------------------------------
     # waiting
     # ------------------------------------------------------------------
     def _tick(self) -> float | None:
         """Bounded ``wait()`` timeout: the next deadline or retry, if any."""
-        next_event: float | None = None
-        if self.deadlines:
-            next_event = min(self.deadlines.values())
-        if self.retries:
-            ready_at = self.retries[0][0]
-            next_event = ready_at if next_event is None \
-                else min(next_event, ready_at)
-        if next_event is None:
+        events = list(self.deadlines.values())
+        ready_at = self.attempts.next_due()
+        if ready_at is not None:
+            events.append(ready_at)
+        if not events:
             return None
-        return max(0.0, next_event - self.p.clock())
-
-    def _wait_for_retry(self) -> None:
-        """Nothing in flight: advance to the earliest scheduled retry.
-
-        After sleeping the full remaining delay the retry is treated as
-        due unconditionally — injected test clocks may not advance, and
-        trusting the sleep keeps the schedule deterministic for them.
-        """
-        ready_at, _, task, charge, probe = heapq.heappop(self.retries)
-        delay = ready_at - self.p.clock()
-        if delay > 0:
-            self.p.sleep(delay)
-        self._enqueue_or_probe(task, charge, probe)
+        return max(0.0, min(events) - self.p.clock())
 
     # ------------------------------------------------------------------
     # completion
@@ -667,116 +879,32 @@ class _Drain:
         self.deadlines.pop(future, None)
         error = future.exception()
         if error is None:
-            try:
-                loaded = self.loader(task.path)
-            except Exception as load_error:
-                if task.path.exists():
-                    quarantine(task.path)
-                # A corrupt result is recomputable by construction:
-                # always a (transient) retry, never a permanent verdict.
-                self._failed_attempt(task, load_error, TRANSIENT)
-            else:
-                self.results[task.key] = loaded
-                self.report.computed.append(task.key)
-                self.progress_done(task)
-            return
-        if isinstance(error, BrokenExecutor):
+            self.attempts.load(task)
+        elif isinstance(error, BrokenExecutor):
             self._on_broken_pool(task, error, generation)
-            return
-        classification = classify_failure(error)
-        if classification == INFRASTRUCTURE:
-            self._infra_failure(task, error)
-            return
-        self._failed_attempt(task, error, classification)
-
-    def progress_done(self, task: Task) -> None:
-        self.p.progress.task_done(task.key)
+        else:
+            self.attempts.failed(task, f"{error}", classify_failure(error))
 
     def _on_broken_pool(self, task: Task, error: BaseException,
                         generation: int) -> None:
+        self._record_infra(task, error, action="pool-broken")
         if self.mode == "isolated" and generation == self.generation:
             # Single-task pool: the culprit is known.  Replace the pool
             # and charge the point like any other failed attempt.
-            self._record_infra(task, error, action="pool-broken")
             self.report.pool_rebuilds += 1
             self._shutdown(kill=True)
             self._new_executor()
-            self._failed_attempt(task, error, INFRASTRUCTURE,
-                                 recorded=True)
+            self.attempts.charge(task, f"{error}", INFRASTRUCTURE)
             return
-        self._record_infra(task, error, action="pool-broken")
         if generation == self.generation:
             self._rebuild(f"{error}")
         # The result was lost with the pool; re-run without charge.
-        self.queue.append((task, False))
+        self.attempts.requeue(task)
 
     def _record_infra(self, task: Task, error: BaseException, *,
                       action: str) -> None:
-        self.p._record(task.key, self.attempts[task.key], f"{error}",
+        self.p._record(task.key, self.attempts.charged[task.key], f"{error}",
                        action=action, **{"class": INFRASTRUCTURE})
-
-    def _infra_failure(self, task: Task, error: BaseException) -> None:
-        """Worker hit an environment fault (e.g. ENOSPC): pause and probe.
-
-        The attempt charged at submission is refunded — the environment
-        failed, not the point — and the retry is bounded separately by
-        ``max_infra_retries`` so a dead disk cannot loop forever.
-        """
-        self.attempts[task.key] -= 1
-        strikes = self.infra_strikes.get(task.key, 0) + 1
-        self.infra_strikes[task.key] = strikes
-        self.report.infra_pauses += 1
-        self.p._record(task.key, strikes, f"{error}", action="infra-pause",
-                       **{"class": INFRASTRUCTURE})
-        if strikes > self.p.max_infra_retries:
-            self._fail(task, f"{error}", INFRASTRUCTURE)
-            return
-        self.p.progress.task_retry(task.key, strikes, f"{error}",
-                                   classification=INFRASTRUCTURE)
-        self._push_retry(task, self.p.clock() + self.p.infra_pause_s,
-                         charge=True, probe=True)
-
-    def _failed_attempt(self, task: Task, error: BaseException,
-                        classification: str, *,
-                        recorded: bool = False) -> None:
-        attempt = self.attempts[task.key]
-        if not recorded:
-            self.p._record(task.key, attempt, f"{error}", action="attempt",
-                           **{"class": classification})
-        if (task.fallback_args is not None
-                and task.key not in self.degraded_keys
-                and classification != TIMEOUT):
-            # Kernel graceful degradation: one free re-run on the
-            # fallback (scalar-oracle) args before retry accounting
-            # resumes — a numpy edge case costs one point's speed, not
-            # the campaign.
-            self.degraded_keys.add(task.key)
-            self.report.degraded.append(task.key)
-            self.p._record(task.key, attempt, f"{error}", action="degraded")
-            self.p.progress.task_degraded(task.key, f"{error}")
-            self.queue.append(
-                (replace(task, args=task.fallback_args, fallback_args=None),
-                 False))
-            return
-        if classification == PERMANENT:
-            self._fail(task, f"{error}", classification)
-            return
-        if attempt < self.p.max_attempts:
-            self.report.retried.append(task.key)
-            self.p.progress.task_retry(task.key, attempt, f"{error}",
-                                       classification=classification)
-            delay = self.p.backoff_for(task.key, attempt)
-            self._push_retry(task, self.p.clock() + delay,
-                             charge=True, probe=False)
-        else:
-            self._fail(task, f"{error}", classification)
-
-    def _fail(self, task: Task, error: str, classification: str) -> None:
-        self.report.failed[task.key] = error
-        self.report.failure_classes[task.key] = classification
-        self.p._record(task.key, self.attempts[task.key], error,
-                       action="abandoned", **{"class": classification})
-        self.p.progress.task_failed(task.key, error)
 
     # ------------------------------------------------------------------
     # watchdog
@@ -803,23 +931,7 @@ class _Drain:
             self.report.pool_rebuilds, self.mode,
             "watchdog: task deadline exceeded")
         for future, task in in_flight:
-            if future not in overdue:
-                self.queue.append((task, False))
-                continue
-            timeout = task.timeout_s if task.timeout_s is not None \
-                else self.p.timeout_s
-            attempt = self.attempts[task.key]
-            error = TaskTimeout(
-                f"no result within {timeout:g}s (attempt {attempt}; "
-                f"worker killed)")
-            self.report.timeouts.append(task.key)
-            self.p.progress.task_timeout(task.key, attempt, timeout)
-            self.p._record(task.key, attempt, f"{error}", action="timeout",
-                           **{"class": TIMEOUT})
-            if attempt < self.p.max_attempts:
-                self.report.retried.append(task.key)
-                delay = self.p.backoff_for(task.key, attempt)
-                self._push_retry(task, self.p.clock() + delay,
-                                 charge=True, probe=False)
+            if future in overdue:
+                self.attempts.timed_out(task, "worker killed")
             else:
-                self._fail(task, f"{error}", TIMEOUT)
+                self.attempts.requeue(task)

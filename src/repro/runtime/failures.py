@@ -29,6 +29,10 @@ classes, each with its own retry policy in
     without charging the point an attempt (bounded separately by
     ``max_infra_retries``).
 
+The tables are fixed: fleet workers classify their own exceptions in
+their own processes, so a rule registered at run time in one process
+would make the two schedulers classify the same error differently.
+
 The classification travels with every ledger record, the
 :class:`~repro.runtime.engine.PoolReport`, progress lines, and the
 end-of-run ``run_report.json``, so a post-mortem can separate "the model
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import errno
 from concurrent.futures import BrokenExecutor
-from typing import Callable
 
 from repro.errors import (
     CharacterizationError,
@@ -57,7 +60,6 @@ __all__ = [
     "FAILURE_CLASSES",
     "TaskTimeout",
     "classify_failure",
-    "register_failure",
 ]
 
 TRANSIENT = "transient"
@@ -100,40 +102,9 @@ _PERMANENT_TYPES: tuple[type[BaseException], ...] = (
     CharacterizationError,
 )
 
-#: Extension rules, consulted newest-first before the built-in tables.
-_RULES: list[tuple[type[BaseException],
-                   Callable[[BaseException], bool] | None, str]] = []
-
-
-def register_failure(classification: str, exc_type: type[BaseException], *,
-                     when: Callable[[BaseException], bool] | None = None,
-                     ) -> None:
-    """Register a classification rule checked before the built-ins.
-
-    ``when`` optionally narrows the rule to instances it returns true
-    for (e.g. one specific ``errno``).  Later registrations win, so a
-    caller can override a built-in default for its own exception types.
-    """
-    if classification not in FAILURE_CLASSES:
-        raise ConfigError(
-            f"failure class must be one of {FAILURE_CLASSES}, "
-            f"got {classification!r}")
-    if not (isinstance(exc_type, type)
-            and issubclass(exc_type, BaseException)):
-        raise ConfigError(f"expected an exception type, got {exc_type!r}")
-    _RULES.append((exc_type, when, classification))
-
-
-def reset_failure_rules() -> None:
-    """Drop every registered extension rule (test isolation)."""
-    _RULES.clear()
-
 
 def classify_failure(error: BaseException) -> str:
     """Map one worker exception onto its failure class."""
-    for exc_type, when, classification in reversed(_RULES):
-        if isinstance(error, exc_type) and (when is None or when(error)):
-            return classification
     if isinstance(error, TaskTimeout):
         return TIMEOUT
     if isinstance(error, BrokenExecutor):

@@ -2,26 +2,52 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from repro.bender.host import DRAMBenderHost
 from repro.exec import reset_default_policy
 from repro.runtime.cache import reset_cache_counters
-from repro.runtime.failures import reset_failure_rules
 from repro.sim.config import SystemConfig
 from repro.workloads.synth import TraceSpec, generate_trace
 
 
 @pytest.fixture(autouse=True)
 def _fresh_execution_state():
-    """Isolate the process-wide execution policy, caches, failure rules."""
+    """Isolate the process-wide execution policy and cache counters."""
     reset_default_policy()
     reset_cache_counters()
-    reset_failure_rules()
     yield
     reset_default_policy()
     reset_cache_counters()
-    reset_failure_rules()
+
+
+@pytest.fixture()
+def coordinator_disk_full_once(monkeypatch):
+    """Arms a one-shot ``ENOSPC`` on the fleet coordinator's publish of a
+    named result file; call the fixture's value with the file name.
+
+    Arming patches this process's ``repro.runtime.distributed.write_atomic``
+    from then on: fleet workers forked earlier keep the real one, and a
+    local pool never publishes, so it is untouched.
+    """
+    from repro.runtime import distributed
+    write = distributed.write_atomic
+    armed: set[str] = set()
+
+    def full_once(path, text, **options):
+        if Path(path).name in armed:
+            armed.discard(Path(path).name)
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write(path, text, **options)
+
+    def arm(name: str) -> None:
+        armed.add(name)
+        monkeypatch.setattr(distributed, "write_atomic", full_once)
+
+    return arm
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from repro.runtime.distributed import (
     Fleet,
     FleetScheduler,
     echo_point,
+    lease_spec,
     run_worker,
 )
 from repro.runtime.wire import (
@@ -333,6 +334,43 @@ class TestFleetEndToEnd:
         assert len(attempts) == 1  # permanent: no futile retries
         assert attempts[0]["class"] == "permanent"
         assert attempts[0]["worker"].startswith("w")
+        abandoned = [r for r in records if r["action"] == "abandoned"]
+        assert [(r["key"], r["worker"]) for r in abandoned] == [
+            ("bad", attempts[0]["worker"])]
+
+    def test_coordinator_enospc_is_an_infrastructure_pause(
+            self, tmp_path, monkeypatch, coordinator_disk_full_once):
+        """A full disk while the coordinator publishes shipped bytes is
+        the environment's fault, classified like a worker's: the attempt
+        is refunded, the pause ledgered, the result directory probed, and
+        nothing is quarantined."""
+        from repro.runtime import engine
+        fleet = Fleet(workers=1)  # forked before the disk fills
+        try:
+            coordinator_disk_full_once("p0.json")
+            probed = []
+            probe = engine._probe_ok
+            monkeypatch.setattr(engine, "_probe_ok",
+                                lambda t: probed.append(t.key) or probe(t))
+            pool = make_scheduler("fleet", fleet=fleet, max_attempts=1,
+                                  infra_pause_s=0.01,
+                                  ledger_path=tmp_path / "errors.jsonl")
+            results = pool.run(_echo_tasks(tmp_path, count=2),
+                               loader=_load_echo)
+        finally:
+            fleet.close()
+        assert results == {"p0": 1, "p1": 2}
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        assert report["counts"]["retries"] == 0
+        assert report["counts"]["infra_pauses"] == 1
+        assert report["counts"]["quarantined"] == 0
+        assert not list(tmp_path.glob("*.corrupt*"))
+        assert probed == ["p0"]
+        records = [json.loads(line) for line in
+                   (tmp_path / "errors.jsonl").read_text().splitlines()]
+        assert [(r["key"], r["action"], r["class"], r["worker"])
+                for r in records] == [
+            ("p0", "infra-pause", "infrastructure", "w1")]
 
     def test_transient_failure_retries_to_success(self, tmp_path):
         marker = str(tmp_path / "flaky.marker")
@@ -356,6 +394,7 @@ class TestFleetEndToEnd:
         assert results["deg"] == 26
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["degraded_keys"] == ["deg"]
+        assert report["workers"]["w1"]["degraded"] == 1
         assert report["counts"]["retries"] == 0  # degradation is free
 
     def test_sibling_files_ship_back_with_the_result(self, tmp_path):
@@ -407,23 +446,11 @@ class TestFleetEndToEnd:
         campaign = CharacterizationCampaign(tmp_path,
                                             CampaignConfig(per_region=4))
         task = campaign._task("S6")
-        run = _FakeRun()
-        spec = run.spec(task)
+        spec = lease_spec(task, 1, {})
         pickled = len(pickle.dumps(task))
         warm = len(canonical_blob(spec))  # blob already at the worker
         assert warm < pickled
         assert referenced_blobs(spec["args"])  # the config was interned
-
-
-class _FakeRun:
-    """Just enough of a coordinator to encode one task spec."""
-
-    def __init__(self):
-        self.blob_table = {}
-
-    def spec(self, task):
-        from repro.runtime.distributed import _FleetRun
-        return _FleetRun.__dict__["_spec"](self, task, 1)
 
 
 class TestConnectRetry:
@@ -561,8 +588,7 @@ class TestFleetShutdown:
         tasks = _echo_tasks(tmp_path, count=1)
         fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
         run = _FleetRun(fleet, make_scheduler("fleet", fleet=fleet), tasks,
-                        _load_echo, {}, PoolReport())
-        run.queue.append((tasks[0], True))
+                        _load_echo, {}, PoolReport())  # tasks[0] is ready
         fleet.close()
         assert run._grant("w1", 4) == {"type": "shutdown"}
 

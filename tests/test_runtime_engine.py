@@ -15,9 +15,11 @@ from repro.runtime import (
     TaskPool,
     describe_run_report,
     discard_stale_tmp,
+    make_scheduler,
     quarantine,
     write_atomic,
 )
+from repro.runtime import engine
 
 
 # ----------------------------------------------------------------------
@@ -46,10 +48,46 @@ def _always_fail(path: str) -> None:
     raise RuntimeError("permanent failure")
 
 
+def _truncate_once_then_square(marker: str, n: int, path: str) -> None:
+    """Tears its result file on the first call, as a crash mid-write would."""
+    if not Path(marker).exists():
+        Path(marker).write_text("torn")
+        Path(path).write_text('{"n": ')
+        return
+    _write_square(n, path)
+
+
 def _square_task(tmp_path: Path, n: int) -> Task:
     path = tmp_path / f"sq{n}.json"
     return Task(key=f"sq{n}", path=path, fn=_write_square,
                 args=(n, str(path)))
+
+
+def _ledger(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _ledger_worker(pool: TaskPool) -> str:
+    """The worker a one-worker run's records name: ``local`` or the
+    fleet worker's id."""
+    return next(iter(pool.last_report.workers), "local")
+
+
+@pytest.fixture(params=["local", "fleet"])
+def make_pool(request):
+    """Builds pools on one scheduler backend.  The fleet backend lends
+    one open fleet to every pool a test builds (hypothesis examples
+    included), so the test forks its worker once."""
+    if request.param == "local":
+        yield lambda **options: TaskPool(jobs=1, **options)
+        return
+    from repro.runtime.distributed import Fleet
+    fleet = Fleet(workers=1)
+    try:
+        yield lambda **options: make_scheduler("fleet", fleet=fleet,
+                                               **options)
+    finally:
+        fleet.close()
 
 
 class TestPersist:
@@ -306,11 +344,16 @@ def _config_error_worker(path: str) -> None:
     raise ConfigError("deterministic bad config")
 
 
-def _enospc_once_then_square(marker: str, n: int, path: str) -> None:
+def _enospc_then_flaky_square(marker: str, n: int, path: str) -> None:
+    """Hits a full disk on its first call and a transient error on its
+    second, then succeeds."""
     import errno
-    if not Path(marker).exists():
-        Path(marker).write_text("full")
+    calls = len(Path(marker).read_text()) if Path(marker).exists() else 0
+    Path(marker).write_text("x" * (calls + 1))
+    if calls == 0:
         raise OSError(errno.ENOSPC, "No space left on device", path)
+    if calls == 1:
+        raise RuntimeError("transient hiccup")
     _write_square(n, path)
 
 
@@ -396,55 +439,78 @@ class TestWatchdog:
 
 
 class TestFailureClassification:
-    def test_config_error_fails_immediately_without_retries(self, tmp_path):
+    def test_config_error_fails_immediately_without_retries(self, tmp_path,
+                                                            make_pool):
         bad_path = tmp_path / "bad.json"
         tasks = [Task(key="bad", path=bad_path, fn=_config_error_worker,
                       args=(str(bad_path),)),
                  _square_task(tmp_path, 3)]
-        pool = TaskPool(jobs=1, max_attempts=5, backoff_s=0.01,
-                        sleep=lambda s: None,
-                        ledger_path=tmp_path / "errors.jsonl")
+        pool = make_pool(max_attempts=5, backoff_s=0.01,
+                         sleep=lambda s: None,
+                         ledger_path=tmp_path / "errors.jsonl")
         with pytest.raises(ExecutionError, match=r"bad \[permanent\]"):
             pool.run(tasks, loader=_load_square)
         report = pool.last_report
         assert report.failure_classes["bad"] == "permanent"
         assert report.retried == []  # no futile retries of a ConfigError
-        ledger = [json.loads(line) for line in
-                  (tmp_path / "errors.jsonl").read_text().splitlines()]
+        ledger = _ledger(tmp_path / "errors.jsonl")
         attempts = [r for r in ledger if r["action"] == "attempt"]
         assert len(attempts) == 1
         assert attempts[0]["class"] == "permanent"
+        # The abandonment names the worker the attempt ran on.
+        assert [(r["action"], r["worker"]) for r in ledger] == [
+            ("attempt", _ledger_worker(pool)),
+            ("abandoned", _ledger_worker(pool))]
 
-    def test_enospc_pauses_probes_and_recovers_without_charging(self, tmp_path):
+    def test_enospc_pauses_probes_and_recovers_without_charging(
+            self, tmp_path, make_pool, monkeypatch):
         marker = str(tmp_path / "full.marker")
         path = tmp_path / "r.json"
-        task = Task(key="point", path=path, fn=_enospc_once_then_square,
+        task = Task(key="point", path=path, fn=_enospc_then_flaky_square,
                     args=(marker, 6, str(path)))
-        # max_attempts=1: if the ENOSPC attempt were charged, the point
-        # could never succeed — the refund is what this asserts.
-        pool = TaskPool(jobs=1, max_attempts=1, infra_pause_s=0.01,
-                        ledger_path=tmp_path / "errors.jsonl")
+        probed = []
+        probe = engine._probe_ok
+        monkeypatch.setattr(engine, "_probe_ok",
+                            lambda t: probed.append(t.key) or probe(t))
+        # max_attempts=2: the transient failure after the full disk is
+        # attempt 1 only because the ENOSPC attempt was refunded; charged,
+        # it would be attempt 2 and the point would be abandoned.
+        pool = make_pool(max_attempts=2, backoff_s=0.01, infra_pause_s=0.01,
+                         ledger_path=tmp_path / "errors.jsonl")
         results = pool.run([task], loader=_load_square)
         assert results["point"] == 36
-        assert pool.last_report.infra_pauses >= 1
-        ledger = [json.loads(line) for line in
-                  (tmp_path / "errors.jsonl").read_text().splitlines()]
-        pauses = [r for r in ledger if r["action"] == "infra-pause"]
-        assert pauses and all(r["class"] == "infrastructure" for r in pauses)
+        assert pool.last_report.infra_pauses == 1
+        assert probed == ["point"]  # the result directory, before retrying
+        worker = _ledger_worker(pool)
+        ledger = _ledger(tmp_path / "errors.jsonl")
+        assert [(r["action"], r["attempt"], r["class"], r["worker"])
+                for r in ledger] == [
+            ("infra-pause", 1, "infrastructure", worker),
+            ("attempt", 1, "transient", worker)]
 
-    def test_registered_rule_overrides_builtin(self, tmp_path):
-        from repro.runtime.failures import (
-            classify_failure,
-            register_failure,
-            reset_failure_rules,
-        )
-        assert classify_failure(RuntimeError("x")) == "transient"
-        register_failure("permanent", RuntimeError,
-                         when=lambda e: "fatal" in str(e))
-        assert classify_failure(RuntimeError("fatal: x")) == "permanent"
-        assert classify_failure(RuntimeError("x")) == "transient"
-        reset_failure_rules()
-        assert classify_failure(RuntimeError("fatal: x")) == "transient"
+    def test_quarantined_count_matches_moved_files(
+            self, tmp_path, make_pool, coordinator_disk_full_once):
+        """``counts.quarantined`` counts exactly the files quarantine()
+        moved: one for a torn result, none for a full disk at publish
+        (fleet coordinators only; a local pool never publishes), which
+        is an infrastructure pause, not a charged attempt."""
+        torn = tmp_path / "torn.json"
+        tasks = [Task(key="torn", path=torn, fn=_truncate_once_then_square,
+                      args=(str(tmp_path / "torn.marker"), 2, str(torn))),
+                 _square_task(tmp_path, 3)]
+        coordinator_disk_full_once("sq3.json")
+        pool = make_pool(backoff_s=0, infra_pause_s=0.01,
+                         sleep=lambda s: None,
+                         ledger_path=tmp_path / "errors.jsonl")
+        assert pool.run(tasks, loader=_load_square) == {"torn": 4, "sq3": 9}
+        counts = json.loads((tmp_path / "run_report.json").read_text()
+                            )["counts"]
+        moved = list(tmp_path.glob(f"*{CORRUPT_SUFFIX}*"))
+        assert counts["quarantined"] == len(moved) == 1
+        assert counts["retries"] == 1  # only the torn result was charged
+        ledger = _ledger(tmp_path / "errors.jsonl")
+        assert [r["key"] for r in ledger if r["action"] == "attempt"] == \
+            ["torn"]
 
 
 class TestKernelDegradation:
@@ -589,12 +655,13 @@ class TestRunReport:
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(shapes=st.lists(st.sampled_from(["good", "flaky", "bad"]),
+    @given(shapes=st.lists(st.sampled_from(["good", "flaky", "torn", "bad"]),
                            min_size=1, max_size=6))
-    def test_run_report_counts_consistent_with_ledger(self, tmp_path, shapes):
-        """Property: whatever mix of healthy/flaky/permanently-failing
-        tasks runs, run_report.json agrees with the error ledger and the
-        task list."""
+    def test_run_report_counts_consistent_with_ledger(self, tmp_path,
+                                                      make_pool, shapes):
+        """Property: whatever mix of healthy/flaky/torn/permanently-failing
+        tasks runs, on either backend, run_report.json agrees with the
+        error ledger, the task list and the quarantined files."""
         from repro.runtime import REPORT_NAME
         run_dir = tmp_path / f"case-{len(list(tmp_path.iterdir()))}"
         run_dir.mkdir()
@@ -610,12 +677,16 @@ class TestRunReport:
                                   fn=_flaky_square,
                                   args=(str(run_dir / f"calls{index}"), 1,
                                         index, str(path))))
+            elif shape == "torn":
+                tasks.append(Task(key=f"t{index}", path=path,
+                                  fn=_truncate_once_then_square,
+                                  args=(str(run_dir / f"torn{index}"),
+                                        index, str(path))))
             else:
                 tasks.append(Task(key=f"t{index}", path=path,
                                   fn=_always_fail, args=(str(path),)))
-        pool = TaskPool(jobs=1, max_attempts=2, backoff_s=0,
-                        sleep=lambda s: None,
-                        ledger_path=run_dir / "errors.jsonl")
+        pool = make_pool(max_attempts=2, backoff_s=0, sleep=lambda s: None,
+                         ledger_path=run_dir / "errors.jsonl")
         try:
             pool.run(tasks, loader=_load_square)
         except ExecutionError:
@@ -625,6 +696,8 @@ class TestRunReport:
         assert payload["tasks"] == len(tasks)
         assert counts["computed"] + counts["reused"] + counts["failed"] \
             == len(tasks)
+        assert counts["quarantined"] == \
+            len(list(run_dir.glob(f"*{CORRUPT_SUFFIX}*")))
         ledger_path = run_dir / "errors.jsonl"
         ledger = ([json.loads(line) for line in
                    ledger_path.read_text().splitlines()]

@@ -16,8 +16,6 @@ from repro.runtime.failures import (
     TRANSIENT,
     TaskTimeout,
     classify_failure,
-    register_failure,
-    reset_failure_rules,
 )
 
 
@@ -49,36 +47,6 @@ class TestBuiltinClassification:
     def test_unknown_exception_defaults_to_transient(self):
         assert classify_failure(RuntimeError("??")) == TRANSIENT
         assert classify_failure(ValueError("??")) == TRANSIENT
-
-
-class TestRegisteredRules:
-    def test_rule_applies_and_resets(self):
-        register_failure(PERMANENT, ValueError)
-        assert classify_failure(ValueError("x")) == PERMANENT
-        reset_failure_rules()
-        assert classify_failure(ValueError("x")) == TRANSIENT
-
-    def test_later_rule_wins(self):
-        register_failure(PERMANENT, ValueError)
-        register_failure(INFRASTRUCTURE, ValueError)
-        assert classify_failure(ValueError("x")) == INFRASTRUCTURE
-
-    def test_when_predicate_narrows_the_match(self):
-        register_failure(PERMANENT, RuntimeError,
-                         when=lambda e: "fatal" in str(e))
-        assert classify_failure(RuntimeError("fatal disk")) == PERMANENT
-        assert classify_failure(RuntimeError("blip")) == TRANSIENT
-
-    def test_subclass_matches_registered_type(self):
-        class Special(RuntimeError):
-            pass
-
-        register_failure(PERMANENT, RuntimeError)
-        assert classify_failure(Special("x")) == PERMANENT
-
-    def test_invalid_class_rejected(self):
-        with pytest.raises(ConfigError, match="failure class must be one of"):
-            register_failure("catastrophic", RuntimeError)
 
     def test_taxonomy_is_closed(self):
         assert FAILURE_CLASSES == (TRANSIENT, PERMANENT, TIMEOUT,
