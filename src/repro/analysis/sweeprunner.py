@@ -7,8 +7,8 @@ figures.  This module is that workflow for the built-in simulator: define a
 grid, run it (resumable, persisted as JSON rows), and aggregate.
 
 The grid knobs mirror the artifact's customization interface (A.6):
-``mitigations`` (MITIGATION_LIST), ``nrh_values`` (NRH_VALUES), and the
-PaCRAM latency factors per vendor (latency_factor_vrr).
+``mitigations`` (MITIGATION_LIST), ``nrh_values`` (NRH_VALUES), PaCRAM
+vendors, workloads and requests; :meth:`SweepGrid.from_file` reads them.
 
 Execution and persistence go through the shared job layer
 (:class:`repro.service.execution.JobExecution`): grid points run as
@@ -28,22 +28,30 @@ how to build one point's task, load a row back checked, and aggregate.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.runner import pacram_reference_config, run_simulation
+from repro.analysis.runner import (
+    EVALUATED_NRH_VALUES,
+    pacram_reference_config,
+    run_simulation,
+)
 from repro.errors import ConfigError, SimulationError
 from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
+from repro.mitigations import MITIGATION_CLASSES
 from repro.runtime import ProgressReporter, Task
 from repro.runtime.persist import write_atomic
 from repro.service.execution import JobExecution
+from repro.service.jobs import check_tuple, is_int
 from repro.sim.config import SystemConfig
 from repro.validation import CHECK_MODES
+from repro.workloads.suites import single_core_suite
 
 if TYPE_CHECKING:
     from repro.runtime.distributed import Fleet
@@ -143,9 +151,30 @@ def load_row(path: str | Path) -> SweepRow:
     return row
 
 
+#: Most memory requests one grid point may simulate (the largest count
+#: anything here runs is 8,000): a typo must not queue an endless point.
+MAX_REQUESTS = 10_000_000
+
+#: Keys of an A.6 evaluation-config file (:meth:`SweepGrid.from_file`).
+CONFIG_FILE_KEYS = ("mitigations", "nrh_values", "pacram_vendors",
+                    "workloads", "requests", "check_protocol")
+
+
+def _reject_duplicate_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key means the later value silently
+    wins with a plain ``json.loads`` — make it a hard error instead."""
+    seen: dict = {}
+    for key, value in pairs:
+        if key in seen:
+            raise ConfigError(f"duplicate config key {key!r}")
+        seen[key] = value
+    return seen
+
+
 @dataclass
 class SweepGrid:
-    """The A.6 customization knobs."""
+    """The A.6 customization knobs, checked when made: flags, an A.6
+    file and a service submission refuse a bad value before it runs."""
 
     mitigations: tuple[str, ...] = ("PARA", "RFM", "PRAC", "Hydra", "Graphene")
     nrh_values: tuple[int, ...] = (1024, 64)
@@ -159,26 +188,75 @@ class SweepGrid:
     sim_kernel: str | None = None
 
     def __post_init__(self) -> None:
-        # A service decodes a submitted grid before queueing it, so a bad
-        # name is refused at submit time instead of failing the job later.
-        if self.sim_kernel is not None:
-            validate_stage_kernel("sim", self.sim_kernel)
+        check_tuple("mitigations", self.mitigations,
+                    f"names from {sorted(MITIGATION_CLASSES)}",
+                    lambda m: isinstance(m, str) and m in MITIGATION_CLASSES)
+        check_tuple("nrh_values", self.nrh_values, "positive ints",
+                    lambda nrh: is_int(nrh) and nrh > 0)
+        check_tuple("pacram_vendors", self.pacram_vendors,
+                    "None, 'H', 'M' or 'S'",
+                    lambda v: v in (None, "H", "M", "S"))
+        check_tuple("workload_sets", self.workload_sets,
+                    "non-empty tuples of workload names",
+                    lambda names: isinstance(names, tuple) and bool(names)
+                    and all(isinstance(name, str) for name in names))
+        if not is_int(self.requests) or not 0 < self.requests <= MAX_REQUESTS:
+            raise ConfigError(f"requests must be an int in 1..{MAX_REQUESTS}, "
+                              f"got {self.requests!r}")
         if self.check_protocol not in CHECK_MODES:
             raise ConfigError(
                 f"check_protocol must be one of {CHECK_MODES}, "
                 f"got {self.check_protocol!r}")
+        if self.sim_kernel is not None:
+            validate_stage_kernel("sim", self.sim_kernel)
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "SweepGrid":
+        """Load an A.6 evaluation-config file: a JSON object of
+        :data:`CONFIG_FILE_KEYS`.  ``workloads`` lists single-workload
+        sets and ``"none"`` is the no-PaCRAM vendor.  An omitted
+        ``workloads`` means the first four single-core workloads and an
+        omitted ``nrh_values``
+        :data:`~repro.analysis.runner.EVALUATED_NRH_VALUES`, so ``{}`` is
+        the 480-point evaluation."""
+        try:
+            raw = json.loads(Path(path).read_text(),
+                             object_pairs_hook=_reject_duplicate_keys)
+        except ValueError as error:
+            raise ConfigError(f"malformed config file {path}: {error}") from None
+        except OSError as error:
+            raise ConfigError(f"unreadable config file {path}: {error}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(raw) - set(CONFIG_FILE_KEYS))
+        if unknown:
+            parts = []
+            for key in unknown:
+                close = difflib.get_close_matches(key, CONFIG_FILE_KEYS, n=1)
+                hint = f" (did you mean {close[0]!r}?)" if close else ""
+                parts.append(f"{key!r}{hint}")
+            raise ConfigError(
+                f"unknown config keys: {', '.join(parts)}; "
+                f"known keys: {sorted(CONFIG_FILE_KEYS)}")
+        # JSON lists become tuples; other values go to the grid's checks.
+        options = {key: tuple(value) if isinstance(value, list) else value
+                   for key, value in raw.items()}
+        vendors = options.get("pacram_vendors")
+        if isinstance(vendors, tuple):
+            options["pacram_vendors"] = tuple(
+                None if vendor == "none" else vendor for vendor in vendors)
+        workloads = options.pop("workloads", single_core_suite()[:4])
+        if isinstance(workloads, tuple):
+            workloads = tuple((name,) for name in workloads)
+        return cls(**{"nrh_values": EVALUATED_NRH_VALUES, **options,
+                      "workload_sets": workloads})
 
     def points(self) -> list[SweepPoint]:
-        out = []
-        for mitigation in self.mitigations:
-            for nrh in self.nrh_values:
-                for vendor in self.pacram_vendors:
-                    for workloads in self.workload_sets:
-                        out.append(SweepPoint(mitigation, nrh, vendor,
-                                              tuple(workloads)))
-        if not out:
-            raise ConfigError("empty sweep grid")
-        return out
+        return [SweepPoint(mitigation, nrh, vendor, workloads)
+                for mitigation in self.mitigations
+                for nrh in self.nrh_values
+                for vendor in self.pacram_vendors
+                for workloads in self.workload_sets]
 
 
 def violations_path(row_path: str | Path) -> Path:

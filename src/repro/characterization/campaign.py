@@ -25,9 +25,10 @@ domain stays: how to build one module's task and load it back checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.characterization.results import ModuleCharacterization
 from repro.characterization.sweeps import characterize_module
@@ -37,15 +38,24 @@ from repro.errors import CharacterizationError
 from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.service.execution import JobExecution
+from repro.service.jobs import check_tuple, is_int
 from repro.validation.physics import model_digest
 
 if TYPE_CHECKING:
     from repro.runtime.distributed import Fleet
 
+_KNOWN_MODULES = frozenset(all_module_ids())
+
+
+def _is_real(value: Any) -> bool:
+    return is_int(value) or (isinstance(value, float)
+                             and math.isfinite(value))
+
 
 @dataclass
 class CampaignConfig:
-    """What a campaign covers."""
+    """What a campaign covers, checked when made.  A fleet decodes it
+    again on every lease, so each check costs O(fields)."""
 
     module_ids: tuple[str, ...] = field(default_factory=all_module_ids)
     tras_factors: tuple[float, ...] = TESTED_TRAS_FACTORS
@@ -60,10 +70,21 @@ class CampaignConfig:
     kernel: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.module_ids:
-            raise CharacterizationError("campaign needs at least one module")
-        if self.per_region <= 0:
-            raise CharacterizationError("per_region must be positive")
+        for name, what, valid in (
+                ("module_ids", "catalog module ids",
+                 lambda m: isinstance(m, str) and m in _KNOWN_MODULES),
+                ("tras_factors", "tRAS factors in (0, 1]",
+                 lambda f: _is_real(f) and 0.0 < f <= 1.0),
+                ("n_prs", "positive ints", lambda n: is_int(n) and n > 0),
+                ("temperatures_c", "finite real numbers", _is_real)):
+            check_tuple(name, getattr(self, name), what, valid,
+                        error=CharacterizationError)
+        if not is_int(self.per_region) or self.per_region <= 0:
+            raise CharacterizationError(
+                f"per_region must be a positive int, got {self.per_region!r}")
+        if not is_int(self.seed):
+            raise CharacterizationError(
+                f"seed must be an int, got {self.seed!r}")
         if self.kernel is not None:
             validate_stage_kernel("device", self.kernel)
 

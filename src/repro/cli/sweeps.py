@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 from repro.analysis.sweeprunner import SweepGrid, SweepRunner, render_aggregate
 from repro.cli.shared import (
@@ -12,16 +13,16 @@ from repro.cli.shared import (
     install_policy,
 )
 from repro.runtime import PrintProgress
-from repro.sim.configloader import EvaluationConfig
 
 
 def sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
     """One builder for batch runs and service submissions: identical flags
     produce an identical grid, hence the same job digest and rows."""
     if args.config:
-        grid = EvaluationConfig.load(args.config).sweep_grid()
+        grid = SweepGrid.from_file(args.config)
         if args.check_protocol is not None:
-            grid.check_protocol = args.check_protocol
+            grid = dataclasses.replace(grid,
+                                       check_protocol=args.check_protocol)
         return grid
     return SweepGrid(
         mitigations=tuple(args.mitigations.split(",")),

@@ -68,7 +68,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import ConfigError
@@ -305,7 +305,8 @@ class FleetScheduler(TaskPool):
         self.serving = threading.Event()
 
     def _execute(self, pending: list[Task], loader: Callable[[Path], Any],
-                 results: dict[str, Any], report: PoolReport) -> None:
+                 results: dict[str, Any], report: PoolReport,
+                 ) -> dict[str, int]:
         fleet = self.fleet
         try:
             if fleet is None:
@@ -313,8 +314,9 @@ class FleetScheduler(TaskPool):
                               lease_batch=self.lease_batch)
             self.bound_address = fleet.address
             self.serving.set()
-            fleet.drain(_FleetRun(fleet, self, pending, loader, results,
-                                  report))
+            run = _FleetRun(fleet, self, pending, loader, results, report)
+            fleet.drain(run)
+            return run.attempts.abandoned
         finally:
             self.serving.clear()
             if fleet is not None and fleet is not self.fleet:
@@ -696,19 +698,24 @@ class _FleetRun:
             stats["tasks"] += 1
 
     def _publish_files(self, task: Task, files: dict[str, str]) -> None:
-        """Atomically write the worker's shipped files into the store."""
+        """Atomically write the worker's shipped files into the store:
+        the result and ``<result stem>.*`` side files beside it (a
+        violations ledger), all names checked before any is written."""
         if task.path.name not in files:
             raise FrameError(
                 f"worker shipped no result file {task.path.name!r}")
+        own = f"{task.path.stem}."
+        foreign = sorted(name for name in files if "/" in name or not (
+            name == task.path.name or name.startswith(own)))
+        if foreign:
+            raise FrameError(f"task {task.key!r} may ship only its own "
+                             f"files, got {foreign!r}")
         for name, encoded in sorted(files.items()):
-            rel = PurePosixPath(name)
-            if rel.is_absolute() or ".." in rel.parts:
-                raise FrameError(f"illegal shipped file name {name!r}")
             text = base64.b64decode(encoded).decode("utf-8")
             # The primary result gets the local pool's durable write;
             # side files (violation ledgers) take the cheaper default,
             # exactly as the in-process task function would.
-            write_atomic(task.path.parent / rel, text,
+            write_atomic(task.path.parent / name, text,
                          durable=(name == task.path.name))
 
     # ------------------------------------------------------------------

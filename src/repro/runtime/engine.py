@@ -154,12 +154,6 @@ class _InlineExecutor:
                  cancel_futures: bool = False) -> None:
         return None
 
-    def __enter__(self) -> "_InlineExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
 
 @dataclass
 class PoolReport:
@@ -328,26 +322,30 @@ class TaskPool:
                              action="quarantine", moved_to=str(moved))
                 pending.append(task)
         self.progress.start(len(tasks), reused=len(report.reused))
+        charged: dict[str, int] = {}
         if pending:
             for directory in {task.path.parent for task in pending}:
                 discard_stale_tmp(directory)
-            self._execute(pending, loader, results, report)
+            charged = self._execute(pending, loader, results, report)
         self.progress.finish()
         self._write_report(len(tasks), report)
         if report.failed:
             ledger = f" (ledger: {self.ledger_path})" if self.ledger_path else ""
             named = ", ".join(
-                f"{key} [{report.failure_classes.get(key, TRANSIENT)}]"
+                f"{key} [{report.failure_classes.get(key, TRANSIENT)}, "
+                f"{charged[key]} attempt{'' if charged[key] == 1 else 's'}]"
                 for key in sorted(report.failed))
             raise ExecutionError(
-                f"{len(report.failed)}/{len(tasks)} points failed permanently "
-                f"after {self.max_attempts} attempts: {named}{ledger}")
+                f"{len(report.failed)}/{len(tasks)} points failed "
+                f"permanently: {named}{ledger}")
         return {key: results[key] for key in keys}
 
     # ------------------------------------------------------------------
     def _execute(self, pending: list[Task], loader: Callable[[Path], Any],
-                 results: dict[str, Any], report: PoolReport) -> None:
-        """Drain ``pending`` into ``results``/``report``.
+                 results: dict[str, Any], report: PoolReport,
+                 ) -> dict[str, int]:
+        """Drain ``pending`` into ``results``/``report``; returns the
+        attempts charged to each abandoned point.
 
         The scheduler seam: :class:`TaskPool` drains through a local
         process pool; :class:`repro.runtime.distributed.FleetScheduler`
@@ -355,7 +353,9 @@ class TaskPool:
         ledgering and reporting live in :meth:`run`, the retry policy in
         :class:`_Attempts`; every backend shares both.
         """
-        _Drain(self, pending, loader, results, report).execute()
+        drain = _Drain(self, pending, loader, results, report)
+        drain.execute()
+        return drain.attempts.abandoned
 
     # ------------------------------------------------------------------
     def _write_report(self, total: int, report: PoolReport) -> None:
@@ -494,6 +494,8 @@ class _Attempts:
         self.charged = {task.key: 0 for task in pending}
         #: Points neither done nor abandoned yet.
         self.outstanding = {task.key: task for task in pending}
+        #: Abandoned points, each with its charged attempts at the time.
+        self.abandoned: dict[str, int] = {}
         #: Degraded points, each with the worker its degradation names.
         self.degraded: dict[str, str | None] = {}
         self.infra_strikes: dict[str, int] = {}
@@ -683,6 +685,7 @@ class _Attempts:
         """Give ``task`` up: it fails the run as ``classification``."""
         self.report.failed[task.key] = error
         self.report.failure_classes[task.key] = classification
+        self.abandoned[task.key] = self.charged[task.key]
         self.p._record(task.key, self.charged[task.key], error,
                        action="abandoned", worker=worker,
                        **{"class": classification})

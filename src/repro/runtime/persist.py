@@ -40,8 +40,10 @@ def write_atomic(path: str | Path, text: str, *, durable: bool = False) -> Path:
     and the parent directory after it.  The rename alone survives *process*
     crashes but not power loss: without the syncs the kernel may still hold
     both the data and the directory entry in the page cache, and a reboot
-    can resurface an empty or missing result that existence-based resume
-    then trusts.  Campaign and sweep results — hours of compute per file —
+    can resurface an empty or missing result.  Resume validates every
+    result through its loader, so such a file is never trusted: an empty
+    one is quarantined and both are recomputed.  The syncs spare that
+    recompute.  Campaign and sweep results — hours of compute per file —
     are written durably; caches and ledgers accept the cheaper default.
     """
     path = Path(path)

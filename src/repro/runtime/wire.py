@@ -86,8 +86,9 @@ COMPRESS_MIN = 2048
 #: Encoded arguments at or above this many bytes are interned as blobs.
 BLOB_MIN = 96
 
-#: Refuse frames claiming more than this (a corrupt length prefix must not
-#: make the receiver allocate gigabytes).
+#: Refuse frames claiming more than this, and compressed frames that
+#: inflate past it (a corrupt length prefix or a zlib bomb must not make
+#: the receiver allocate gigabytes).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEADER = struct.Struct("!BI")
@@ -198,13 +199,17 @@ def recv_frame(sock: socket.socket) -> dict | None:
                          f"(cap {MAX_FRAME_BYTES}); corrupt length prefix?")
     blob = _recv_exact(sock, length, eof_ok=False)
     if flags & _FLAG_ZLIB:
+        inflater = zlib.decompressobj()
         try:
-            blob = zlib.decompress(blob)
+            blob = inflater.decompress(blob, MAX_FRAME_BYTES)
         except zlib.error as error:
             raise FrameError(f"bad compressed frame: {error}") from error
+        if not inflater.eof:  # input left over, or a stream cut short
+            raise FrameError(f"compressed frame is truncated or inflates "
+                             f"past {MAX_FRAME_BYTES} bytes")
     try:
         message = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
         raise FrameError(f"frame is not valid JSON: {error}") from error
     if not isinstance(message, dict):
         raise FrameError(f"frame must be an object, got {type(message).__name__}")

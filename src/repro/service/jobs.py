@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import re
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.runtime.persist import write_atomic
 from repro.runtime.wire import (
     blob_digest,
@@ -52,8 +54,16 @@ __all__ = [
     "JobStore",
 ]
 
+#: Each job kind's config class.  The service decodes *client* payloads
+#: (the fleet's workers trust their coordinator instead), so a spec may
+#: name only its kind's class, never whatever a frame names.
+_SPEC_CLASSES = {
+    "campaign": "repro.characterization.campaign:CampaignConfig",
+    "sweep": "repro.analysis.sweeprunner:SweepGrid",
+}
+
 #: Every job kind the service can run.
-JOB_KINDS = ("campaign", "sweep")
+JOB_KINDS = tuple(_SPEC_CLASSES)
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -73,18 +83,12 @@ _TRANSITIONS = {
     DONE: frozenset(),
 }
 
-#: Dataclasses a wire-submitted spec may instantiate.  The service
-#: decodes *client* payloads, the inverse trust direction of the fleet
-#: (where workers trust their coordinator) — so the tagged-dataclass
-#: codec is allow-listed here instead of importing whatever the frame
-#: names.
-_ALLOWED_SPEC_TYPES = frozenset({
-    "repro.characterization.campaign:CampaignConfig",
-    "repro.analysis.sweeprunner:SweepGrid",
-})
-
 #: Wire-codec tags that have no business inside a job spec.
 _FORBIDDEN_SPEC_TAGS = ("__blob", "__task_path", "__p")
+
+#: Deepest nesting a spec config may carry (a grid's workload names sit
+#: six levels down); it bounds the decoder's recursion.
+_MAX_SPEC_DEPTH = 16
 
 _JOB_ID_RE = re.compile(r"[0-9a-f]{16}\Z")
 
@@ -106,26 +110,56 @@ def validate_job_id(job_id: str) -> str:
     return job_id
 
 
-def _check_spec_payload(payload: Any, *, where: str = "config") -> None:
-    """Reject spec payloads that name un-allow-listed dataclasses or carry
-    execution-context tags (blobs, task paths, filesystem paths)."""
+def is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_tuple(name: str, values: Any, what: str,
+                valid: Callable[[Any], bool], *,
+                error: type[ReproError] = ConfigError) -> None:
+    """Refuse, with ``error``, a spec field that is not a non-empty tuple
+    of distinct values that ``valid`` accepts (``what`` names them)."""
+    if not isinstance(values, tuple) or not values:
+        raise error(f"{name} must be a non-empty tuple, got {values!r}")
+    bad = [value for value in values if not valid(value)]
+    if bad:
+        raise error(f"{name} must hold {what}, got {bad[:4]!r}")
+    duplicates = [value for value, count in Counter(values).items()
+                  if count > 1]
+    if duplicates:
+        raise error(f"duplicate {name}: {duplicates!r}")
+
+
+def _check_spec_payload(payload: Any, depth: int = 0) -> None:
+    """Reject spec fields that nest a dataclass, carry execution-context
+    tags (blobs, task paths, filesystem paths) or nest too deep."""
+    if depth > _MAX_SPEC_DEPTH:
+        raise ConfigError(
+            f"job spec config nests deeper than {_MAX_SPEC_DEPTH} levels")
     if isinstance(payload, list):
         for item in payload:
-            _check_spec_payload(item, where=where)
+            _check_spec_payload(item, depth + 1)
         return
     if not isinstance(payload, dict):
         return
     for tag in _FORBIDDEN_SPEC_TAGS:
         if tag in payload:
             raise ConfigError(
-                f"job spec {where} may not carry the {tag!r} wire tag")
-    ref = payload.get("__dc")
-    if ref is not None and ref not in _ALLOWED_SPEC_TYPES:
-        raise ConfigError(
-            f"job spec {where} names disallowed type {ref!r}; allowed: "
-            f"{sorted(_ALLOWED_SPEC_TYPES)}")
+                f"job spec config may not carry the {tag!r} wire tag")
+    if "__dc" in payload:
+        raise ConfigError(f"job spec config names disallowed type "
+                          f"{payload['__dc']!r} inside its fields")
     for value in payload.values():
-        _check_spec_payload(value, where=where)
+        _check_spec_payload(value, depth + 1)
+
+
+def _spec_class(kind: Any) -> str:
+    """The wire reference of ``kind``'s config class."""
+    ref = _SPEC_CLASSES.get(kind) if isinstance(kind, str) else None
+    if ref is None:
+        raise ConfigError(
+            f"job kind must be one of {JOB_KINDS}, got {kind!r}")
+    return ref
 
 
 @dataclass(frozen=True)
@@ -136,9 +170,11 @@ class JobSpec:
     config: Any
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ConfigError(
-                f"job kind must be one of {JOB_KINDS}, got {self.kind!r}")
+        ref = _spec_class(self.kind)
+        cls = type(self.config)
+        if f"{cls.__module__}:{cls.__qualname__}" != ref:
+            raise ConfigError(f"a {self.kind} job's config must be a "
+                              f"{ref}, got {cls.__qualname__}")
 
     def encoded(self) -> dict:
         """Wire-safe payload (what ships in a ``submit`` frame and what
@@ -154,14 +190,28 @@ class JobSpec:
 
     @classmethod
     def decode(cls, payload: Any) -> "JobSpec":
-        """Rebuild a spec from its encoded payload (allow-list enforced)."""
+        """Rebuild a spec from its encoded payload: an encoded instance
+        of its kind's class, whose own checks then refuse bad values.
+        Every refusal is a :class:`~repro.errors.ReproError`."""
         if not isinstance(payload, dict) or "kind" not in payload \
                 or "config" not in payload:
             raise ConfigError(
                 "job spec payload must be {'kind': ..., 'config': ...}")
-        _check_spec_payload(payload["config"])
-        return cls(kind=payload["kind"],
-                   config=decode_value(payload["config"]))
+        kind, config = payload["kind"], payload["config"]
+        ref = _spec_class(kind)
+        named = (config.get("__dc") if isinstance(config, dict)
+                 else type(config).__name__)
+        if named != ref:
+            raise ConfigError(f"job spec config names disallowed type "
+                              f"{named!r}; a {kind} job takes {ref!r}")
+        if not isinstance(config.get("fields"), dict):
+            raise ConfigError(f"job spec config carries no {ref} fields")
+        _check_spec_payload({key: value for key, value in config.items()
+                             if key != "__dc"})
+        try:
+            return cls(kind=kind, config=decode_value(config))
+        except TypeError as error:  # an unknown field
+            raise ConfigError(f"bad {kind} config: {error}") from None
 
 
 @dataclass

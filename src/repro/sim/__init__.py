@@ -15,7 +15,6 @@ pure Python.
 
 from repro.sim.commands import Command, CommandObserver
 from repro.sim.config import SystemConfig
-from repro.sim.configloader import EvaluationConfig
 from repro.sim.request import Request, RequestType
 from repro.sim.addrmap import AddressMapper, DecodedAddress
 from repro.sim.controller import MemoryController, RefreshLatencyPolicy
@@ -27,7 +26,6 @@ __all__ = [
     "Command",
     "CommandObserver",
     "SystemConfig",
-    "EvaluationConfig",
     "Request",
     "RequestType",
     "AddressMapper",

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.sweeprunner import SweepRow, load_row, row_digest
+from repro.analysis.sweeprunner import SweepGrid, SweepRow, load_row, row_digest
 from repro.core.config import PaCRAMConfig
 from repro.core.pacram import PaCRAM
 from repro.core.spd import SpdRecord
@@ -298,13 +298,10 @@ class TypoedConfigKey(FaultScenario):
 
     def run(self, workdir: Path, seed: int) -> FaultResult:
         path = workdir / "eval.json"
-        from repro.sim.configloader import EvaluationConfig
-        EvaluationConfig().save(path)
-        payload = json.loads(path.read_text())
-        payload["nrh_valeus"] = payload.pop("nrh_values")
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps({"mitigations": ["PARA"],
+                                    "nrh_valeus": [1024, 64]}))
         try:
-            EvaluationConfig.load(path)
+            SweepGrid.from_file(path)
         except ConfigError as error:
             suggested = "did you mean" in str(error)
             return self._checked(

@@ -1,77 +1,82 @@
-"""Tests for evaluation config files and attack traces."""
+"""Tests for A.6 evaluation-config files and attack traces."""
+
+import json
 
 import pytest
 
+from repro.analysis.runner import EVALUATED_NRH_VALUES
+from repro.analysis.sweeprunner import SweepGrid
 from repro.errors import ConfigError
 from repro.mitigations import make_mitigation
 from repro.sim.addrmap import AddressMapper
 from repro.sim.config import SystemConfig
-from repro.sim.configloader import EvaluationConfig
 from repro.sim.system import MemorySystem
 from repro.workloads.attack import (
     double_sided_trace,
     many_sided_trace,
     row_activation_counts,
 )
+from repro.workloads.suites import single_core_suite
+
+
+def load(tmp_path, text: str) -> SweepGrid:
+    path = tmp_path / "eval.json"
+    path.write_text(text)
+    return SweepGrid.from_file(path)
 
 
 class TestEvaluationConfig:
-    def test_defaults_valid(self):
-        config = EvaluationConfig()
-        assert "PARA" in config.mitigations
-        assert config.sweep_grid().points()
+    """The A.6 file format, loaded by :meth:`SweepGrid.from_file`."""
 
-    def test_json_round_trip(self, tmp_path):
-        config = EvaluationConfig(
+    def test_defaults_valid(self, tmp_path):
+        grid = load(tmp_path, "{}")
+        assert "PARA" in grid.mitigations
+        assert grid.nrh_values == EVALUATED_NRH_VALUES
+        assert grid.workload_sets == tuple(
+            (name,) for name in single_core_suite()[:4])
+        assert len(grid.points()) == 480
+
+    def test_every_key_loads(self, tmp_path):
+        grid = load(tmp_path, json.dumps({
+            "mitigations": ["PARA", "Graphene"], "nrh_values": [128],
+            "pacram_vendors": [None, "H"], "workloads": ["spec06.mcf"],
+            "requests": 500, "check_protocol": "tolerant"}))
+        assert grid == SweepGrid(
             mitigations=("PARA", "Graphene"), nrh_values=(128,),
-            pacram_vendors=(None, "H"), workloads=("spec06.mcf",),
-            requests=500, latency_factor_rfc=0.36)
-        path = tmp_path / "eval.json"
-        config.save(path)
-        loaded = EvaluationConfig.load(path)
-        assert loaded == config
+            pacram_vendors=(None, "H"), workload_sets=(("spec06.mcf",),),
+            requests=500, check_protocol="tolerant")
 
     def test_artifact_knob_names(self, tmp_path):
-        # The A.6 knobs: MITIGATION_LIST / NRH_VALUES / latency factors.
-        path = tmp_path / "eval.json"
-        path.write_text('''{
-            "mitigations": ["RFM"],
-            "nrh_values": [64, 32],
-            "latency_factor_vrr": 0.36,
-            "latency_factor_rfc": 0.64
-        }''')
-        config = EvaluationConfig.load(path)
-        assert config.mitigations == ("RFM",)
-        assert config.latency_factor_vrr == 0.36
-        assert config.latency_factor_rfc == 0.64
+        # The A.6 knobs MITIGATION_LIST and NRH_VALUES load; the latency
+        # factors do not, because a grid has no field to honour them.
+        grid = load(tmp_path, '{"mitigations": ["RFM"], "nrh_values": [64, 32]}')
+        assert grid.mitigations == ("RFM",)
+        assert grid.nrh_values == (64, 32)
+        for key in ("latency_factor_vrr", "latency_factor_rfc", "num_cores"):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                load(tmp_path, json.dumps({"mitigations": ["RFM"], key: 1}))
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "eval.json"
-        path.write_text('{"mitigaitons": ["RFM"]}')  # typo'd key
         with pytest.raises(ConfigError, match="unknown config keys"):
-            EvaluationConfig.load(path)
+            load(tmp_path, '{"mitigaitons": ["RFM"]}')  # typo'd key
 
     def test_unknown_mitigation_rejected(self):
         with pytest.raises(ConfigError):
-            EvaluationConfig(mitigations=("TRR",))
+            SweepGrid(mitigations=("TRR",))
 
     def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
         with pytest.raises(ConfigError, match="malformed"):
-            EvaluationConfig.load(path)
+            load(tmp_path, "{not json")
 
     def test_none_vendor_spelled_out(self, tmp_path):
-        path = tmp_path / "eval.json"
-        path.write_text('{"pacram_vendors": ["none", "S"]}')
-        config = EvaluationConfig.load(path)
-        assert config.pacram_vendors == (None, "S")
+        grid = load(tmp_path, '{"pacram_vendors": ["none", "S"]}')
+        assert grid.pacram_vendors == (None, "S")
 
-    def test_grid_matches_knobs(self):
-        config = EvaluationConfig(mitigations=("PARA",), nrh_values=(64,),
-                                  pacram_vendors=(None,),
-                                  workloads=("a", "b"))
-        assert len(config.sweep_grid().points()) == 2
+    def test_grid_matches_knobs(self, tmp_path):
+        grid = load(tmp_path, json.dumps({
+            "mitigations": ["PARA"], "nrh_values": [64],
+            "pacram_vendors": [None], "workloads": ["a", "b"]}))
+        assert len(grid.points()) == 2
 
 
 class TestAttackTraces:
@@ -125,38 +130,45 @@ class TestAttackTraces:
 
 class TestConfigRejection:
     def test_unknown_key_names_nearest_match(self, tmp_path):
-        path = tmp_path / "eval.json"
-        path.write_text('{"nrh_valeus": [128]}')
         with pytest.raises(ConfigError, match="did you mean 'nrh_values'"):
-            EvaluationConfig.load(path)
+            load(tmp_path, '{"nrh_valeus": [128]}')
 
-    def test_unknown_key_without_close_match(self):
+    def test_unknown_key_without_close_match(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            EvaluationConfig.from_dict({"frobnicate": 1})
+            load(tmp_path, '{"frobnicate": 1}')
 
     def test_duplicate_json_key_rejected(self, tmp_path):
-        path = tmp_path / "eval.json"
-        path.write_text('{"requests": 100, "requests": 200}')
         with pytest.raises(ConfigError, match="duplicate config key"):
-            EvaluationConfig.load(path)
+            load(tmp_path, '{"requests": 100, "requests": 200}')
 
-    def test_duplicate_workloads_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate workloads"):
-            EvaluationConfig(workloads=("spec06.mcf", "spec06.mcf"))
+    def test_duplicate_workloads_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="duplicate workload_sets"):
+            load(tmp_path, '{"workloads": ["spec06.mcf", "spec06.mcf"]}')
 
     def test_duplicate_mitigations_rejected(self):
         with pytest.raises(ConfigError, match="duplicate mitigations"):
-            EvaluationConfig(mitigations=("PARA", "PARA"))
+            SweepGrid(mitigations=("PARA", "PARA"))
 
     def test_check_protocol_round_trips_into_grid(self, tmp_path):
-        config = EvaluationConfig(workloads=("spec06.mcf",),
-                                  check_protocol="strict")
-        path = tmp_path / "eval.json"
-        config.save(path)
-        loaded = EvaluationConfig.load(path)
-        assert loaded.check_protocol == "strict"
-        assert loaded.sweep_grid().check_protocol == "strict"
+        grid = load(tmp_path, '{"workloads": ["spec06.mcf"], '
+                              '"check_protocol": "strict"}')
+        assert grid.check_protocol == "strict"
 
     def test_invalid_check_protocol_rejected(self):
         with pytest.raises(ConfigError, match="check_protocol"):
-            EvaluationConfig(check_protocol="paranoid")
+            SweepGrid(check_protocol="paranoid")
+
+    def test_non_object_and_unreadable_files_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="JSON object"):
+            load(tmp_path, "[1, 2]")
+        with pytest.raises(ConfigError, match="unreadable"):
+            SweepGrid.from_file(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("text", [
+        '{"requests": "400"}', '{"requests": 400.5}', '{"requests": true}',
+        '{"nrh_values": ["64"]}', '{"mitigations": "PARA"}',
+        '{"workloads": [["spec06.mcf"]]}', '{"pacram_vendors": ["h"]}',
+    ])
+    def test_values_checked_by_the_grid(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load(tmp_path, text)

@@ -158,6 +158,46 @@ class TestFrames:
             recv_frame(right)
         left.close(), right.close()
 
+    def test_inflation_is_bounded(self, monkeypatch):
+        """A compressed frame under the length cap may not inflate past
+        it (the cap is lowered so the bomb stays small)."""
+        import struct
+        import zlib
+
+        from repro.runtime import wire
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 1 << 16)
+        left, right = _socket_pair()
+        for size, accepted in ((1 << 15, True), (1 << 20, False)):
+            blob = zlib.compress(json.dumps({"x": "a" * size}).encode())
+            assert len(blob) < 1 << 16
+            left.sendall(struct.pack("!BI", 1, len(blob)) + blob)
+            if accepted:
+                assert recv_frame(right) == {"x": "a" * size}
+            else:
+                with pytest.raises(FrameError, match="inflates past"):
+                    recv_frame(right)
+        left.close(), right.close()
+
+    def test_truncated_compressed_frame_rejected(self):
+        import struct
+        import zlib
+        left, right = _socket_pair()
+        blob = zlib.compress(json.dumps({"x": "a" * 4096}).encode())[:-6]
+        left.sendall(struct.pack("!BI", 1, len(blob)) + blob)
+        with pytest.raises(FrameError, match="truncated"):
+            recv_frame(right)
+        left.close(), right.close()
+
+    def test_deep_nesting_is_a_frame_error(self):
+        import struct
+        left, right = _socket_pair()
+        blob = b"[" * 100_000
+        threading.Thread(target=left.sendall, daemon=True, args=(
+            struct.pack("!BI", 0, len(blob)) + blob,)).start()
+        with pytest.raises(FrameError):
+            recv_frame(right)
+        left.close(), right.close()
+
 
 # ----------------------------------------------------------------------
 # value codec
@@ -324,7 +364,8 @@ class TestFleetEndToEnd:
                    args=(9, str(tmp_path / "bad.json")))
         pool = make_scheduler("fleet", workers=2,
                               ledger_path=tmp_path / "errors.jsonl")
-        with pytest.raises(ExecutionError, match=r"bad \[permanent\]"):
+        with pytest.raises(ExecutionError,
+                           match=r"bad \[permanent, 1 attempt\]"):
             pool.run(tasks + [bad], loader=_load_echo)
         assert len(_result_bytes(tmp_path)) == 3  # survivors all landed
         records = [json.loads(line) for line in
@@ -775,7 +816,7 @@ class TestOpenFleet:
             crash = Task(key="crash", path=path, fn=_exit_worker,
                          args=(str(path),))
             with pytest.raises(ExecutionError,
-                               match=r"crash \[infrastructure\]"):
+                               match=r"crash \[infrastructure, \d+ attempts?\]"):
                 make_scheduler("fleet", fleet=fleet).run(
                     [crash], loader=_load_echo)
             results = make_scheduler("fleet", fleet=fleet).run(
@@ -783,6 +824,58 @@ class TestOpenFleet:
             assert results == {"p0": 1, "p1": 2}
         finally:
             fleet.close()
+
+    def test_worker_may_ship_only_its_tasks_own_files(self, tmp_path):
+        """A shipment naming another point's row, the run report or a
+        cache entry is refused whole, before any file is written, and
+        the point is retried as a transient failure."""
+        fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
+        peer = None
+        results = []
+        try:
+            peer = socket.create_connection(fleet.address, timeout=10.0)
+            send_frame(peer, {"type": "hello", "worker": "rogue",
+                              "protocol": PROTOCOL_VERSION, "max": 1,
+                              "results": []})
+            pool = make_scheduler("fleet", fleet=fleet, backoff_s=0.01,
+                                  ledger_path=tmp_path / "errors.jsonl")
+            runner = threading.Thread(target=lambda: results.append(
+                pool.run(_echo_tasks(tmp_path, 2), loader=_load_echo)))
+            runner.start()
+            [first] = recv_frame(peer)["tasks"]
+            shipment = _outcome(first, 1)
+            smuggled = base64.b64encode(b"{}").decode()
+            for name in ("p1.json", "run_report.json",
+                         "baseline_cache/baseline_x.json"):
+                shipment["files"][name] = smuggled
+            send_frame(peer, {"type": "lease", "max": 1,
+                              "results": [shipment]})
+            [second] = recv_frame(peer)["tasks"]
+            assert not (tmp_path / first["path"]).exists()
+            assert not (tmp_path / "baseline_cache").exists()
+            assert sorted(p.name for p in tmp_path.glob("*.json")) == []
+            side = _outcome(second, int(second["key"][1:]) ** 2 + 1)
+            stem = second["path"].rsplit(".", 1)[0]
+            side["files"][f"{stem}.violations.jsonl"] = smuggled
+            send_frame(peer, {"type": "lease", "max": 1,
+                              "results": [side]})
+            [third] = recv_frame(peer)["tasks"]
+            send_frame(peer, {"type": "lease", "max": 1, "results": [
+                _outcome(third, int(third["key"][1:]) ** 2 + 1)]})
+            runner.join(timeout=10.0)
+            assert not runner.is_alive()
+        finally:
+            fleet.close()
+            if peer is not None:
+                peer.close()
+        assert results == [{"p0": 1, "p1": 2}]
+        assert (tmp_path / f"{stem}.violations.jsonl").read_text() == "{}"
+        ledger = (tmp_path / "errors.jsonl").read_text().splitlines()
+        [refused] = [record for record in map(json.loads, ledger)
+                     if record["action"] == "attempt"]
+        assert refused["key"] == first["key"]
+        assert refused["class"] == "transient"
+        assert "may ship only its own files" in refused["error"]
 
     def test_result_from_an_earlier_run_is_stale(self, tmp_path):
         """A ``force`` re-run reuses task keys: a late result carrying

@@ -77,12 +77,17 @@ def _open_with(sock, case):
         send_frame(sock, {"type": "hello", "protocol": 999})
     elif case == "not-a-hello":
         send_frame(sock, {"type": "status", "job_id": "0" * 16})
+    elif case == "nested-frame":  # deeper than the JSON decoder recurses
+        sock.sendall(struct.pack("!BI", 0, 100_000) + b"[" * 100_000)
     else:  # a length prefix past the cap, with no payload behind it
         sock.sendall(struct.pack("!BI", 0, MAX_FRAME_BYTES + 1))
 
 
+# An opening that escapes a connection thread uncaught fails the case.
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 @pytest.mark.parametrize("case", ["wrong-protocol", "not-a-hello",
-                                  "oversized-frame"])
+                                  "nested-frame", "oversized-frame"])
 def test_bad_opening_is_refused_and_the_endpoint_keeps_serving(endpoint,
                                                                 case):
     address, peer, still_serves = endpoint

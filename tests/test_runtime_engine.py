@@ -391,7 +391,8 @@ class TestBrokenPoolRecovery:
         pool = TaskPool(jobs=2, max_attempts=2, max_pool_rebuilds=2,
                         backoff_s=0.01,
                         ledger_path=tmp_path / "errors.jsonl")
-        with pytest.raises(ExecutionError, match=r"poison \[infrastructure\]"):
+        with pytest.raises(ExecutionError,
+                           match=r"poison \[infrastructure, \d+ attempts?\]"):
             pool.run(tasks, loader=_load_square)
         report = pool.last_report
         assert set(report.failed) == {"poison"}
@@ -448,7 +449,8 @@ class TestFailureClassification:
         pool = make_pool(max_attempts=5, backoff_s=0.01,
                          sleep=lambda s: None,
                          ledger_path=tmp_path / "errors.jsonl")
-        with pytest.raises(ExecutionError, match=r"bad \[permanent\]"):
+        with pytest.raises(ExecutionError,
+                           match=r"bad \[permanent, 1 attempt\]"):
             pool.run(tasks, loader=_load_square)
         report = pool.last_report
         assert report.failure_classes["bad"] == "permanent"
@@ -461,6 +463,28 @@ class TestFailureClassification:
         assert [(r["action"], r["worker"]) for r in ledger] == [
             ("attempt", _ledger_worker(pool)),
             ("abandoned", _ledger_worker(pool))]
+
+    def test_failure_message_names_each_points_charged_attempts(
+            self, tmp_path, make_pool):
+        """The message counts what each abandoned point was charged, as
+        its ``abandoned`` record does, not the pool's ``max_attempts``."""
+        bad_path, flaky_path = tmp_path / "bad.json", tmp_path / "flaky.json"
+        tasks = [Task(key="bad", path=bad_path, fn=_config_error_worker,
+                      args=(str(bad_path),)),
+                 Task(key="flaky", path=flaky_path, fn=_always_fail,
+                      args=(str(flaky_path),))]
+        pool = make_pool(max_attempts=2, backoff_s=0.01,
+                         sleep=lambda s: None,
+                         ledger_path=tmp_path / "errors.jsonl")
+        with pytest.raises(ExecutionError) as raised:
+            pool.run(tasks, loader=_load_square)
+        assert str(raised.value).startswith(
+            "2/2 points failed permanently: bad [permanent, 1 attempt], "
+            "flaky [transient, 2 attempts] (ledger: ")
+        abandoned = {r["key"]: r["attempt"]
+                     for r in _ledger(tmp_path / "errors.jsonl")
+                     if r["action"] == "abandoned"}
+        assert abandoned == {"bad": 1, "flaky": 2}
 
     def test_enospc_pauses_probes_and_recovers_without_charging(
             self, tmp_path, make_pool, monkeypatch):
