@@ -36,7 +36,7 @@ from repro.characterization.campaign import (
     CampaignConfig,
     CharacterizationCampaign,
 )
-from repro.runtime import REPORT_NAME, Task, make_scheduler
+from repro.runtime import REPORT_NAME, RunOptions, Task, make_scheduler
 from repro.runtime.distributed import echo_point, lease_spec
 from repro.runtime.wire import canonical_blob, referenced_blobs
 
@@ -96,8 +96,8 @@ def _bench_overhead(tmp: Path) -> dict:
         tasks = [Task(key=f"t{n}", path=run_dir / f"t{n}.json",
                       fn=echo_point, args=(n, str(run_dir / f"t{n}.json")))
                  for n in range(_OVERHEAD_TASKS)]
-        pool = make_scheduler("fleet", workers=1,
-                              lease_batch=_OVERHEAD_TASKS // 4)
+        pool = make_scheduler(RunOptions(
+            scheduler="fleet", workers=1, lease_batch=_OVERHEAD_TASKS // 4))
         started = time.perf_counter()
         pool.run(tasks, loader=_load_echo)
         elapsed = time.perf_counter() - started

@@ -41,8 +41,8 @@ from tempfile import TemporaryDirectory
 from bench_util import RESULTS_DIR, run_once, save_result
 
 from repro.analysis.sweeprunner import SweepGrid, SweepRunner
-from repro.runtime import REPORT_NAME
-from repro.service import JobSpec, RunOptions
+from repro.runtime import REPORT_NAME, RunOptions
+from repro.service import JobSpec
 from repro.service.api import CharacterizationService
 from repro.service.client import ServiceClient
 

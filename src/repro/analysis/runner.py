@@ -12,7 +12,7 @@ from repro.errors import ConfigError
 from repro.mitigations import make_mitigation
 from repro.sim.config import SystemConfig
 from repro.sim.system import MemorySystem, SimulationResult
-from repro.validation import default_check_mode, make_checker
+from repro.validation import make_checker
 from repro.workloads.suites import workload_by_name
 
 #: Best-observed charge-restoration latencies per vendor (§9.2, obs. 5):
@@ -56,8 +56,8 @@ def run_simulation(workload_names: tuple[str, ...], *,
 
     ``check_protocol`` attaches a :class:`repro.validation.ProtocolChecker`
     to the controller (``"off"``/``"tolerant"``/``"strict"``; ``None``
-    falls back to :func:`repro.validation.default_check_mode`).  Observed
-    violations land in ``result.protocol_violations`` and, if
+    takes the default :class:`repro.exec.ExecutionPolicy`'s mode).
+    Observed violations land in ``result.protocol_violations`` and, if
     ``violations_path`` is given, in a deterministic JSONL ledger there.
 
     ``sim_kernel`` selects the controller drain loop (``"scalar"`` oracle
@@ -73,13 +73,14 @@ def run_simulation(workload_names: tuple[str, ...], *,
         baseline_key,
         cacheable,
     )
-    from repro.exec import checked_kernel
+    from repro.exec import checked_kernel, default_policy
 
     if config is None:
         config = SystemConfig(num_cores=max(1, len(workload_names)))
     traces = [workload_by_name(name, requests=requests, seed=seed + i)
               for i, name in enumerate(workload_names)]
-    mode = check_protocol if check_protocol is not None else default_check_mode()
+    mode = (check_protocol if check_protocol is not None
+            else default_policy().check_protocol)
     kernel = checked_kernel("sim", sim_kernel, check_protocol=mode)
     use_cache = cache is not None and cacheable(
         pacram=pacram, checker=None if mode == "off" else mode,

@@ -35,7 +35,7 @@ import re
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.runner import (
     EVALUATED_NRH_VALUES,
@@ -368,36 +368,25 @@ class SweepRunner:
                                      force=force)
         return results[point.key]
 
-    def run(self, *, force: bool = False, jobs: int | None = 1,
+    def run(self, *, force: bool = False,
             progress: ProgressReporter | None = None,
-            task_timeout_s: float | None = None,
-            scheduler: str = "local", workers: int | None = None,
-            serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None,
-            fleet: Fleet | None = None) -> list[SweepRow]:
+            fleet: Fleet | None = None, **options: Any) -> list[SweepRow]:
         """Run (or resume) the whole grid; returns rows in grid order.
 
-        ``jobs`` controls the worker-process count (``None`` = all cores);
-        valid on-disk rows are reused, corrupt ones quarantined and re-run.
-        Row contents are identical for any ``jobs`` and either kernel.
-        ``task_timeout_s`` arms the engine's watchdog: a point whose worker
-        produces no row within the deadline is killed and retried
-        (deadlines require worker processes, i.e. ``jobs > 1``).
-        ``scheduler`` selects the execution backend
-        (:mod:`repro.runtime.scheduler`): ``local`` drains on this host,
-        ``fleet`` leases points to ``workers`` spawned loopback workers
-        and/or external ``repro-experiments worker`` clients connecting to
-        ``serve``, or borrows the open ``fleet`` — rows are byte-identical
-        either way.
+        Valid on-disk rows are reused, corrupt ones quarantined and
+        re-run.  ``options`` say how the points run — the
+        :class:`~repro.runtime.scheduler.RunOptions` fields: ``jobs``
+        worker processes (``None`` = all cores), a ``task_timeout_s``
+        watchdog deadline (``jobs > 1``), and the ``scheduler`` backend
+        with its fleet's shape — and ``fleet`` lends a ``fleet`` run an
+        open worker fleet.  Row contents are identical for any options
+        and either kernel.
         """
         points = self.grid.points()
         results = self.execution.run([self._task(p) for p in points],
                                      loader=load_row, force=force,
-                                     jobs=jobs, progress=progress,
-                                     task_timeout_s=task_timeout_s,
-                                     scheduler=scheduler, workers=workers,
-                                     serve=serve, lease_batch=lease_batch,
-                                     fleet=fleet)
+                                     progress=progress, fleet=fleet,
+                                     **options)
         return [results[p.key] for p in points]
 
     # ------------------------------------------------------------------

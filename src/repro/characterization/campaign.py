@@ -182,37 +182,26 @@ class CharacterizationCampaign:
                                      loader=_load_checked, force=force)
         return results[module_id]
 
-    def run(self, *, force: bool = False, jobs: int | None = 1,
+    def run(self, *, force: bool = False,
             progress: ProgressReporter | None = None,
-            task_timeout_s: float | None = None,
-            scheduler: str = "local", workers: int | None = None,
-            serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None, fleet: Fleet | None = None,
-            ) -> dict[str, ModuleCharacterization]:
+            fleet: Fleet | None = None,
+            **options: Any) -> dict[str, ModuleCharacterization]:
         """Run (or resume) the whole campaign; returns all results.
 
-        ``jobs`` controls the worker-process count (``None`` = all cores);
-        valid on-disk results are reused, corrupt ones quarantined and
-        re-run.  The returned measurements are identical for any ``jobs``.
-        ``force`` discards persisted results and re-runs every module.
-        ``task_timeout_s`` arms the engine's watchdog: a module whose
-        worker produces no result within the deadline is killed and
-        retried (deadlines require worker processes, i.e. ``jobs > 1``).
-        ``scheduler`` selects the execution backend
-        (:mod:`repro.runtime.scheduler`): ``local`` drains on this host,
-        ``fleet`` leases modules to ``workers`` spawned loopback workers
-        and/or external ``repro-experiments worker`` clients connecting to
-        ``serve``, or borrows the open ``fleet`` — results are
-        byte-identical either way.
+        Valid on-disk results are reused, corrupt ones quarantined and
+        re-run; ``force`` discards persisted results and re-runs every
+        module.  ``options`` say how the modules run — the
+        :class:`~repro.runtime.scheduler.RunOptions` fields: ``jobs``
+        worker processes (``None`` = all cores), a ``task_timeout_s``
+        watchdog deadline (``jobs > 1``), and the ``scheduler`` backend
+        with its fleet's shape — and ``fleet`` lends a ``fleet`` run an
+        open worker fleet.  The returned measurements are identical
+        either way.
         """
         tasks = [self._task(module_id)
                  for module_id in self.config.module_ids]
         return self.execution.run(tasks, loader=_load_checked, force=force,
-                                  jobs=jobs, progress=progress,
-                                  task_timeout_s=task_timeout_s,
-                                  scheduler=scheduler, workers=workers,
-                                  serve=serve, lease_batch=lease_batch,
-                                  fleet=fleet)
+                                  progress=progress, fleet=fleet, **options)
 
     def load(self) -> dict[str, ModuleCharacterization]:
         """Load a completed campaign's results without running anything."""

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.characterization.campaign import (
@@ -12,8 +13,9 @@ from repro.characterization.campaign import (
 )
 from repro.cli.shared import (
     add_kernel_policy_flag,
-    add_scheduler_flags,
+    add_run_flags,
     install_policy,
+    run_options_from_args,
 )
 from repro.runtime import PrintProgress
 from repro.validation import check_physics
@@ -28,6 +30,7 @@ def campaign_config_from_args(args: argparse.Namespace) -> CampaignConfig:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    options = run_options_from_args(args)
     install_policy(args)
     config = campaign_config_from_args(args)
     campaign = CharacterizationCampaign(args.dir, config)
@@ -41,10 +44,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             for problem in check_physics(module_id,
                                          mode=args.check_protocol):
                 print(f"physics: {problem}", file=sys.stderr)
-    campaign.run(jobs=args.jobs, progress=PrintProgress(), force=args.force,
-                 task_timeout_s=args.task_timeout,
-                 scheduler=args.scheduler, workers=args.workers,
-                 serve=args.serve, lease_batch=args.lease_batch)
+    campaign.run(force=args.force, progress=PrintProgress(),
+                 **dataclasses.asdict(options))
     print(campaign.summary())
     return 0
 
@@ -63,15 +64,6 @@ def register(subparsers) -> None:
     campaign_parser.add_argument("--dir", default="campaign_results",
                                  help="results directory")
     add_campaign_spec_flags(campaign_parser)
-    campaign_parser.add_argument("--jobs", type=int, default=None,
-                                 help="parallel worker processes "
-                                      "(default: all cores)")
-    campaign_parser.add_argument("--task-timeout", type=float, default=None,
-                                 metavar="SECONDS",
-                                 help="per-module deadline: a worker that "
-                                      "produces no result in time is "
-                                      "killed and the module retried "
-                                      "(needs --jobs > 1)")
     campaign_parser.add_argument("--status", action="store_true",
                                  help="only report progress")
     campaign_parser.add_argument("--check-protocol", default="off",
@@ -87,5 +79,5 @@ def register(subparsers) -> None:
     campaign_parser.add_argument("--force", action="store_true",
                                  help="re-run every module, even those "
                                       "already persisted under --dir")
-    add_scheduler_flags(campaign_parser, "module")
+    add_run_flags(campaign_parser, "module")
     campaign_parser.set_defaults(func=cmd_campaign)

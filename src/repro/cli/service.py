@@ -24,7 +24,9 @@ from repro.cli.campaigns import add_campaign_spec_flags, campaign_config_from_ar
 from repro.cli.shared import (
     add_connect_flags,
     add_kernel_policy_flag,
+    add_run_flags,
     install_policy,
+    run_options_from_args,
 )
 from repro.cli.sweeps import add_sweep_spec_flags, sweep_grid_from_args
 from repro.service.jobs import DONE, JobSpec
@@ -52,12 +54,8 @@ def _print_job(frame: dict) -> None:
 # ----------------------------------------------------------------------
 def cmd_serve_api(args: argparse.Namespace) -> int:
     from repro.service.api import CharacterizationService
-    from repro.service.manager import RunOptions
+    options = run_options_from_args(args)
     install_policy(args)
-    options = RunOptions(jobs=args.jobs, task_timeout_s=args.task_timeout,
-                         scheduler=args.scheduler, workers=args.workers,
-                         serve=args.fleet_serve,
-                         lease_batch=args.lease_batch)
     service = CharacterizationService(args.dir, serve=args.serve,
                                       options=options)
     host, port = service.start()
@@ -115,7 +113,6 @@ def cmd_job_fetch(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 def register(subparsers) -> None:
-    from repro.runtime.scheduler import SCHEDULER_NAMES
     serve_parser = subparsers.add_parser(
         "serve-api",
         help="serve the characterization job API over TCP")
@@ -127,30 +124,7 @@ def register(subparsers) -> None:
                               help="listen here for job clients (default: "
                                    "an ephemeral loopback port, printed "
                                    "on startup)")
-    serve_parser.add_argument("--jobs", type=int, default=None,
-                              help="parallel worker processes per job "
-                                   "(default: all cores)")
-    serve_parser.add_argument("--task-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="per-task deadline inside every job "
-                                   "(needs --jobs > 1)")
-    serve_parser.add_argument("--scheduler", default="local",
-                              choices=SCHEDULER_NAMES,
-                              help="execution backend for every job: "
-                                   "local pool or worker fleet (results "
-                                   "are byte-identical either way)")
-    serve_parser.add_argument("--workers", type=int, default=None,
-                              help="fleet only: loopback workers spawned "
-                                   "once, at start, and shared by every "
-                                   "job (default: 2)")
-    serve_parser.add_argument("--fleet-serve", default=None,
-                              metavar="HOST:PORT",
-                              help="fleet only: listen here for external "
-                                   "`repro-experiments worker` clients")
-    serve_parser.add_argument("--lease-batch", type=int, default=None,
-                              metavar="N",
-                              help="fleet only: tasks leased per round "
-                                   "trip (default: 4)")
+    add_run_flags(serve_parser, "task", listener="--fleet-serve")
     add_kernel_policy_flag(
         serve_parser,
         "execution policy for every job "

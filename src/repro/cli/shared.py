@@ -3,7 +3,7 @@
 Each subcommand module (:mod:`repro.cli.experiments`,
 :mod:`repro.cli.campaigns`, ...) registers its own parsers; the flag
 groups that appear on more than one of them — the execution-policy
-knobs and the ``--scheduler`` backend selection — are built here so
+knobs and the run flags that say how a job runs — are built here so
 their spellings and semantics cannot drift apart.
 """
 
@@ -16,6 +16,7 @@ from repro.exec import (
     ExecutionPolicy,
     set_default_policy,
 )
+from repro.runtime.scheduler import SCHEDULER_NAMES, RunOptions
 
 
 def install_policy(args: argparse.Namespace, *,
@@ -44,9 +45,22 @@ def add_kernel_policy_flag(parser: argparse.ArgumentParser,
                              f"executor")
 
 
-def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:
-    """The shared ``--scheduler`` knobs of campaign, sweep, and serve-api."""
-    from repro.runtime.scheduler import SCHEDULER_NAMES
+def add_run_flags(parser: argparse.ArgumentParser, unit: str, *,
+                  listener: str = "--serve") -> None:
+    """The run flags of campaign, sweep and serve-api: how each job runs.
+
+    ``listener`` spells the fleet's listen address; serve-api calls it
+    ``--fleet-serve`` because its own ``--serve`` is the client port.
+    :func:`run_options_from_args` reads them back.
+    """
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="parallel worker processes (default: all "
+                             "cores)")
+    parser.add_argument("--task-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help=f"per-{unit} deadline: a worker that "
+                             f"produces no result in time is killed and "
+                             f"the {unit} retried (needs --jobs > 1)")
     parser.add_argument("--scheduler", default="local",
                         choices=SCHEDULER_NAMES,
                         help=f"execution backend: drain {unit}s on this "
@@ -56,7 +70,8 @@ def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="fleet only: loopback worker processes the "
                              "coordinator spawns itself (default: 2)")
-    parser.add_argument("--serve", default=None, metavar="HOST:PORT",
+    parser.add_argument(listener, dest="fleet_serve", default=None,
+                        metavar="HOST:PORT",
                         help="fleet only: listen here for external "
                              "`repro-experiments worker` clients "
                              "(default: an ephemeral loopback port for "
@@ -65,6 +80,15 @@ def add_scheduler_flags(parser: argparse.ArgumentParser, unit: str) -> None:
                         metavar="N",
                         help=f"fleet only: {unit}s leased to a worker "
                              f"per round trip (default: 4)")
+
+
+def run_options_from_args(args: argparse.Namespace) -> RunOptions:
+    """The :class:`RunOptions` the run flags spell, checked as it is
+    made: a bad combination is refused before anything runs or
+    ``--force`` deletes anything."""
+    return RunOptions(jobs=args.jobs, task_timeout_s=args.task_timeout,
+                      scheduler=args.scheduler, workers=args.workers,
+                      serve=args.fleet_serve, lease_batch=args.lease_batch)
 
 
 def add_connect_flags(parser: argparse.ArgumentParser,

@@ -9,9 +9,11 @@ import dataclasses
 from repro.analysis.sweeprunner import SweepGrid, SweepRunner, render_aggregate
 from repro.cli.shared import (
     add_kernel_policy_flag,
-    add_scheduler_flags,
+    add_run_flags,
     install_policy,
+    run_options_from_args,
 )
+from repro.errors import ConfigError
 from repro.runtime import PrintProgress
 
 
@@ -24,14 +26,20 @@ def sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
             grid = dataclasses.replace(grid,
                                        check_protocol=args.check_protocol)
         return grid
+    try:
+        nrh_values = tuple(int(v) for v in args.nrh.split(","))
+    except ValueError:
+        raise ConfigError(f"--nrh takes comma-separated integers, "
+                          f"got {args.nrh!r}") from None
     return SweepGrid(
         mitigations=tuple(args.mitigations.split(",")),
-        nrh_values=tuple(int(v) for v in args.nrh.split(",")),
+        nrh_values=nrh_values,
         requests=args.requests,
         check_protocol=args.check_protocol or "off")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    options = run_options_from_args(args)
     grid = sweep_grid_from_args(args)
     # The config file may turn checking on: build the policy from the
     # grid's resolved mode so oracle forcing agrees with what runs.
@@ -41,10 +49,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         done, total = runner.status()
         print(f"{done}/{total} runs done")
         return 0
-    rows = runner.run(jobs=args.jobs, progress=PrintProgress(),
-                      force=args.force, task_timeout_s=args.task_timeout,
-                      scheduler=args.scheduler, workers=args.workers,
-                      serve=args.serve, lease_batch=args.lease_batch)
+    rows = runner.run(force=args.force, progress=PrintProgress(),
+                      **dataclasses.asdict(options))
     violations = sum(row.violations for row in rows)
     if grid.check_protocol != "off":
         print(f"protocol check ({grid.check_protocol}): "
@@ -78,14 +84,6 @@ def register(subparsers) -> None:
     sweep_parser.add_argument("--dir", default="sweep_results",
                               help="results directory")
     add_sweep_spec_flags(sweep_parser)
-    sweep_parser.add_argument("--jobs", type=int, default=None,
-                              help="parallel worker processes "
-                                   "(default: all cores)")
-    sweep_parser.add_argument("--task-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="per-point deadline: a worker that "
-                                   "produces no row in time is killed and "
-                                   "the point retried (needs --jobs > 1)")
     sweep_parser.add_argument("--status", action="store_true",
                               help="only report progress")
     sweep_parser.add_argument("--check-protocol", default=None,
@@ -102,5 +100,5 @@ def register(subparsers) -> None:
     sweep_parser.add_argument("--force", action="store_true",
                               help="re-run every point and clear every "
                                    "persisted cache tier under --dir")
-    add_scheduler_flags(sweep_parser, "point")
+    add_run_flags(sweep_parser, "point")
     sweep_parser.set_defaults(func=cmd_sweep)

@@ -202,19 +202,11 @@ def default_policy() -> ExecutionPolicy:
 
 
 def set_default_policy(policy: ExecutionPolicy) -> ExecutionPolicy:
-    """Install the process-wide default policy (the CLI's one resolution).
-
-    Also aligns the process-wide default check mode, so library code that
-    only knows :func:`repro.validation.default_check_mode` agrees with the
-    policy about whether runs are checked.
-    """
-    from repro.validation import set_default_check_mode
-
+    """Install the process-wide default policy (the CLI's one resolution)."""
     global _default_policy
     if not isinstance(policy, ExecutionPolicy):
         raise ConfigError(f"expected an ExecutionPolicy, got {policy!r}")
     _default_policy = policy
-    set_default_check_mode(policy.check_protocol)
     return policy
 
 

@@ -44,9 +44,9 @@ from repro.runtime.persist import (
 from repro.runtime.progress import PrintProgress, ProgressReporter
 from repro.runtime.scheduler import (
     SCHEDULER_NAMES,
+    RunOptions,
     make_scheduler,
     parse_address,
-    validate_scheduler,
 )
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "PrintProgress",
     "ProgressReporter",
     "REPORT_NAME",
+    "RunOptions",
     "SCHEDULER_NAMES",
     "TIMEOUT",
     "TRANSIENT",
@@ -79,6 +80,5 @@ __all__ = [
     "registered_tiers",
     "reset_cache_counters",
     "summarize_caches",
-    "validate_scheduler",
     "write_atomic",
 ]

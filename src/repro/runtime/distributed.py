@@ -39,7 +39,8 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   (an ``ENOSPC`` pauses, probes the result directory and retries
   uncharged); a worker crash or disconnect is **infrastructure** (its
   leases are requeued at once without charging the points an attempt,
-  bounded by ``max_infra_retries``); an overrun lease is a **timeout**
+  bounded by ``max_infra_retries``), and so is a refused shipment, whose
+  worker is disconnected; an overrun lease is a **timeout**
   (revoked — the in-flight generation is invalidated so a late result is
   dropped as stale — and reassigned, charged).  Lease generations are
   fleet-wide, so a late result never matches a later run's lease of the
@@ -259,8 +260,10 @@ class _Lease:
     task: Task
 
 
-def _check_shape(workers: int, serve: tuple[str, int] | None,
-                 lease_batch: int) -> None:
+def _check_shape(workers: int = 2, serve: tuple[str, int] | None = None,
+                 lease_batch: int = DEFAULT_LEASE_BATCH) -> None:
+    """Refuse a fleet shape no :class:`Fleet` can run (its defaults fill
+    in what is not given)."""
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
     if workers == 0 and serve is None:
@@ -682,16 +685,22 @@ class _FleetRun:
 
     def _publish(self, task: Task, worker: str, files: dict[str, str],
                  stats: dict[str, int]) -> None:
-        """Publish a worker's shipped files, then load the result."""
+        """Publish a worker's shipped files, then load the result.
+
+        A refused shipment is that worker's fault, not the point's: the
+        point is requeued uncharged and the :class:`FrameError` closes
+        the worker's connection, as any malformed frame from it does.  A
+        coordinator-side fault (a full disk) is classified exactly like
+        a worker's.
+        """
         try:
             self._publish_files(task, files)
-        except Exception as error:  # noqa: BLE001 — classified below
-            # A malformed shipment is that worker's fault, not the
-            # point's; a coordinator-side fault (a full disk) is
-            # classified exactly like a worker's.
-            classification = TRANSIENT if isinstance(error, FrameError) \
-                else classify_failure(error)
-            self.attempts.failed(task, f"{error}", classification,
+        except FrameError as error:
+            stats["disconnects"] += 1
+            self.attempts.lost(task, f"worker lost: {error}", worker=worker)
+            raise
+        except Exception as error:  # noqa: BLE001 — classified here
+            self.attempts.failed(task, f"{error}", classify_failure(error),
                                  worker=worker)
             return
         if self.attempts.load(task, worker=worker):
@@ -700,7 +709,8 @@ class _FleetRun:
     def _publish_files(self, task: Task, files: dict[str, str]) -> None:
         """Atomically write the worker's shipped files into the store:
         the result and ``<result stem>.*`` side files beside it (a
-        violations ledger), all names checked before any is written."""
+        violations ledger), all names checked and all bodies decoded
+        before any is written."""
         if task.path.name not in files:
             raise FrameError(
                 f"worker shipped no result file {task.path.name!r}")
@@ -710,8 +720,13 @@ class _FleetRun:
         if foreign:
             raise FrameError(f"task {task.key!r} may ship only its own "
                              f"files, got {foreign!r}")
-        for name, encoded in sorted(files.items()):
-            text = base64.b64decode(encoded).decode("utf-8")
+        try:
+            texts = {name: base64.b64decode(encoded).decode("utf-8")
+                     for name, encoded in files.items()}
+        except (TypeError, ValueError) as error:
+            raise FrameError(f"task {task.key!r} shipped an undecodable "
+                             f"file: {error}") from None
+        for name, text in sorted(texts.items()):
             # The primary result gets the local pool's durable write;
             # side files (violation ledgers) take the cheaper default,
             # exactly as the in-process task function would.

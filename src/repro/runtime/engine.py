@@ -91,7 +91,8 @@ from repro.runtime.persist import discard_stale_tmp, quarantine, write_atomic
 from repro.runtime.progress import ProgressReporter
 
 __all__ = ["Task", "TaskPool", "PoolReport", "LEDGER_NAME",
-           "LEDGER_MAX_BYTES", "REPORT_NAME", "describe_run_report"]
+           "LEDGER_MAX_BYTES", "REPORT_NAME", "check_pool_limits",
+           "describe_run_report"]
 
 #: File name of the per-run error ledger, kept next to the results.
 LEDGER_NAME = "errors.jsonl"
@@ -221,6 +222,15 @@ def describe_run_report(payload: dict) -> str:
     return line
 
 
+def check_pool_limits(jobs: int | None, timeout_s: float | None) -> None:
+    """Refuse a worker count below one or a deadline that is not
+    positive; ``None`` (all cores, no deadline) passes."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
+
+
 class TaskPool:
     """Resumable, retrying executor for a list of independent tasks."""
 
@@ -240,15 +250,12 @@ class TaskPool:
                  clock: Callable[[], float] = time.monotonic) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        check_pool_limits(jobs, timeout_s)
         if max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")
         if ledger_max_bytes < 1:
             raise ConfigError(
                 f"ledger_max_bytes must be >= 1, got {ledger_max_bytes}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
         if backoff_max_s < 0 or backoff_jitter < 0:
             raise ConfigError("backoff_max_s and backoff_jitter must be >= 0")
         if max_pool_rebuilds < 0 or max_infra_retries < 0:

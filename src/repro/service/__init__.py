@@ -23,9 +23,11 @@ the long-running service on top of it:
     machine riding :func:`repro.runtime.persist.write_atomic`.
 
 :class:`~repro.service.manager.JobManager`
-    Runs jobs through the scheduler seam (local or fleet), tees live
-    progress into a per-job ``events.jsonl`` the ``stream`` verb replays,
-    and renders figures on demand from persisted rows.
+    Runs jobs through the scheduler seam (local or fleet) as one
+    :class:`~repro.runtime.scheduler.RunOptions` says — the same object
+    the batch CLI builds from its run flags — writes live progress into
+    a per-job ``events.jsonl`` the ``stream`` verb replays, and renders
+    figures on demand from persisted rows.
 
 :class:`~repro.service.api.CharacterizationService` /
 :class:`~repro.service.client.ServiceClient`
@@ -70,13 +72,11 @@ __all__ = [
     "JobSpec",
     "JobStateError",
     "JobStore",
-    "RunOptions",
     "ServiceClient",
 ]
 
 _LAZY = {
     "JobManager": ("repro.service.manager", "JobManager"),
-    "RunOptions": ("repro.service.manager", "RunOptions"),
     "CharacterizationService": ("repro.service.api",
                                 "CharacterizationService"),
     "ServiceClient": ("repro.service.client", "ServiceClient"),

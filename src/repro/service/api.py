@@ -24,7 +24,8 @@ opens every connection), on the same
 
 Jobs execute **sequentially** in one runner thread (queue fairness:
 first submitted, first run), each fanning out through the scheduler seam
-(local pool or worker fleet) per the service's ``RunOptions``.  A
+(local pool or worker fleet) per the service's
+:class:`~repro.runtime.scheduler.RunOptions`.  A
 fleet-backed service opens its fleet once, at start and before any
 thread exists, and every job borrows it: the loopback workers (and any
 external ``repro-experiments worker``) stay connected between jobs until
@@ -50,7 +51,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.runtime.scheduler import open_fleet, parse_address
+from repro.runtime.scheduler import RunOptions, open_fleet, parse_address
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     FrameServer,
@@ -58,7 +59,7 @@ from repro.runtime.wire import (
     send_frame,
 )
 from repro.service.jobs import DONE, FAILED, JobRecord, JobSpec
-from repro.service.manager import JobManager, RunOptions
+from repro.service.manager import JobManager
 
 __all__ = ["CharacterizationService", "SERVICE_NAME"]
 
@@ -91,7 +92,7 @@ class CharacterizationService:
                  poll_s: float = DEFAULT_STREAM_POLL_S) -> None:
         if isinstance(serve, str):
             serve = parse_address(serve)
-        self.manager = JobManager(store_root, defaults=options)
+        self.manager = JobManager(store_root, options=options)
         self.serve = serve
         self.poll_s = poll_s
         self.bound_address: tuple[str, int] | None = None
@@ -114,11 +115,9 @@ class CharacterizationService:
         The fleet opens first: forking its loopback workers is safest
         before this service starts any thread.
         """
-        options = self.manager.defaults
+        options = self.manager.options
         if options.scheduler == "fleet":
-            self.manager.fleet = open_fleet(
-                workers=options.workers, serve=options.serve,
-                lease_batch=options.lease_batch)
+            self.manager.fleet = open_fleet(options)
         try:
             self.server = FrameServer(self.serve, self._serve_conn,
                                       "client")

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.runtime import (
     LEDGER_NAME,
     REPORT_NAME,
     ProgressReporter,
+    RunOptions,
     Task,
     TaskPool,
     describe_run_report,
@@ -67,10 +68,6 @@ class JobExecution:
         a present file is complete, and loaders quarantine corrupt ones."""
         return self.result_path(filename).exists()
 
-    def pending(self, filenames: Iterable[str]) -> tuple[str, ...]:
-        """The subset of ``filenames`` with no persisted result yet."""
-        return tuple(f for f in filenames if not self.is_done(f))
-
     def ledger_path(self) -> Path:
         """Where the engine records failed attempts for this job."""
         return self.results_dir / LEDGER_NAME
@@ -82,20 +79,14 @@ class JobExecution:
     # ------------------------------------------------------------------
     # scheduler fan-out
     # ------------------------------------------------------------------
-    def scheduler(self, *, jobs: int | None = 1,
+    def scheduler(self, options: RunOptions, *,
                   progress: ProgressReporter | None = None,
-                  timeout_s: float | None = None, scheduler: str = "local",
-                  workers: int | None = None,
-                  serve: str | tuple[str, int] | None = None,
-                  lease_batch: int | None = None,
                   fleet: Fleet | None = None) -> TaskPool:
         """Build this job's execution backend (ledger/report pre-wired)."""
-        return make_scheduler(scheduler, workers=workers, serve=serve,
-                              lease_batch=lease_batch, fleet=fleet,
-                              jobs=jobs, ledger_path=self.ledger_path(),
+        return make_scheduler(options, fleet=fleet,
+                              ledger_path=self.ledger_path(),
                               report_path=self.report_path(),
-                              timeout_s=timeout_s, seed=self.seed,
-                              progress=progress)
+                              seed=self.seed, progress=progress)
 
     def clear_caches(self) -> None:
         """Drop every persisted cache tier under the results directory
@@ -104,28 +95,23 @@ class JobExecution:
         clear_disk_tiers(self.results_dir)
 
     def run(self, tasks: list[Task], loader: Callable[[Path], Any], *,
-            force: bool = False, jobs: int | None = 1,
-            progress: ProgressReporter | None = None,
-            task_timeout_s: float | None = None,
-            scheduler: str = "local", workers: int | None = None,
-            serve: str | tuple[str, int] | None = None,
-            lease_batch: int | None = None,
-            fleet: Fleet | None = None) -> dict[str, Any]:
+            force: bool = False, progress: ProgressReporter | None = None,
+            fleet: Fleet | None = None, **options: Any) -> dict[str, Any]:
         """Run (or resume) ``tasks`` and return ``{key: loaded result}``.
 
-        Valid on-disk results are reused, corrupt ones quarantined and
-        re-run; ``force`` discards persisted results and every cache tier
-        first.  Results are byte-identical for any ``jobs``, either
-        scheduler backend, and any failure interleaving — the engine's
-        contract, inherited wholesale.  ``fleet`` lends a ``fleet`` run an
-        open worker fleet instead of opening a private one.
+        ``options`` are the :class:`~repro.runtime.scheduler.RunOptions`
+        fields, checked before anything runs or is cleared.  Valid
+        on-disk results are reused, corrupt ones quarantined and re-run;
+        ``force`` discards persisted results and every cache tier first.
+        Results are byte-identical for any ``jobs``, either scheduler
+        backend, and any failure interleaving — the engine's contract,
+        inherited wholesale.  ``fleet`` lends a ``fleet`` run an open
+        worker fleet instead of opening a private one.
         """
+        run_options = RunOptions(**options)
         if force:
             self.clear_caches()
-        pool = self.scheduler(jobs=jobs, progress=progress,
-                              timeout_s=task_timeout_s, scheduler=scheduler,
-                              workers=workers, serve=serve,
-                              lease_batch=lease_batch, fleet=fleet)
+        pool = self.scheduler(run_options, progress=progress, fleet=fleet)
         return pool.run(tasks, loader=loader, force=force)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ or fleet), and drives the state machine ``queued -> running ->
 done/failed`` around the run.
 
 Progress streams ride the existing :class:`~repro.runtime.progress`
-hooks: the manager tees every hook call into the job's ``events.jsonl``
+hooks: the manager writes every hook call into the job's ``events.jsonl``
 (one JSON line per event, monotonically sequenced), which the service's
 ``stream`` verb tails and re-emits to clients — and
 :func:`replay_event` maps an event line back onto any reporter, so
@@ -28,12 +28,17 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.runtime import LEDGER_NAME, REPORT_NAME, ProgressReporter
+from repro.runtime import (
+    LEDGER_NAME,
+    REPORT_NAME,
+    ProgressReporter,
+    RunOptions,
+)
 from repro.runtime.persist import CORRUPT_SUFFIX
 from repro.service.jobs import (
     DONE,
@@ -48,24 +53,10 @@ from repro.service.jobs import (
 if TYPE_CHECKING:
     from repro.runtime.distributed import Fleet
 
-__all__ = ["EventLogProgress", "JobManager", "RunOptions", "TeeProgress",
-           "JOB_FIGURES", "replay_event"]
+__all__ = ["EventLogProgress", "JobManager", "JOB_FIGURES", "replay_event"]
 
 #: Figures each job kind can render on demand from its persisted results.
 JOB_FIGURES = {"campaign": ("fig6",), "sweep": ("fig17",)}
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Execution knobs of one job run (the campaign/sweep CLI surface)."""
-
-    force: bool = False
-    jobs: int | None = 1
-    task_timeout_s: float | None = None
-    scheduler: str = "local"
-    workers: int | None = None
-    serve: str | tuple[str, int] | None = None
-    lease_batch: int | None = None
 
 
 class EventLogProgress(ProgressReporter):
@@ -184,59 +175,14 @@ def replay_event(reporter: ProgressReporter, event: dict) -> None:
         pass  # malformed event: narration must not break the client
 
 
-class TeeProgress(ProgressReporter):
-    """Forward every hook to several reporters (event log + live one)."""
-
-    def __init__(self, reporters: tuple[ProgressReporter, ...]) -> None:
-        self.reporters = tuple(reporters)
-
-    def _fanout(self, hook: str, *args, **kwargs) -> None:
-        for reporter in self.reporters:
-            getattr(reporter, hook)(*args, **kwargs)
-
-    def start(self, total, reused=0):
-        self._fanout("start", total, reused=reused)
-
-    def task_done(self, key, *, worker=None):
-        self._fanout("task_done", key, worker=worker)
-
-    def task_retry(self, key, attempt, error, *,
-                   classification="transient"):
-        self._fanout("task_retry", key, attempt, error,
-                     classification=classification)
-
-    def task_timeout(self, key, attempt, timeout_s):
-        self._fanout("task_timeout", key, attempt, timeout_s)
-
-    def task_degraded(self, key, error):
-        self._fanout("task_degraded", key, error)
-
-    def task_failed(self, key, error):
-        self._fanout("task_failed", key, error)
-
-    def pool_rebuilt(self, rebuilds, mode, reason):
-        self._fanout("pool_rebuilt", rebuilds, mode, reason)
-
-    def worker_joined(self, worker, workers):
-        self._fanout("worker_joined", worker, workers)
-
-    def worker_left(self, worker, workers, reason):
-        self._fanout("worker_left", worker, workers, reason)
-
-    def lease_update(self, worker, in_flight):
-        self._fanout("lease_update", worker, in_flight)
-
-    def finish(self):
-        self._fanout("finish")
-
-
 class JobManager:
     """Submit, run, and read back jobs in one store."""
 
     def __init__(self, root: str | Path, *,
-                 defaults: RunOptions | None = None) -> None:
+                 options: RunOptions | None = None) -> None:
         self.store = JobStore(root)
-        self.defaults = defaults or RunOptions()
+        #: How every job runs.
+        self.options = options or RunOptions()
         #: An open worker fleet that ``fleet`` runs borrow instead of
         #: each opening its own; its opener (the service) closes it.
         self.fleet: Fleet | None = None
@@ -258,20 +204,17 @@ class JobManager:
         with self._lock:
             return job_id in self._active
 
-    def run(self, job_id: str, *,
-            progress: ProgressReporter | None = None,
-            options: RunOptions | None = None) -> JobRecord:
+    def run(self, job_id: str) -> JobRecord:
         """Execute (or resume) one job; returns its terminal record.
 
-        A ``done`` job returns immediately without recomputing anything
-        (unless ``options.force``); ``queued``, ``failed``, and orphaned
-        ``running`` jobs are (re)run — the orchestrator's resume contract
-        reuses every valid persisted result, so a crash-interrupted job
-        only computes what is missing.
+        A ``done`` job returns immediately without recomputing anything;
+        ``queued``, ``failed``, and orphaned ``running`` jobs are
+        (re)run — the orchestrator's resume contract reuses every valid
+        persisted result, so a crash-interrupted job only computes what
+        is missing.
         """
-        options = options or self.defaults
         record = self.store.load(job_id)
-        if record.state == DONE and not options.force:
+        if record.state == DONE:
             return record
         with self._lock:
             if job_id in self._active:
@@ -284,21 +227,9 @@ class JobManager:
                 record = self.store.transition(job_id, QUEUED)
             self.store.transition(job_id, RUNNING)
             events = EventLogProgress(self.store.events_path(job_id))
-            reporter: ProgressReporter = events
-            if progress is not None:
-                reporter = TeeProgress((events, progress))
-            if options.scheduler == "fleet" and self.fleet is not None:
-                placement = {"fleet": self.fleet}
-            else:
-                placement = {"workers": options.workers,
-                             "serve": options.serve,
-                             "lease_batch": options.lease_batch}
             try:
-                runner = self._runner(record)
-                runner.run(force=options.force, jobs=options.jobs,
-                           progress=reporter,
-                           task_timeout_s=options.task_timeout_s,
-                           scheduler=options.scheduler, **placement)
+                self._runner(record).run(progress=events, fleet=self.fleet,
+                                         **asdict(self.options))
             except BaseException as error:
                 events.close()
                 self.store.transition(

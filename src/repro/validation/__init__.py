@@ -11,14 +11,13 @@ Three pillars (see ``README.md`` — "Validating a run"):
   every fault class is detected or absorbed
   (:mod:`repro.validation.faults`, :mod:`repro.validation.matrix`).
 
-The process-wide default check mode lets the CLI turn checking on for every
-simulation a command starts without threading a flag through each call
-site; library callers normally pass ``check_protocol=`` explicitly.
+The CLI turns checking on for every simulation a command starts through
+the process-wide :class:`repro.exec.ExecutionPolicy`'s ``check_protocol``;
+library callers normally pass ``check_protocol=`` explicitly.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
 from repro.validation.checker import (
     CHECK_MODES,
     EPSILON_NS,
@@ -41,26 +40,8 @@ __all__ = [
     "ProtocolChecker",
     "Violation",
     "check_physics",
-    "default_check_mode",
     "make_checker",
     "model_digest",
     "physics_problems",
     "requires_scalar_oracle",
-    "set_default_check_mode",
 ]
-
-_default_mode = "off"
-
-
-def set_default_check_mode(mode: str) -> None:
-    """Set the process-wide default ``--check-protocol`` mode."""
-    if mode not in CHECK_MODES:
-        raise ConfigError(
-            f"check-protocol mode must be one of {CHECK_MODES}, got {mode!r}")
-    global _default_mode
-    _default_mode = mode
-
-
-def default_check_mode() -> str:
-    """The mode simulations use when ``check_protocol`` is not passed."""
-    return _default_mode

@@ -45,6 +45,7 @@ from repro.runtime import (
     CORRUPT_SUFFIX,
     LEDGER_NAME,
     REPORT_NAME,
+    RunOptions,
     Task,
     TaskPool,
     make_scheduler,
@@ -185,13 +186,14 @@ def _pool(directory: Path, **overrides) -> TaskPool:
     return TaskPool(**options)
 
 
-def _fleet_pool(directory: Path, **overrides) -> TaskPool:
+def _fleet_pool(directory: Path, *,
+                timeout_s: float | None = None) -> TaskPool:
     """A loopback fleet scheduler with the same chaos-friendly knobs."""
-    options = dict(workers=2, max_attempts=3, backoff_s=0.01,
-                   ledger_path=directory / LEDGER_NAME,
-                   report_path=directory / REPORT_NAME)
-    options.update(overrides)
-    return make_scheduler("fleet", **options)
+    options = RunOptions(scheduler="fleet", workers=2,
+                         task_timeout_s=timeout_s)
+    return make_scheduler(options, max_attempts=3, backoff_s=0.01,
+                          ledger_path=directory / LEDGER_NAME,
+                          report_path=directory / REPORT_NAME)
 
 
 def _result_bytes(directory: Path) -> dict[str, bytes]:
@@ -467,7 +469,7 @@ class DegradedKernelCampaign(_ChaosScenario):
                                 per_region=2, kernel="array")
         faulted = CharacterizationCampaign(workdir / "faulted", config)
         task = replace(faulted._task("S6"), fn=_faulty_characterize)
-        pool = faulted.execution.scheduler(jobs=1, progress=None)
+        pool = faulted.execution.scheduler(RunOptions())
         results = pool.run([task], loader=_load_checked)
         report = pool.last_report
         # Reference: the same campaign on the oracle kernel throughout

@@ -16,11 +16,11 @@ from repro.errors import ConfigError, ExecutionError
 from repro.runtime import (
     SCHEDULER_NAMES,
     ProgressReporter,
+    RunOptions,
     Task,
     TaskPool,
     make_scheduler,
     parse_address,
-    validate_scheduler,
     write_atomic,
 )
 from repro.runtime.distributed import (
@@ -278,12 +278,17 @@ class TestBlobInterning:
 # ----------------------------------------------------------------------
 # scheduler registry
 # ----------------------------------------------------------------------
+def _fleet(**shape):
+    """The options of a ``fleet`` run of this shape."""
+    return RunOptions(scheduler="fleet", **shape)
+
+
 class TestSchedulerRegistry:
     def test_names_and_validation(self):
         assert SCHEDULER_NAMES == ("local", "fleet")
-        assert validate_scheduler("local") == "local"
+        assert RunOptions(scheduler="local").scheduler == "local"
         with pytest.raises(ConfigError, match="scheduler"):
-            validate_scheduler("slurm")
+            RunOptions(scheduler="slurm")
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7045") == ("127.0.0.1", 7045)
@@ -293,19 +298,19 @@ class TestSchedulerRegistry:
                 parse_address(bad)
 
     def test_local_is_a_plain_task_pool(self):
-        pool = make_scheduler("local", jobs=1)
+        pool = make_scheduler(RunOptions(jobs=1))
         assert type(pool) is TaskPool
 
     def test_local_rejects_fleet_only_knobs(self):
         with pytest.raises(ConfigError, match="fleet"):
-            make_scheduler("local", workers=2)
+            RunOptions(workers=2)
 
     def test_fleet_needs_some_worker_source(self):
         with pytest.raises(ConfigError, match="worker"):
-            make_scheduler("fleet", workers=0)
+            _fleet(workers=0)
 
     def test_fleet_scheduler_is_a_task_pool(self):
-        pool = make_scheduler("fleet", workers=1, jobs=1)
+        pool = make_scheduler(_fleet(workers=1, jobs=1))
         assert isinstance(pool, FleetScheduler)
         assert isinstance(pool, TaskPool)
 
@@ -329,7 +334,7 @@ class TestFleetEndToEnd:
         local_dir, fleet_dir = tmp_path / "local", tmp_path / "fleet"
         TaskPool(jobs=1).run(_echo_tasks(local_dir), loader=_load_echo)
         pool = make_scheduler(
-            "fleet", workers=2, ledger_path=fleet_dir / "errors.jsonl",
+            _fleet(workers=2), ledger_path=fleet_dir / "errors.jsonl",
             report_path=fleet_dir / "run_report.json")
         results = pool.run(_echo_tasks(fleet_dir), loader=_load_echo)
         assert results == {f"p{n}": n * n + 1 for n in range(6)}
@@ -344,8 +349,8 @@ class TestFleetEndToEnd:
 
     def test_resume_reuses_persisted_results(self, tmp_path):
         tasks = _echo_tasks(tmp_path)
-        make_scheduler("fleet", workers=1).run(tasks, loader=_load_echo)
-        pool = make_scheduler("fleet", workers=1,
+        make_scheduler(_fleet(workers=1)).run(tasks, loader=_load_echo)
+        pool = make_scheduler(_fleet(workers=1),
                               report_path=tmp_path / "run_report.json")
         pool.run(_echo_tasks(tmp_path), loader=_load_echo)
         report = json.loads((tmp_path / "run_report.json").read_text())
@@ -353,7 +358,7 @@ class TestFleetEndToEnd:
         assert report["counts"]["computed"] == 0
 
     def test_lease_batching_amortizes_round_trips(self, tmp_path):
-        pool = make_scheduler("fleet", workers=1, lease_batch=6)
+        pool = make_scheduler(_fleet(workers=1, lease_batch=6))
         results = pool.run(_echo_tasks(tmp_path), loader=_load_echo)
         assert len(results) == 6
 
@@ -362,7 +367,7 @@ class TestFleetEndToEnd:
         tasks = _echo_tasks(tmp_path, count=3)
         bad = Task(key="bad", path=tmp_path / "bad.json", fn=_bad_config,
                    args=(9, str(tmp_path / "bad.json")))
-        pool = make_scheduler("fleet", workers=2,
+        pool = make_scheduler(_fleet(workers=2),
                               ledger_path=tmp_path / "errors.jsonl")
         with pytest.raises(ExecutionError,
                            match=r"bad \[permanent, 1 attempt\]"):
@@ -393,7 +398,7 @@ class TestFleetEndToEnd:
             probe = engine._probe_ok
             monkeypatch.setattr(engine, "_probe_ok",
                                 lambda t: probed.append(t.key) or probe(t))
-            pool = make_scheduler("fleet", fleet=fleet, max_attempts=1,
+            pool = make_scheduler(_fleet(), fleet=fleet, max_attempts=1,
                                   infra_pause_s=0.01,
                                   ledger_path=tmp_path / "errors.jsonl")
             results = pool.run(_echo_tasks(tmp_path, count=2),
@@ -417,7 +422,7 @@ class TestFleetEndToEnd:
         marker = str(tmp_path / "flaky.marker")
         flaky = Task(key="fl", path=tmp_path / "fl.json", fn=_flaky_echo,
                      args=(marker, 4, str(tmp_path / "fl.json")))
-        pool = make_scheduler("fleet", workers=1, backoff_s=0.01,
+        pool = make_scheduler(_fleet(workers=1), backoff_s=0.01,
                               ledger_path=tmp_path / "errors.jsonl")
         results = pool.run([flaky], loader=_load_echo)
         assert results["fl"] == 17
@@ -428,7 +433,7 @@ class TestFleetEndToEnd:
         task = Task(key="deg", path=path, fn=_kernel_echo,
                     args=(5, str(path), True),
                     fallback_args=(5, str(path), False))
-        pool = make_scheduler("fleet", workers=1,
+        pool = make_scheduler(_fleet(workers=1),
                               ledger_path=tmp_path / "errors.jsonl",
                               report_path=tmp_path / "run_report.json")
         results = pool.run([task], loader=_load_echo)
@@ -442,7 +447,7 @@ class TestFleetEndToEnd:
         path = tmp_path / "row.json"
         task = Task(key="row", path=path, fn=_sibling_writer,
                     args=(2, str(path)))
-        results = make_scheduler("fleet", workers=1).run(
+        results = make_scheduler(_fleet(workers=1)).run(
             [task], loader=_load_echo)
         assert results["row"] == 5
         sibling = json.loads(
@@ -450,7 +455,7 @@ class TestFleetEndToEnd:
         assert sibling == {"n": 2, "violations": []}
 
     def test_external_worker_over_serve_address(self, tmp_path):
-        pool = make_scheduler("fleet", workers=0, serve="127.0.0.1:0",
+        pool = make_scheduler(_fleet(workers=0, serve="127.0.0.1:0"),
                               report_path=tmp_path / "run_report.json")
         tasks = _echo_tasks(tmp_path)
         results = {}
@@ -564,7 +569,7 @@ class TestConnectRetry:
             return real_recv(conn)
 
         monkeypatch.setattr(distributed, "recv_frame", spy)
-        results = make_scheduler("fleet", workers=1).run(
+        results = make_scheduler(_fleet(workers=1)).run(
             _echo_tasks(tmp_path, count=2), loader=_load_echo)
         assert results == {"p0": 1, "p1": 2}
         assert server_side and all(server_side)
@@ -586,7 +591,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.runtime import Task, make_scheduler
+from repro.runtime import RunOptions, Task, make_scheduler
 
 
 def slow_task(n, pid_dir, path):
@@ -605,8 +610,8 @@ if __name__ == "__main__":
     tasks = [Task(key=f"p{n}", path=out / f"p{n}.json", fn=slow_task,
                   args=(n, str(pid_dir), str(out / f"p{n}.json")))
              for n in range(4)]
-    pool = make_scheduler("fleet", workers=2, lease_batch=1,
-                          report_path=out / "run_report.json")
+    options = RunOptions(scheduler="fleet", workers=2, lease_batch=1)
+    pool = make_scheduler(options, report_path=out / "run_report.json")
     pool.run(tasks, loader=load)
 """
 
@@ -615,7 +620,7 @@ class TestFleetShutdown:
     def test_finished_run_stops_listening(self, tmp_path):
         """Regression: the coordinator's listener must be shut down, not
         just closed, or its accept thread keeps the port accepting."""
-        pool = make_scheduler("fleet", workers=1)
+        pool = make_scheduler(_fleet(workers=1))
         pool.run(_echo_tasks(tmp_path, count=2), loader=_load_echo)
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(pool.bound_address, timeout=5.0)
@@ -628,7 +633,7 @@ class TestFleetShutdown:
         from repro.runtime.engine import PoolReport
         tasks = _echo_tasks(tmp_path, count=1)
         fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
-        run = _FleetRun(fleet, make_scheduler("fleet", fleet=fleet), tasks,
+        run = _FleetRun(fleet, make_scheduler(_fleet(), fleet=fleet), tasks,
                         _load_echo, {}, PoolReport())  # tasks[0] is ready
         fleet.close()
         assert run._grant("w1", 4) == {"type": "shutdown"}
@@ -644,8 +649,8 @@ class TestFleetShutdown:
                       args=(str(markers[n]), str(gate), n,
                             str(tmp_path / f"g{n}.json")))
                  for n in range(2)]
-        pool = make_scheduler("fleet", workers=0, serve="127.0.0.1:0",
-                              lease_batch=4)
+        pool = make_scheduler(_fleet(workers=0, serve="127.0.0.1:0",
+                                     lease_batch=4))
         results, errors = {}, []
 
         def drive():
@@ -772,7 +777,7 @@ class TestOpenFleet:
         try:
             tasks_done, joins = [], _Joins()
             for count in (2, 3):
-                pool = make_scheduler("fleet", fleet=fleet, progress=joins)
+                pool = make_scheduler(_fleet(), fleet=fleet, progress=joins)
                 results = pool.run(_echo_tasks(tmp_path / f"r{count}", count),
                                    loader=_load_echo)
                 assert results == {f"p{n}": n * n + 1 for n in range(count)}
@@ -796,7 +801,7 @@ class TestOpenFleet:
         deadline = time.monotonic() + 60.0
         try:
             for _ in range(4):
-                pool = make_scheduler("fleet", fleet=fleet)
+                pool = make_scheduler(_fleet(), fleet=fleet)
                 results = pool.run(_echo_tasks(tmp_path), loader=_load_echo,
                                    force=True)
                 assert results == {f"p{n}": n * n + 1 for n in range(6)}
@@ -817,65 +822,104 @@ class TestOpenFleet:
                          args=(str(path),))
             with pytest.raises(ExecutionError,
                                match=r"crash \[infrastructure, \d+ attempts?\]"):
-                make_scheduler("fleet", fleet=fleet).run(
+                make_scheduler(_fleet(), fleet=fleet).run(
                     [crash], loader=_load_echo)
-            results = make_scheduler("fleet", fleet=fleet).run(
+            results = make_scheduler(_fleet(), fleet=fleet).run(
                 _echo_tasks(tmp_path / "b", 2), loader=_load_echo)
             assert results == {"p0": 1, "p1": 2}
         finally:
             fleet.close()
 
-    def test_worker_may_ship_only_its_tasks_own_files(self, tmp_path):
-        """A shipment naming another point's row, the run report or a
-        cache entry is refused whole, before any file is written, and
-        the point is retried as a transient failure."""
+    @staticmethod
+    def _rogue_then_honest(tmp_path, spoil):
+        """Two points on an open fleet: a rogue worker ships the first
+        with ``spoil`` applied to its files and must be sent away with no
+        reply; then an honest worker, shipping its own side files too,
+        finishes the run.  Returns the rogue's lease, what the store held
+        once the rogue was gone, the results and the ledger."""
         fleet = Fleet(workers=0, serve=("127.0.0.1", 0))
-        peer = None
+        rogue = honest = None
         results = []
         try:
-            peer = socket.create_connection(fleet.address, timeout=10.0)
-            send_frame(peer, {"type": "hello", "worker": "rogue",
-                              "protocol": PROTOCOL_VERSION, "max": 1,
-                              "results": []})
-            pool = make_scheduler("fleet", fleet=fleet, backoff_s=0.01,
+            rogue = socket.create_connection(fleet.address, timeout=10.0)
+            send_frame(rogue, {"type": "hello", "worker": "rogue",
+                               "protocol": PROTOCOL_VERSION, "max": 1,
+                               "results": []})
+            pool = make_scheduler(_fleet(), fleet=fleet, backoff_s=0.01,
                                   ledger_path=tmp_path / "errors.jsonl")
             runner = threading.Thread(target=lambda: results.append(
                 pool.run(_echo_tasks(tmp_path, 2), loader=_load_echo)))
             runner.start()
-            [first] = recv_frame(peer)["tasks"]
-            shipment = _outcome(first, 1)
-            smuggled = base64.b64encode(b"{}").decode()
-            for name in ("p1.json", "run_report.json",
-                         "baseline_cache/baseline_x.json"):
-                shipment["files"][name] = smuggled
-            send_frame(peer, {"type": "lease", "max": 1,
-                              "results": [shipment]})
-            [second] = recv_frame(peer)["tasks"]
-            assert not (tmp_path / first["path"]).exists()
-            assert not (tmp_path / "baseline_cache").exists()
-            assert sorted(p.name for p in tmp_path.glob("*.json")) == []
-            side = _outcome(second, int(second["key"][1:]) ** 2 + 1)
-            stem = second["path"].rsplit(".", 1)[0]
-            side["files"][f"{stem}.violations.jsonl"] = smuggled
-            send_frame(peer, {"type": "lease", "max": 1,
-                              "results": [side]})
-            [third] = recv_frame(peer)["tasks"]
-            send_frame(peer, {"type": "lease", "max": 1, "results": [
-                _outcome(third, int(third["key"][1:]) ** 2 + 1)]})
+            [first] = recv_frame(rogue)["tasks"]
+            shipment = _outcome(first, int(first["key"][1:]) ** 2 + 1)
+            spoil(shipment["files"])
+            send_frame(rogue, {"type": "lease", "max": 1,
+                               "results": [shipment]})
+            assert recv_frame(rogue) is None  # sent away, no reply
+            stored = sorted(str(p.relative_to(tmp_path))
+                            for p in tmp_path.rglob("*")
+                            if p.name != "errors.jsonl")
+            honest = socket.create_connection(fleet.address, timeout=10.0)
+            send_frame(honest, {"type": "hello", "worker": "honest",
+                                "protocol": PROTOCOL_VERSION, "max": 1,
+                                "results": []})
+            for _ in range(2):
+                [spec] = recv_frame(honest)["tasks"]
+                outcome = _outcome(spec, int(spec["key"][1:]) ** 2 + 1)
+                stem = spec["path"].rsplit(".", 1)[0]
+                outcome["files"][f"{stem}.violations.jsonl"] = \
+                    base64.b64encode(b"{}").decode()
+                send_frame(honest, {"type": "lease", "max": 1,
+                                    "results": [outcome]})
             runner.join(timeout=10.0)
             assert not runner.is_alive()
         finally:
             fleet.close()
-            if peer is not None:
-                peer.close()
+            for peer in (rogue, honest):
+                if peer is not None:
+                    peer.close()
+        for key in ("p0", "p1"):
+            assert (tmp_path / f"{key}.violations.jsonl").read_text() == "{}"
+        ledger = [json.loads(line) for line in
+                  (tmp_path / "errors.jsonl").read_text().splitlines()]
+        return first, stored, results, ledger
+
+    def test_worker_may_ship_only_its_tasks_own_files(self, tmp_path):
+        """A shipment naming another point's row, the run report or a
+        cache entry is refused whole, before any file is written.  The
+        fault is the worker's, not the point's: its connection closes,
+        the point is requeued uncharged, and an honest worker finishes
+        the run."""
+        def smuggle(files):
+            for name in ("p1.json", "run_report.json",
+                         "baseline_cache/baseline_x.json"):
+                files[name] = base64.b64encode(b"{}").decode()
+
+        first, stored, results, ledger = self._rogue_then_honest(
+            tmp_path, smuggle)
+        assert stored == []
         assert results == [{"p0": 1, "p1": 2}]
-        assert (tmp_path / f"{stem}.violations.jsonl").read_text() == "{}"
-        ledger = (tmp_path / "errors.jsonl").read_text().splitlines()
-        [refused] = [record for record in map(json.loads, ledger)
-                     if record["action"] == "attempt"]
-        assert refused["key"] == first["key"]
-        assert refused["class"] == "transient"
-        assert "may ship only its own files" in refused["error"]
+        assert [r for r in ledger if r["action"] == "attempt"] == []
+        [lost] = ledger
+        assert (lost["key"], lost["action"], lost["class"], lost["worker"]) \
+            == (first["key"], "worker-lost", "infrastructure", "rogue")
+        assert "may ship only its own files" in lost["error"]
+
+    def test_undecodable_shipment_is_the_workers_fault(self, tmp_path):
+        """A side file that is not base64 refuses the whole shipment,
+        the good result included, exactly like a foreign name."""
+        def garble(files):
+            files[next(iter(files)).replace(".json", ".violations.jsonl")] \
+                = "!!not base64!!"
+
+        first, stored, results, ledger = self._rogue_then_honest(
+            tmp_path, garble)
+        assert stored == []
+        assert results == [{"p0": 1, "p1": 2}]
+        [lost] = ledger
+        assert (lost["key"], lost["action"], lost["worker"]) \
+            == (first["key"], "worker-lost", "rogue")
+        assert "undecodable" in lost["error"]
 
     def test_result_from_an_earlier_run_is_stale(self, tmp_path):
         """A ``force`` re-run reuses task keys: a late result carrying
@@ -886,7 +930,7 @@ class TestOpenFleet:
         runs = []
 
         def drive(count, **options):
-            pool = make_scheduler("fleet", fleet=fleet)
+            pool = make_scheduler(_fleet(), fleet=fleet)
             runner = threading.Thread(target=lambda: runs.append(pool.run(
                 _echo_tasks(tmp_path, count), loader=_load_echo, **options)))
             runner.start()

@@ -23,7 +23,6 @@ from repro.exec import (
     set_default_policy,
     validate_stage_kernel,
 )
-from repro.validation import default_check_mode
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -141,7 +140,6 @@ class TestDefaultPolicy:
 
     def test_install_aligns_check_mode(self):
         set_default_policy(ExecutionPolicy(check_protocol="tolerant"))
-        assert default_check_mode() == "tolerant"
         assert default_policy().check_protocol == "tolerant"
 
     def test_non_policy_rejected(self):

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.runtime import Task, make_scheduler
+from repro.runtime import RunOptions, Task, make_scheduler
 from repro.runtime.distributed import echo_point, run_worker
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
@@ -21,7 +21,6 @@ from repro.runtime.wire import (
     recv_frame,
     send_frame,
 )
-from repro.service import RunOptions
 from repro.service.api import SERVICE_NAME, CharacterizationService
 from repro.service.client import ServiceClient
 
@@ -49,7 +48,8 @@ def endpoint(request, tmp_path):
         service.stop()
         return
 
-    pool = make_scheduler("fleet", workers=0, serve="127.0.0.1:0")
+    pool = make_scheduler(
+        RunOptions(scheduler="fleet", workers=0, serve="127.0.0.1:0"))
     tasks = [Task(key=f"p{n}", path=tmp_path / f"p{n}.json", fn=echo_point,
                   args=(n, str(tmp_path / f"p{n}.json")))
              for n in range(3)]

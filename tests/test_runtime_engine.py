@@ -11,6 +11,7 @@ from repro.errors import ConfigError, ExecutionError
 from repro.runtime import (
     CORRUPT_SUFFIX,
     ProgressReporter,
+    RunOptions,
     Task,
     TaskPool,
     describe_run_report,
@@ -84,8 +85,8 @@ def make_pool(request):
     from repro.runtime.distributed import Fleet
     fleet = Fleet(workers=1)
     try:
-        yield lambda **options: make_scheduler("fleet", fleet=fleet,
-                                               **options)
+        yield lambda **options: make_scheduler(
+            RunOptions(scheduler="fleet"), fleet=fleet, **options)
     finally:
         fleet.close()
 

@@ -323,8 +323,7 @@ class TestJobManagerSweep:
         grid = tiny_grid()
         record, created = manager.submit(JobSpec("sweep", grid))
         assert created
-        recorder = _Recorder()
-        final = manager.run(record.job_id, progress=recorder)
+        final = manager.run(record.job_id)
         assert final.state == DONE
 
         events = [json.loads(line) for line in
@@ -337,9 +336,6 @@ class TestJobManagerSweep:
         done_keys = {e["key"] for e in events
                      if e["event"] == "task_done"}
         assert done_keys == {p.key for p in grid.points()}
-        # The live reporter saw the same stream the log captured.
-        assert [c[0] for c in recorder.calls] \
-            == [e["event"] for e in events]
 
     def test_results_match_a_batch_run_byte_for_byte(self, tmp_path):
         grid = tiny_grid()
@@ -371,19 +367,21 @@ class TestJobManagerSweep:
         assert {p.name: p.stat().st_mtime_ns
                 for p in results_dir.glob("*.json")} == stamps
 
-    def test_failure_is_recorded_and_retry_resumes(self, tmp_path):
-        class Sabotage(ProgressReporter):
-            def start(self, total, reused=0):
-                raise RuntimeError("wired to fail")
+    def test_failure_is_recorded_and_retry_resumes(self, tmp_path,
+                                                   monkeypatch):
+        def sabotage(self, **options):
+            raise RuntimeError("wired to fail")
 
         manager = JobManager(tmp_path / "jobs")
         record, _ = manager.submit(JobSpec("sweep", tiny_grid()))
+        monkeypatch.setattr(SweepRunner, "run", sabotage)
         with pytest.raises(RuntimeError, match="wired to fail"):
-            manager.run(record.job_id, progress=Sabotage())
+            manager.run(record.job_id)
         failed = manager.status(record.job_id)
         assert failed.state == FAILED
         assert failed.error == "RuntimeError: wired to fail"
 
+        monkeypatch.undo()
         final = manager.run(record.job_id)  # failed -> queued -> ... -> done
         assert final.state == DONE
         assert final.error is None

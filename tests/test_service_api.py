@@ -24,13 +24,14 @@ from repro.analysis.sweeprunner import (
 )
 from repro.cli import main
 from repro.errors import ConfigError
+from repro.runtime import RunOptions
 from repro.runtime.distributed import run_worker
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
 )
-from repro.service import DONE, QUEUED, JobManager, JobSpec, RunOptions
+from repro.service import DONE, QUEUED, JobManager, JobSpec
 from repro.service.api import SERVICE_NAME, CharacterizationService
 from repro.service.client import ServiceClient
 

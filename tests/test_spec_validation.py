@@ -19,13 +19,14 @@ from repro.analysis.sweeprunner import MAX_REQUESTS, SweepGrid
 from repro.characterization.campaign import CampaignConfig
 from repro.cli import main
 from repro.errors import CharacterizationError, ConfigError, ReproError
+from repro.runtime import RunOptions
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     encode_value,
     recv_frame,
     send_frame,
 )
-from repro.service import JobSpec, RunOptions
+from repro.service import JobSpec
 from repro.service.api import CharacterizationService
 
 TINY_GRID = dict(mitigations=("PARA",), nrh_values=(64,),

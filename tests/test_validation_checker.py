@@ -8,13 +8,7 @@ from repro.errors import ConfigError, ProtocolViolation
 from repro.mitigations import make_mitigation
 from repro.sim.config import SystemConfig
 from repro.sim.system import MemorySystem
-from repro.validation import (
-    CHECK_MODES,
-    ProtocolChecker,
-    default_check_mode,
-    make_checker,
-    set_default_check_mode,
-)
+from repro.validation import ProtocolChecker, make_checker
 from repro.workloads.attack import double_sided_trace
 
 CONFIG = SystemConfig(num_cores=1)
@@ -53,19 +47,6 @@ class TestMakeChecker:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             make_checker(CONFIG, mode="paranoid")
-
-    def test_default_mode_round_trip(self):
-        assert default_check_mode() == "off"
-        set_default_check_mode("tolerant")
-        try:
-            assert default_check_mode() == "tolerant"
-        finally:
-            set_default_check_mode("off")
-
-    def test_default_mode_validated(self):
-        with pytest.raises(ConfigError):
-            set_default_check_mode("nope")
-        assert "off" in CHECK_MODES
 
 
 class TestCleanRuns:
