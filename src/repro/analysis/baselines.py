@@ -1,13 +1,13 @@
-"""Cross-point memoization of no-PaCRAM baseline simulation results.
+"""Memoization of no-PaCRAM baseline simulation results.
 
-Every evaluation sweep normalizes against baseline runs that do not depend
-on the swept axis: Fig. 16 divides by the same mitigation's no-PaCRAM IPC
-at every tRAS factor, Figs. 17/18 divide by the no-mitigation run at every
-(mitigation, PaCRAM-config) cell, and a tRAS sweep repeats all of them per
-point.  Those baselines are pure functions of (workloads, trace content,
-request count, seed, mitigation, N_RH, system config) — so, like the
-characterization :class:`~repro.characterization.probecache.ProbeCache`,
-they can be memoized with zero behavior change.
+The evaluation figures normalize against baseline runs that do not depend
+on the swept axis: Fig. 16 divides each tRAS factor's IPC by the same
+mitigation's no-PaCRAM IPC, and Figs. 17/18 divide each PaCRAM point by
+the same mitigation's no-PaCRAM point at the same N_RH.  Those baselines
+are pure functions of (workloads, trace content, request count, seed,
+mitigation, N_RH, system config) — so, like the characterization
+:class:`~repro.characterization.probecache.ProbeCache`, they can be
+memoized with zero behavior change.
 
 The cache is a thin instantiation of
 :class:`repro.runtime.cache.DigestCache` (one shared implementation with
@@ -16,9 +16,14 @@ the characterization probe cache), bound to a *code digest*
 timing/energy/mitigation model that shapes a result without appearing in
 the key.  :meth:`~DigestCache.ensure` drops all entries when the digest
 drifts, so editing the simulator can never serve stale statistics.
-Entries optionally persist to disk (one atomic JSON file per key) so
-separate sweep worker processes — and separate sweep invocations — share
-baselines; the tier is registered with the unified ``--force`` clearing.
+
+Entries optionally persist to disk, one atomic JSON file per key.  A
+sweep keeps them in its own directory
+(:meth:`~repro.analysis.sweeprunner.SweepRunner.cache_dir`), and
+``sweep --force`` clears them.  Every no-PaCRAM point of a grid is a
+distinct baseline, so a sweep's first run misses on every lookup; the
+entries serve a later reader of the same directory — Fig. 16 pointed at
+the sweep's cache, or the rerun of a lost row.
 
 Only *unchecked, no-PaCRAM* runs are cached (:func:`cacheable`): PaCRAM
 runs depend on the swept latency factor, and checked runs must actually
@@ -150,16 +155,15 @@ def result_from_json(payload: dict) -> SimulationResult:
 class BaselineCache(DigestCache):
     """Digest-bound LRU memo of baseline :class:`SimulationResult`\\ s.
 
-    ``disk_dir`` adds the repository's one persisted cache tier
-    (``baseline_cache/`` under a sweep directory): entries are written as
-    one atomic JSON file each (safe under parallel sweep workers) and read
-    back on in-memory misses; files bound to a stale digest are ignored.
-    Every :meth:`get` returns a *fresh* result object so callers can
-    mutate their copy freely.
+    ``disk_dir`` adds the repository's one persisted cache (a sweep's,
+    under its results directory): entries are written as one atomic JSON
+    file each (safe under parallel sweep workers) and read back on
+    in-memory misses; files bound to a stale digest are ignored.  Every
+    :meth:`get` returns a *fresh* result object so callers can mutate
+    their copy freely.
     """
 
     name = "baseline"
-    tier_subdir = "baseline_cache"
     file_prefix = "baseline"
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE,

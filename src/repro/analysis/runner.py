@@ -65,8 +65,9 @@ def run_simulation(workload_names: tuple[str, ...], *,
     mitigation twins; ``None`` = process default); checking forces the
     scalar oracle.  ``cache`` (a
     :class:`~repro.analysis.baselines.BaselineCache`) memoizes unchecked
-    no-PaCRAM runs across calls — sweep points share their baselines
-    instead of re-simulating them.
+    no-PaCRAM runs across calls (and across processes, through its disk
+    tier): Fig. 16 pointed at a sweep's cache reads the baselines that
+    sweep simulated.
     """
     from repro.analysis.baselines import (
         baseline_code_digest,

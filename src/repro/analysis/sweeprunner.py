@@ -37,6 +37,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.analysis.baselines import BaselineCache
 from repro.analysis.runner import (
     EVALUATED_NRH_VALUES,
     pacram_reference_config,
@@ -107,16 +108,15 @@ class SweepRow:
     preventive_refresh_rows: int
     #: Protocol violations the checker observed for this point (0 when the
     #: sweep ran with checking off).
-    violations: int = 0
-    #: Content digest over every other field; ``None`` on legacy rows.
+    violations: int
+    #: Content digest over every other field (:func:`row_digest`), set
+    #: when the row is persisted.
     digest: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepRow":
         raw = dict(raw)
         raw["workloads"] = tuple(raw["workloads"])
-        raw.setdefault("violations", 0)
-        raw.setdefault("digest", None)
         return cls(**raw)
 
 
@@ -137,15 +137,15 @@ def load_row(path: str | Path) -> SweepRow:
     Truncated, schema-invalid, or digest-mismatched files raise
     :class:`~repro.errors.SimulationError` so the engine can quarantine
     and re-run the point instead of crashing the resume (or worse,
-    aggregating corrupted statistics).  Rows persisted before digests
-    existed load without the digest check.
+    aggregating corrupted statistics).  A row without its digest is
+    refused too: nothing vouches for its statistics.
     """
     try:
         raw = json.loads(Path(path).read_text())
         row = SweepRow.from_dict(raw)
     except (ValueError, KeyError, TypeError) as error:
         raise SimulationError(f"invalid sweep row at {path}: {error}") from error
-    if row.digest is not None and row.digest != row_digest(raw):
+    if row.digest != row_digest(raw):
         raise SimulationError(
             f"corrupt sweep row at {path}: content digest mismatch")
     return row
@@ -273,13 +273,11 @@ def _simulate_to(point: SweepPoint, requests: int, path: str,
     checking enabled, observed violations are counted in the row and the
     full ledger lands in ``<key>.violations.jsonl`` beside it (one file per
     point keeps parallel workers from interleaving writes and makes the
-    ledger deterministic for a given seed).  ``cache_dir`` points at the
-    sweep's shared on-disk :class:`~repro.analysis.baselines.BaselineCache`
-    — no-PaCRAM points written there once are reused by every other worker
-    (and every later sweep over the same grid inputs).
+    ledger deterministic for a given seed).  ``cache_dir`` holds the
+    sweep's on-disk :class:`~repro.analysis.baselines.BaselineCache`: a
+    no-PaCRAM point stores its baseline there, for a later reader of the
+    same directory (Fig. 16 pointed at it, or the rerun of a lost row).
     """
-    from repro.analysis.baselines import BaselineCache
-
     pacram = (pacram_reference_config(point.pacram_vendor)
               if point.pacram_vendor else None)
     config = SystemConfig(num_cores=max(1, len(point.workloads)))
@@ -314,17 +312,20 @@ class SweepRunner:
     def __init__(self, results_dir: str | Path,
                  grid: SweepGrid | None = None) -> None:
         self.grid = grid or SweepGrid()
+        self.results_dir = Path(results_dir)
         #: The shared job-layer plumbing: result paths, resume, the
-        #: ledger/report, scheduler fan-out, the ``force`` contract.
-        self.execution = JobExecution(results_dir)
-        self.results_dir = self.execution.results_dir
+        #: ledger/report, scheduler fan-out, the ``force`` contract — which
+        #: clears this sweep's persisted baselines.
+        self.execution = JobExecution(
+            self.results_dir,
+            cache=BaselineCache(disk_dir=self.results_dir / "baseline_cache"))
 
     def row_path(self, point: SweepPoint) -> Path:
         return self.execution.result_path(f"{point.key}.json")
 
     def cache_dir(self) -> Path:
-        """Where the sweep's shared baseline cache persists."""
-        return self.results_dir / "baseline_cache"
+        """Where the sweep's baseline cache persists."""
+        return self.execution.cache.disk_dir
 
     def ledger_path(self) -> Path:
         """Where the engine records failed attempts for this sweep."""

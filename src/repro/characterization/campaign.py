@@ -25,14 +25,21 @@ domain stays: how to build one module's task and load it back checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.bender.temperature import PIDTemperatureController
 from repro.characterization.results import ModuleCharacterization
-from repro.characterization.sweeps import characterize_module
+from repro.characterization.sweeps import (
+    characterize_module,
+    measured_points,
+    measured_rows,
+)
 from repro.dram.catalog import all_module_ids
+from repro.dram.module import DRAMModule
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
 from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
@@ -111,18 +118,74 @@ def _load_checked(path: str | Path) -> ModuleCharacterization:
     A mismatch means the device model (or its calibration) changed since
     the result was produced; raising lets the runtime scheduler
     quarantine the stale file and re-run the module, so a resumed campaign
-    can never silently mix measurements from two different models.  Results
-    persisted before digests existed (``model_digest is None``) pass.
+    can never silently mix measurements from two different models.  A
+    result without a digest is refused too: nothing vouches for it.
     """
     result = ModuleCharacterization.load(path)
-    if result.model_digest is not None:
-        expected = model_digest(result.module_id, result.seed)
-        if result.model_digest != expected:
-            raise CharacterizationError(
-                f"{result.module_id}: persisted measurements came from a "
-                f"different device model (stored digest "
-                f"{result.model_digest[:12]}.., live {expected[:12]}..)")
+    expected = model_digest(result.module_id, result.seed)
+    if result.model_digest != expected:
+        stored = (result.model_digest or "none")[:12]
+        raise CharacterizationError(
+            f"{result.module_id}: persisted measurements came from a "
+            f"different device model (stored digest {stored}.., "
+            f"live {expected[:12]}..)")
     return result
+
+
+@functools.lru_cache(maxsize=64)
+def _planned_rows(module_id: str, per_region: int) -> tuple[int, ...]:
+    """The rows a campaign measures on one module (in the bank its seed
+    selects, so a matching seed implies a matching bank)."""
+    return measured_rows(DRAMModule(module_id), per_region)
+
+
+def _close(measured: list, expected: tuple, tolerance: float) -> bool:
+    return len(measured) == len(expected) and all(
+        abs(a - b) <= tolerance for a, b in zip(measured, expected))
+
+
+def _check_settings(result: ModuleCharacterization,
+                    config: CampaignConfig) -> None:
+    """Refuse a result that ``config`` would not have measured.
+
+    A campaign resumed with another seed, other test points or another
+    ``per_region`` must recompute the module, as it does for a drifted
+    model.  Rows and test points follow the rules
+    :func:`characterize_module` measures by, which emits measurements
+    temperature by temperature, then row by row, tRAS factor by factor
+    and N_PR by N_PR; so once the count matches, one measurement per
+    value of each axis identifies the settings.  A measurement records
+    the settled temperature, within the controller's precision of the
+    set one.
+    """
+    rows = _planned_rows(result.module_id, config.per_region)
+    factors, n_prs = measured_points(config.tras_factors, config.n_prs)
+    temperatures = config.temperatures_c
+    measurements = result.measurements
+    per_row = len(factors) * len(n_prs)
+    per_temperature = len(rows) * per_row
+    if len(measurements) != len(temperatures) * per_temperature:
+        differ = ["measurement count"]
+    else:
+        checks = (
+            ("seed", result.seed == config.seed),
+            ("rows", tuple(m.row for m in
+                           measurements[:per_temperature:per_row]) == rows),
+            ("tRAS factors",
+             _close([m.tras_factor for m in
+                     measurements[:per_row:len(n_prs)]], factors, 1e-9)),
+            ("N_PR values",
+             tuple(m.n_pr for m in measurements[:len(n_prs)]) == n_prs),
+            ("temperatures",
+             _close([m.temperature_c for m in
+                     measurements[::per_temperature]], temperatures,
+                    PIDTemperatureController.PRECISION_C)),
+        )
+        differ = [name for name, same in checks if not same]
+    if differ:
+        raise CharacterizationError(
+            f"{result.module_id}: persisted measurements were taken with "
+            f"other campaign settings (differing: {', '.join(differ)})")
 
 
 class CharacterizationCampaign:
@@ -171,6 +234,13 @@ class CharacterizationCampaign:
                     args=(module_id, self.config, str(path), kernel),
                     fallback_args=fallback_args)
 
+    def _load(self, path: str | Path) -> ModuleCharacterization:
+        """Load one persisted module, refusing a drifted model or a result
+        measured with other settings than this campaign's."""
+        result = _load_checked(path)
+        _check_settings(result, self.config)
+        return result
+
     # ------------------------------------------------------------------
     def run_module(self, module_id: str, *,
                    force: bool = False) -> ModuleCharacterization:
@@ -179,7 +249,7 @@ class CharacterizationCampaign:
             raise CharacterizationError(
                 f"{module_id} is not part of this campaign")
         results = self.execution.run([self._task(module_id)],
-                                     loader=_load_checked, force=force)
+                                     loader=self._load, force=force)
         return results[module_id]
 
     def run(self, *, force: bool = False,
@@ -200,7 +270,7 @@ class CharacterizationCampaign:
         """
         tasks = [self._task(module_id)
                  for module_id in self.config.module_ids]
-        return self.execution.run(tasks, loader=_load_checked, force=force,
+        return self.execution.run(tasks, loader=self._load, force=force,
                                   progress=progress, fleet=fleet, **options)
 
     def load(self) -> dict[str, ModuleCharacterization]:
@@ -209,7 +279,7 @@ class CharacterizationCampaign:
         if missing:
             raise CharacterizationError(
                 f"campaign incomplete; missing modules: {missing}")
-        return {module_id: _load_checked(self.result_path(module_id))
+        return {module_id: self._load(self.result_path(module_id))
                 for module_id in self.config.module_ids}
 
     # ------------------------------------------------------------------
@@ -224,5 +294,4 @@ class CharacterizationCampaign:
         described = self.execution.describe_report()
         if described is not None:
             lines.append(described)
-        lines.append(self.execution.describe_caches())
         return "\n".join(lines)

@@ -44,9 +44,9 @@ class ModuleCharacterization:
     seed: int
     measurements: list[RowMeasurement] = field(default_factory=list)
     #: Fingerprint of the device-model calibration that produced these
-    #: measurements (:func:`repro.validation.model_digest`); ``None`` for
-    #: results persisted before digests existed.  Campaign resumes compare
-    #: it against the live model to detect silent model drift.
+    #: measurements (:func:`repro.validation.model_digest`).  Campaign
+    #: resumes compare it against the live model to detect silent model
+    #: drift, and refuse a result that carries none.
     model_digest: str | None = None
 
     def add(self, measurement: RowMeasurement) -> None:

@@ -30,6 +30,7 @@ from repro.characterization.results import ModuleCharacterization
 from repro.characterization.rows import select_test_bank, select_test_rows
 from repro.characterization.vectorized import measure_rows
 from repro.dram.kernels import EvalCounters
+from repro.dram.module import DRAMModule
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
 from repro.exec import STAGE_KERNELS, resolve_kernel
@@ -43,6 +44,27 @@ _SWEEP_CONFIG = CharacterizationConfig(iterations=1)
 #: Device kernels for characterization sweeps (the ``device`` stage of
 #: :data:`repro.exec.STAGE_KERNELS`).
 CHARACTERIZATION_KERNELS = STAGE_KERNELS["device"]
+
+
+def measured_rows(module: DRAMModule, per_region: int,
+                  rows: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """The victim rows a sweep measures on ``module``: ``rows``, else the
+    §4.2 sample at ``per_region``, less every row without two physical
+    neighbors (the mapping may place a logical row at the physical bank
+    edge, where it cannot be double-sided hammered)."""
+    if rows is None:
+        rows = select_test_rows(module.geometry.rows_per_bank, per_region)
+    return tuple(r for r in rows
+                 if len(module.mapping.neighbors(r, 1)) == 2)
+
+
+def measured_points(tras_factors: tuple[float, ...], n_prs: tuple[int, ...],
+                    ) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The tRAS factors and N_PR values a sweep measures: the nominal
+    latency and a single restoration first (the normalization baseline),
+    then the requested ones, each once."""
+    return (tuple(dict.fromkeys((1.00,) + tuple(tras_factors))),
+            tuple(dict.fromkeys((1,) + tuple(n_prs))))
 
 
 def characterize_module(module_id: str, *,
@@ -77,14 +99,8 @@ def characterize_module(module_id: str, *,
     host = DRAMBenderHost(module_id, temperature_c=temperatures_c[0], seed=seed)
     module = host.module
     bank = select_test_bank(module_id, module.geometry.total_banks, seed)
-    if rows is None:
-        rows = select_test_rows(module.geometry.rows_per_bank, per_region)
-    # Only rows with two physical neighbors can be double-sided hammered
-    # (the mapping may place a logical row at the physical bank edge).
-    rows = tuple(r for r in rows
-                 if len(module.mapping.neighbors(r, 1)) == 2)
-    factors = tuple(dict.fromkeys((1.00,) + tuple(tras_factors)))
-    n_pr_values = tuple(dict.fromkeys((1,) + tuple(n_prs)))
+    rows = measured_rows(module, per_region, rows)
+    factors, n_pr_values = measured_points(tras_factors, n_prs)
     result = ModuleCharacterization(module_id=module_id, seed=seed,
                                     model_digest=model_digest(module_id, seed))
     nominal = module.timing.tRAS

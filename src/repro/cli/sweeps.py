@@ -61,7 +61,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     described = runner.execution.describe_report()
     if described is not None:
         print(described)
-    print(runner.execution.describe_caches())
+    print(runner.execution.describe_cache())
     return 0
 
 
@@ -98,7 +98,7 @@ def register(subparsers) -> None:
         "--check-protocol forces the scalar "
         "oracle)")
     sweep_parser.add_argument("--force", action="store_true",
-                              help="re-run every point and clear every "
-                                   "persisted cache tier under --dir")
+                              help="re-run every point and clear the "
+                                   "baseline cache under --dir")
     add_run_flags(sweep_parser, "point")
     sweep_parser.set_defaults(func=cmd_sweep)

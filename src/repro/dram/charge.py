@@ -26,8 +26,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dram.catalog import MAX_TESTED_NPCR, ModuleSpec
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.dram.vendor import Manufacturer, VendorProfile, vendor_profile
@@ -47,15 +45,14 @@ class Curve:
     """A piecewise-linear curve with presorted anchors.
 
     The calibration anchors are sorted once at construction (the dict form
-    re-sorted on every call, which dominated the scalar hot path) and are
-    also exposed as numpy arrays so analysis code can evaluate a whole
-    vector of x-positions at once.  Scalar and vector evaluation use the
-    same arithmetic — ``y0 + (x - x0) / (x1 - x0) * (y1 - y0)``, clamped
-    outside the anchor range — so results are bit-identical to the original
-    per-call interpolation.
+    re-sorted on every call, which dominated the scalar hot path).
+    Evaluation uses the same arithmetic —
+    ``y0 + (x - x0) / (x1 - x0) * (y1 - y0)``, clamped outside the anchor
+    range — so results are bit-identical to the original per-call
+    interpolation.
     """
 
-    __slots__ = ("xs", "ys", "xs_array", "ys_array")
+    __slots__ = ("xs", "ys")
 
     def __init__(self, anchors: dict[float, float]) -> None:
         if not anchors:
@@ -63,8 +60,6 @@ class Curve:
         points = sorted(anchors.items())
         self.xs: tuple[float, ...] = tuple(x for x, _ in points)
         self.ys: tuple[float, ...] = tuple(y for _, y in points)
-        self.xs_array = np.asarray(self.xs, dtype=np.float64)
-        self.ys_array = np.asarray(self.ys, dtype=np.float64)
 
     def at(self, x: float) -> float:
         """Interpolated value at ``x`` (clamped to the anchor range)."""
@@ -82,17 +77,6 @@ class Curve:
         frac = (x - x0) / (x1 - x0)
         return y0 + frac * (y1 - y0)
 
-    def at_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`at` over an array of x-positions."""
-        x = np.asarray(x, dtype=np.float64)
-        xs, ys = self.xs_array, self.ys_array
-        i = np.clip(np.searchsorted(xs, x, side="left"), 1, len(xs) - 1)
-        x0, x1 = xs[i - 1], xs[i]
-        y0, y1 = ys[i - 1], ys[i]
-        frac = (x - x0) / (x1 - x0)
-        out = y0 + frac * (y1 - y0)
-        return np.where(x <= xs[0], ys[0],
-                        np.where(x >= xs[-1], ys[-1], out))
 
 
 def interpolate_curve(anchors: dict[float, float], x: float) -> float:
@@ -326,10 +310,6 @@ class ChargeModel:
         margin = 1.0 if factor >= 1.0 else self._retention_margin(factor, n_pr)
         return (self._retention.weakest_row_retention_ns * row_strength
                 * margin / self._temperature_retention_scale(temperature_c))
-
-    def retention_margin(self, factor: float, n_pr: int = 1) -> float:
-        """Public view of the vendor retention-margin curve (for analysis)."""
-        return self._retention_margin(self._clamp_factor(factor), n_pr)
 
     # ------------------------------------------------------------------
     # invariants

@@ -16,10 +16,6 @@ class ConfigError(ReproError):
     """An invalid or inconsistent configuration was supplied."""
 
 
-class TimingViolation(ReproError):
-    """A DRAM command was issued before its governing timing expired."""
-
-
 class DeviceError(ReproError):
     """An operation was attempted on a DRAM device in an invalid state."""
 

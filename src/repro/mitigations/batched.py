@@ -120,14 +120,6 @@ class BatchedPARA(PARA):
             block < self.probability)[0].tolist()
         self._trigger_i = 0
 
-    def _draw(self) -> float:
-        pos = self._buffer_pos
-        if pos >= self._buffer_len:
-            self._refill()
-            pos = 0
-        self._buffer_pos = pos + 1
-        return self._buffer[pos]
-
     def on_activation(self, flat_bank: int, row: int,
                       now_ns: float) -> Sequence[Action]:
         self.counters.activations_observed += 1

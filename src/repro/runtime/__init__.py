@@ -8,15 +8,7 @@ quarantine on resume, bounded retry with an error ledger, and a
 progress/ETA reporter.  ``jobs=1`` runs the identical code path serially.
 """
 
-from repro.runtime.cache import (
-    DigestCache,
-    cache_counters,
-    clear_disk_tiers,
-    disk_tier_entries,
-    registered_tiers,
-    reset_cache_counters,
-    summarize_caches,
-)
+from repro.runtime.cache import DigestCache
 from repro.runtime.engine import (
     LEDGER_MAX_BYTES,
     LEDGER_NAME,
@@ -68,17 +60,11 @@ __all__ = [
     "Task",
     "TaskPool",
     "TaskTimeout",
-    "cache_counters",
     "classify_failure",
-    "clear_disk_tiers",
     "describe_run_report",
     "discard_stale_tmp",
-    "disk_tier_entries",
     "make_scheduler",
     "parse_address",
     "quarantine",
-    "registered_tiers",
-    "reset_cache_counters",
-    "summarize_caches",
     "write_atomic",
 ]

@@ -11,137 +11,36 @@ same discipline:
   entry when the digest drifts, so editing the model can never serve a
   stale result;
 * the in-memory tier is a bounded LRU;
-* an optional disk tier persists one atomic JSON file per entry (safe
-  under parallel workers), ignoring files bound to a stale digest.  Only
-  the baseline cache uses it (``baseline_cache/`` under a sweep
-  directory); the probe cache lives in memory, per module.
+* an optional disk tier persists one atomic, checksummed JSON file per
+  entry (safe under parallel workers), ignoring files bound to a stale
+  digest and serving a miss for any file whose checksum does not match.
 
 This module holds that machinery exactly once.  Concrete caches subclass
-:class:`DigestCache` with a value codec and a tier name; the **tier
-registry** lets ``--force`` clear every persisted tier under an output
-directory without each call site knowing which caches exist, and the
-process-wide counters give campaign/sweep summaries one unified view of
-hits, misses, and invalidations across all caches.
+:class:`DigestCache` with a value codec.  Only the baseline cache persists
+(one directory per sweep, owned by
+:class:`~repro.analysis.sweeprunner.SweepRunner`, which clears it on
+``force`` and counts its entries in the sweep summary); the probe cache
+lives in memory, one instance per module characterization.  Every
+instance counts its own hits, misses and invalidations (:meth:`stats`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
 from repro.runtime.persist import write_atomic
 
-#: Registered disk tiers: cache name -> (subdir, file glob).  Populated at
-#: class-definition time by :meth:`DigestCache.__init_subclass__`.
-_TIER_REGISTRY: dict[str, tuple[str, str]] = {}
-
-#: Live cache instances (all subclasses, disk-backed or not), so a
-#: module-level ``--force`` can drop in-memory tiers of caches that are
-#: still serving in this process — not just their persisted files.
-_INSTANCES: "weakref.WeakSet[DigestCache]" = weakref.WeakSet()
-
-#: Process-wide counters per cache name, accumulated across every instance
-#: (including short-lived per-worker ones): the unified stats surfaced in
-#: campaign and sweep summaries.
-_COUNTERS: dict[str, dict[str, int]] = {}
-
-
-def registered_tiers() -> dict[str, tuple[str, str]]:
-    """``{cache name: (subdir, file glob)}`` of every known disk tier."""
-    return dict(_TIER_REGISTRY)
-
-
-def clear_disk_tiers(root: str | Path) -> dict[str, int]:
-    """Delete every registered cache's persisted entries under ``root``.
-
-    This is the single ``--force`` semantics: one call clears *all*
-    persisted tiers beneath an output directory (``baseline_cache/``, and
-    any tier a future cache registers), so a forced re-run can never
-    replay memoized results from any layer.  Returns the per-cache
-    removal counts.
-    """
-    root = Path(root)
-    removed: dict[str, int] = {}
-    for name, (subdir, pattern) in sorted(_TIER_REGISTRY.items()):
-        tier_dir = root / subdir
-        count = 0
-        if tier_dir.is_dir():
-            for path in sorted(tier_dir.glob(pattern)):
-                path.unlink()
-                count += 1
-        removed[name] = count
-    # Unlinking files is not enough: a cache instance alive in this
-    # process would keep serving the same stale payloads from its memory
-    # tier.  Drop the memory tier of every live instance whose disk tier
-    # lives under ``root`` (and of memory-only instances, which cannot be
-    # scoped to a directory), so a forced re-run truly recomputes.
-    for cache in list(_INSTANCES):
-        if cache.disk_dir is None or root in cache.disk_dir.parents \
-                or cache.disk_dir == root:
-            cache.clear_memory()
-    return removed
-
-
-def disk_tier_entries(root: str | Path) -> dict[str, int]:
-    """Persisted entry counts per registered cache under ``root``."""
-    root = Path(root)
-    counts: dict[str, int] = {}
-    for name, (subdir, pattern) in sorted(_TIER_REGISTRY.items()):
-        tier_dir = root / subdir
-        counts[name] = (len(list(tier_dir.glob(pattern)))
-                        if tier_dir.is_dir() else 0)
-    return counts
-
-
-def cache_counters() -> dict[str, dict[str, int]]:
-    """Process-wide hit/miss/invalidation totals per cache name."""
-    return {name: dict(values) for name, values in sorted(_COUNTERS.items())}
-
-
-def reset_cache_counters() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    _COUNTERS.clear()
-
-
-def summarize_caches(root: str | Path | None = None) -> str:
-    """One-line-per-cache summary for campaign/sweep reports.
-
-    Combines the process-local counters (meaningful for serial runs) with
-    the persisted disk-tier entry counts under ``root`` (meaningful for
-    parallel runs, whose workers counted in their own processes).
-    """
-    persisted = disk_tier_entries(root) if root is not None else {}
-    names = sorted(set(_TIER_REGISTRY) | set(_COUNTERS))
-    lines = []
-    for name in names:
-        counts = _COUNTERS.get(name, {})
-        parts = [f"hits={counts.get('hits', 0)}",
-                 f"disk_hits={counts.get('disk_hits', 0)}",
-                 f"misses={counts.get('misses', 0)}",
-                 f"invalidations={counts.get('invalidations', 0)}"]
-        if root is not None:
-            parts.append(f"persisted={persisted.get(name, 0)}")
-        lines.append(f"cache {name}: " + " ".join(parts))
-    return "\n".join(lines)
-
-
-def _count(name: str, counter: str, amount: int = 1) -> None:
-    totals = _COUNTERS.setdefault(
-        name, {"hits": 0, "disk_hits": 0, "misses": 0, "invalidations": 0})
-    totals[counter] = totals.get(counter, 0) + amount
-
 
 class DigestCache:
     """Bounded LRU memo bound to a digest, with an optional disk tier.
 
-    Subclasses set :attr:`name` (the registry/counter identity),
-    :attr:`tier_subdir` (where the disk tier lives under an output
-    directory), and :attr:`file_prefix` (entry file naming), and may
-    override the codec hooks:
+    Subclasses set :attr:`name` (the label a summary prints) and
+    :attr:`file_prefix` (entry file naming), and may override the codec
+    hooks:
 
     * :meth:`key_text` — stable string identity of a key (disk file
       naming and stale-entry validation);
@@ -151,14 +50,7 @@ class DigestCache:
     """
 
     name = "digest"
-    tier_subdir: str | None = None
     file_prefix = "entry"
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.tier_subdir is not None:
-            _TIER_REGISTRY[cls.name] = (cls.tier_subdir,
-                                        f"{cls.file_prefix}_*.json")
 
     def __init__(self, maxsize: int, disk_dir: str | Path | None = None) -> None:
         if maxsize < 1:
@@ -172,7 +64,6 @@ class DigestCache:
         self.misses = 0
         self.invalidations = 0
         self.corrupt_entries = 0
-        _INSTANCES.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -211,7 +102,6 @@ class DigestCache:
             return
         if self.digest is not None:
             self.invalidations += 1
-            _count(self.name, "invalidations")
         self._entries.clear()
         self.digest = digest
 
@@ -227,15 +117,12 @@ class DigestCache:
             payload = self._disk_get(text)
             if payload is None:
                 self.misses += 1
-                _count(self.name, "misses")
                 return None
             self._store_memory(text, payload)
             self.disk_hits += 1
-            _count(self.name, "disk_hits")
         else:
             entries.move_to_end(text)
         self.hits += 1
-        _count(self.name, "hits")
         return self.decode(payload)
 
     def put(self, key: Any, value: Any) -> None:
@@ -251,15 +138,6 @@ class DigestCache:
         entries.move_to_end(text)
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
-
-    def clear_memory(self) -> None:
-        """Drop every memory-tier entry and unbind the digest.
-
-        Part of the ``--force`` contract: the next :meth:`ensure` rebinds
-        without counting an invalidation, and every :meth:`get` recomputes.
-        """
-        self._entries.clear()
-        self.digest = None
 
     # ------------------------------------------------------------------
     # disk tier
@@ -298,33 +176,36 @@ class DigestCache:
                 or not self.valid_payload(raw.get("result"))):
             return None  # stale digest or hash collision: recompute
         # Torn writes are already impossible (write_atomic), but storage
-        # bit-rot is not: a checksum mismatch means the payload silently
-        # changed since it was written — serve a miss and recompute rather
-        # than poison downstream results.  Entries persisted before the
-        # checksum existed carry none and stay acceptable.
-        checksum = raw.get("checksum")
-        if checksum is not None and checksum != self._checksum(
-                self.digest, text, raw["result"]):
+        # bit-rot is not: a missing or mismatched checksum means the
+        # payload is not what was written — serve a miss and recompute
+        # rather than poison downstream results.
+        if raw.get("checksum") != self._checksum(self.digest, text,
+                                                 raw["result"]):
             self.corrupt_entries += 1
-            _count(self.name, "corrupt")
             return None
         return raw["result"]
+
+    def disk_entries(self) -> list[Path]:
+        """The persisted entry files, sorted (none without a disk tier).
+        Other files in the directory are not entries and are not listed."""
+        if self.disk_dir is None or not self.disk_dir.is_dir():
+            return []
+        return sorted(self.disk_dir.glob(f"{self.file_prefix}_*.json"))
 
     def clear_disk(self) -> int:
         """Delete every persisted entry (``--force``); returns the count.
 
-        Also drops the memory tier and unbinds the digest: a live instance
-        must not keep serving payloads whose persisted twins were just
-        discarded.
+        Also drops the memory tier and unbinds the digest, so a live
+        instance cannot serve what was just discarded: the next
+        :meth:`ensure` rebinds without counting an invalidation, and every
+        :meth:`get` recomputes.
         """
-        self.clear_memory()
-        if self.disk_dir is None or not self.disk_dir.is_dir():
-            return 0
-        removed = 0
-        for path in sorted(self.disk_dir.glob(f"{self.file_prefix}_*.json")):
+        self._entries.clear()
+        self.digest = None
+        entries = self.disk_entries()
+        for path in entries:
             path.unlink()
-            removed += 1
-        return removed
+        return len(entries)
 
     # ------------------------------------------------------------------
     # stats

@@ -9,9 +9,11 @@ the long-running service on top of it:
 :class:`~repro.service.execution.JobExecution`
     The durable execution namespace both orchestrators now delegate to —
     per-unit result paths, resume/pending state, ledger + run-report
-    locations, clearing a sweep's ``baseline_cache/`` on ``force``, and
-    scheduler fan-out through
-    :func:`repro.runtime.scheduler.make_scheduler`.
+    locations, and scheduler fan-out through
+    :func:`repro.runtime.scheduler.make_scheduler`.  A job hands it the
+    one disk-backed cache it persists, if any (a sweep its baseline
+    cache; a campaign none): ``force`` clears that cache's entries, and
+    the sweep summary counts them on disk.
 
 :class:`~repro.service.jobs.JobSpec` / :class:`~repro.service.jobs.JobStore`
     A job is a *kind* (``campaign`` | ``sweep``) plus its config

@@ -32,7 +32,7 @@ from repro.runtime import (
     describe_run_report,
     make_scheduler,
 )
-from repro.runtime.cache import clear_disk_tiers, summarize_caches
+from repro.runtime.cache import DigestCache
 
 if TYPE_CHECKING:
     from repro.runtime.distributed import Fleet
@@ -48,13 +48,17 @@ class JobExecution:
     state under ``results_dir``, the engine's error ledger and run
     report, scheduler construction through the one resolution site
     (:func:`~repro.runtime.scheduler.make_scheduler`), and the ``force``
-    contract (drop persisted results *and* every registered cache tier
-    before re-running).
+    contract (drop persisted results *and* the job's own disk-backed
+    ``cache``, if it has one, before re-running).
     """
 
-    def __init__(self, results_dir: str | Path, *, seed: int = 0) -> None:
+    def __init__(self, results_dir: str | Path, *, seed: int = 0,
+                 cache: DigestCache | None = None) -> None:
         self.results_dir = Path(results_dir)
         self.seed = seed
+        #: The disk-backed cache this job persists beside its results, if
+        #: any: ``force`` clears its entries and the summary counts them.
+        self.cache = cache
 
     # ------------------------------------------------------------------
     # result namespace
@@ -88,12 +92,6 @@ class JobExecution:
                               report_path=self.report_path(),
                               seed=self.seed, progress=progress)
 
-    def clear_caches(self) -> None:
-        """Drop every persisted cache tier under the results directory
-        (the ``force=True`` contract): a forced re-run must recompute,
-        not replay memoized results from any layer."""
-        clear_disk_tiers(self.results_dir)
-
     def run(self, tasks: list[Task], loader: Callable[[Path], Any], *,
             force: bool = False, progress: ProgressReporter | None = None,
             fleet: Fleet | None = None, **options: Any) -> dict[str, Any]:
@@ -102,15 +100,16 @@ class JobExecution:
         ``options`` are the :class:`~repro.runtime.scheduler.RunOptions`
         fields, checked before anything runs or is cleared.  Valid
         on-disk results are reused, corrupt ones quarantined and re-run;
-        ``force`` discards persisted results and every cache tier first.
+        ``force`` discards persisted results and the job's cache entries
+        first, so a forced re-run recomputes rather than replays.
         Results are byte-identical for any ``jobs``, either scheduler
         backend, and any failure interleaving — the engine's contract,
         inherited wholesale.  ``fleet`` lends a ``fleet`` run an open
         worker fleet instead of opening a private one.
         """
         run_options = RunOptions(**options)
-        if force:
-            self.clear_caches()
+        if force and self.cache is not None:
+            self.cache.clear_disk()
         pool = self.scheduler(run_options, progress=progress, fleet=fleet)
         return pool.run(tasks, loader=loader, force=force)
 
@@ -128,6 +127,11 @@ class JobExecution:
         except (OSError, ValueError):
             return None
 
-    def describe_caches(self) -> str:
-        """One-line hit/miss summary of every cache tier under this job."""
-        return summarize_caches(self.results_dir)
+    def describe_cache(self) -> str | None:
+        """``cache <name>: persisted=N``, N counted on disk (right for any
+        ``jobs``: workers share the files, not the instance); ``None``
+        when the job persists no cache."""
+        if self.cache is None:
+            return None
+        return (f"cache {self.cache.name}: "
+                f"persisted={len(self.cache.disk_entries())}")

@@ -279,7 +279,7 @@ class JobManager:
         out: dict[str, bytes] = {}
         for path in sorted(results_dir.iterdir()):
             if not path.is_file():
-                continue  # cache tiers live in subdirectories
+                continue  # the baseline cache lives in a subdirectory
             if path.name in (REPORT_NAME, LEDGER_NAME):
                 continue
             if path.name.endswith(".tmp") or CORRUPT_SUFFIX in path.name:

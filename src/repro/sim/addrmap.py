@@ -88,9 +88,6 @@ class AddressMapper:
         value = (value << self._col_low_bits) | col_low
         return value
 
-    def flat_bank_count(self) -> int:
-        return self.config.total_banks
-
     def flat_bank_of(self, decoded: DecodedAddress) -> int:
         """Instance-method flat bank index (independent of module state)."""
         config = self.config

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
@@ -25,11 +25,6 @@ class ControllerStats:
     backoff_events: int = 0
     metadata_reads: int = 0
     metadata_writes: int = 0
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
 
 
 @dataclass
@@ -143,16 +138,3 @@ class LatencyAccumulator:
             seen += occurrences
         return LatencySummary(count=n, mean_ns=total / n, p50_ns=p50,
                               p99_ns=p99, max_ns=items[-1][0])
-
-
-@dataclass
-class BusyBreakdown:
-    """Fractions of bank-time spent on each blocking activity (Fig. 3)."""
-
-    preventive_fraction: float = 0.0
-    periodic_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        for value in (self.preventive_fraction, self.periodic_fraction):
-            if value < 0:
-                raise SimulationError("negative busy fraction")

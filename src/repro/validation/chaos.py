@@ -224,10 +224,6 @@ class _ChaosScenario(FaultScenario):
         pool.run(_grid_tasks(ref_dir), loader=_load_point)
         return _result_bytes(ref_dir)
 
-    def faulted_tasks(self, directory: Path, poison: int) -> list[Task]:
-        """The grid with the fault injected at index ``poison``."""
-        raise NotImplementedError
-
 
 # ----------------------------------------------------------------------
 # scenarios

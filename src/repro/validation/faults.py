@@ -318,7 +318,8 @@ class SweepRowBitflip(FaultScenario):
         row = SweepRow(
             key="probe", mitigation="Graphene", nrh=64, pacram_vendor=None,
             workloads=("spec06.mcf",), mean_ipc=1.234567, energy_nj=10.0,
-            preventive_busy_fraction=0.01, preventive_refresh_rows=42)
+            preventive_busy_fraction=0.01, preventive_refresh_rows=42,
+            violations=0)
         payload = dataclasses.asdict(row)
         payload["digest"] = row_digest(payload)
         text = json.dumps(payload, indent=1)

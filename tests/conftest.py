@@ -9,19 +9,16 @@ import pytest
 
 from repro.bender.host import DRAMBenderHost
 from repro.exec import reset_default_policy
-from repro.runtime.cache import reset_cache_counters
 from repro.sim.config import SystemConfig
 from repro.workloads.synth import TraceSpec, generate_trace
 
 
 @pytest.fixture(autouse=True)
 def _fresh_execution_state():
-    """Isolate the process-wide execution policy and cache counters."""
+    """Isolate the process-wide execution policy."""
     reset_default_policy()
-    reset_cache_counters()
     yield
     reset_default_policy()
-    reset_cache_counters()
 
 
 @pytest.fixture()

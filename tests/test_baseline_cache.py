@@ -176,6 +176,8 @@ class TestSweepIntegration:
                          workload_sets=(("spec06.mcf",),), requests=300)
         runner = SweepRunner(tmp_path / "sweep", grid)
         runner.run(jobs=1)
-        assert list(runner.cache_dir().glob("baseline_*.json"))
-        runner.execution.clear_caches()
-        assert not list(runner.cache_dir().glob("baseline_*.json"))
+        (entry,) = runner.cache_dir().glob("baseline_*.json")
+        stale = entry.with_name("baseline_stale.json")
+        stale.write_text("{}")
+        runner.run(jobs=1, force=True)
+        assert sorted(runner.cache_dir().glob("baseline_*.json")) == [entry]

@@ -1,13 +1,22 @@
 """Tests for the campaign and sweep runners (the artifact workflow)."""
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.analysis.sweeprunner import SweepGrid, SweepPoint, SweepRunner
+from repro.analysis.sweeprunner import (
+    SweepGrid,
+    SweepPoint,
+    SweepRunner,
+    load_row,
+    row_digest,
+)
 from repro.characterization.campaign import (
     CampaignConfig,
     CharacterizationCampaign,
 )
-from repro.errors import CharacterizationError, ConfigError
+from repro.errors import CharacterizationError, ConfigError, SimulationError
 
 
 def tiny_campaign(tmp_path) -> CharacterizationCampaign:
@@ -15,6 +24,16 @@ def tiny_campaign(tmp_path) -> CharacterizationCampaign:
                             tras_factors=(1.0, 0.36),
                             per_region=4)
     return CharacterizationCampaign(tmp_path / "results", config)
+
+
+def last_counts(runner) -> dict:
+    """The ``counts`` of a campaign's or sweep's last ``run_report.json``."""
+    return json.loads(runner.report_path().read_text())["counts"]
+
+
+#: A one-module campaign small enough to run a handful of times per test.
+SMALL_CAMPAIGN = CampaignConfig(module_ids=("S6",), tras_factors=(0.36,),
+                                per_region=1)
 
 
 class TestCharacterizationCampaign:
@@ -50,6 +69,52 @@ class TestCharacterizationCampaign:
         campaign.run_module("S6")
         assert "1/2" in campaign.summary()
 
+    @pytest.mark.parametrize("change", [
+        {"per_region": 2},
+        {"seed": 2026},
+        {"tras_factors": (0.27,)},
+        {"n_prs": (1, 2)},
+        {"temperatures_c": (50.0,)},
+    ], ids=lambda change: next(iter(change)))
+    def test_resume_with_other_settings_recomputes(self, tmp_path, change):
+        CharacterizationCampaign(tmp_path / "d", SMALL_CAMPAIGN).run(jobs=1)
+        config = dataclasses.replace(SMALL_CAMPAIGN, **change)
+        resumed = CharacterizationCampaign(tmp_path / "d", config)
+        resumed.run(jobs=1)
+        counts = last_counts(resumed)
+        assert (counts["computed"], counts["reused"],
+                counts["quarantined"]) == (1, 0, 1)
+        fresh = CharacterizationCampaign(tmp_path / "fresh", config)
+        fresh.run(jobs=1)
+        assert resumed.result_path("S6").read_bytes() \
+            == fresh.result_path("S6").read_bytes()
+        # The same settings again reuse the recomputed result.
+        resumed.run(jobs=1)
+        assert last_counts(resumed)["reused"] == 1
+        assert resumed.load()["S6"].seed == config.seed
+
+    def test_load_refuses_other_settings(self, tmp_path):
+        CharacterizationCampaign(tmp_path / "d", SMALL_CAMPAIGN).run(jobs=1)
+        config = dataclasses.replace(SMALL_CAMPAIGN, per_region=2)
+        with pytest.raises(CharacterizationError,
+                           match="other campaign settings"):
+            CharacterizationCampaign(tmp_path / "d", config).load()
+
+    def test_result_without_model_digest_is_refused(self, tmp_path):
+        campaign = CharacterizationCampaign(tmp_path / "d", SMALL_CAMPAIGN)
+        campaign.run(jobs=1)
+        path = campaign.result_path("S6")
+        original = path.read_bytes()
+        payload = json.loads(original)
+        payload["model_digest"] = None
+        payload["measurements"][0]["nrh"] = 12345
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(CharacterizationError, match="device model"):
+            campaign.load()
+        campaign.run(jobs=1)
+        assert last_counts(campaign)["quarantined"] == 1
+        assert path.read_bytes() == original
+
     def test_config_validation(self):
         with pytest.raises(CharacterizationError):
             CampaignConfig(module_ids=())
@@ -80,6 +145,32 @@ class TestSweepRunner:
         first = runner.run()
         second = runner.run()  # loaded from disk
         assert [r.mean_ipc for r in first] == [r.mean_ipc for r in second]
+
+    def test_row_without_digest_is_refused(self, tmp_path):
+        runner = SweepRunner(tmp_path / "ram", tiny_grid())
+        runner.run(jobs=1)
+        path = runner.row_path(tiny_grid().points()[0])
+        original = path.read_bytes()
+        payload = json.loads(original)
+        del payload["digest"]
+        payload["mean_ipc"] = 9.99
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(SimulationError, match="digest"):
+            load_row(path)
+        runner.run(jobs=1)
+        assert last_counts(runner)["quarantined"] == 1
+        assert path.read_bytes() == original
+
+    def test_row_without_violations_is_refused(self, tmp_path):
+        runner = SweepRunner(tmp_path / "ram", tiny_grid())
+        runner.run(jobs=1)
+        path = runner.row_path(tiny_grid().points()[0])
+        payload = json.loads(path.read_text())
+        del payload["violations"]
+        payload["digest"] = row_digest(payload)  # vouches for the rest
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(SimulationError, match="invalid sweep row"):
+            load_row(path)
 
     def test_aggregate_normalizes_against_no_pacram(self, tmp_path):
         runner = SweepRunner(tmp_path / "ram", tiny_grid())

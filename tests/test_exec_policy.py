@@ -166,11 +166,13 @@ class TestCliPolicyWiring:
         assert "cache baseline:" in stdout
         assert "persisted=" in stdout
 
-    def test_campaign_summary_includes_caches(self, tmp_path, capsys):
+    def test_campaign_summary_prints_no_cache_line(self, tmp_path, capsys):
+        # A campaign persists no cache, so its summary names none.
         out = tmp_path / "camp"
         assert main(["campaign", "--dir", str(out), "--jobs", "1",
                      "--modules", "M2", "--rows", "4"]) == 0
-        assert "cache" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "computed 1" in stdout and "cache" not in stdout
 
 
 class TestSingleResolutionSite:

@@ -1,9 +1,12 @@
 """The shared DigestCache: one memo implementation, one ``--force``.
 
-Unit tests for :mod:`repro.runtime.cache` plus property tests pinning that
-the thin instantiations (:class:`ProbeCache`, :class:`BaselineCache`)
-invalidate on digest drift *identically* — same hits, misses,
-invalidations, and surviving entries for any interleaving of operations.
+Unit tests for :mod:`repro.runtime.cache`, the ``force`` contract of the
+one cache a job persists (a sweep's baseline cache, cleared through
+:class:`~repro.service.execution.JobExecution`), plus property tests
+pinning that the thin instantiations (:class:`ProbeCache`,
+:class:`BaselineCache`) invalidate on digest drift *identically* — same
+hits, misses, invalidations, and surviving entries for any interleaving
+of operations.
 """
 
 import json
@@ -13,37 +16,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.baselines import BaselineCache, baseline_code_digest
-from repro.characterization.probecache import ProbeCache
-from repro.runtime.cache import (
-    DigestCache,
-    cache_counters,
-    clear_disk_tiers,
-    disk_tier_entries,
-    registered_tiers,
-    reset_cache_counters,
-    summarize_caches,
+from repro.analysis.sweeprunner import SweepGrid, SweepRunner
+from repro.characterization.campaign import (
+    CampaignConfig,
+    CharacterizationCampaign,
 )
+from repro.characterization.probecache import ProbeCache
+from repro.runtime.cache import DigestCache
+from repro.service.execution import JobExecution
 from repro.validation.physics import model_digest
+
+#: One no-PaCRAM point: a sweep of it persists exactly one baseline.
+_BASELINE_GRID = SweepGrid(mitigations=("PARA",), nrh_values=(1024,),
+                           pacram_vendors=(None,),
+                           workload_sets=(("spec06.mcf",),), requests=300)
 
 
 class _PlainCache(DigestCache):
-    """Counter-isolated instantiation with no disk tier."""
+    """Instantiation with no disk tier."""
 
     name = "test-plain"
-    tier_subdir = None
 
 
 class _DiskCache(DigestCache):
-    """Disk-backed instantiation using the base codec.
-
-    ``tier_subdir`` stays ``None`` so this test-only cache never joins the
-    ``--force`` registry (which other tests assert the exact contents of);
-    the disk tier itself only needs ``disk_dir``.
-    """
+    """Disk-backed instantiation using the base codec."""
 
     name = "test-disk"
-    tier_subdir = None
     file_prefix = "entry"
+
+
+def _force(execution: JobExecution) -> None:
+    """A forced run of no tasks: only the ``force`` contract acts."""
+    execution.run([], loader=None, force=True, jobs=1)
 
 
 class TestDigestCacheCore:
@@ -89,78 +93,94 @@ class TestDigestCacheCore:
         assert stats["misses"] == 1 and stats["hit_rate"] == 0.5
 
 
-class TestTierRegistry:
-    def test_both_tiers_registered(self):
-        # Of the two caches only the baseline cache persists; the probe
-        # cache lives in memory and registers no tier.
-        assert registered_tiers() == {
-            "baseline": ("baseline_cache", "baseline_*.json")}
+class TestJobCache:
+    """A job names the one disk-backed cache it persists: a sweep its
+    baseline cache, a campaign none.  ``force`` clears exactly that
+    cache's entries, and the summary counts them on disk."""
 
-    def test_clear_disk_tiers_clears_every_tier(self, tmp_path):
-        baseline_dir = tmp_path / "baseline_cache"
-        baseline_dir.mkdir()
-        (baseline_dir / "baseline_deadbeef.json").write_text("{}")
-        assert disk_tier_entries(tmp_path) == {"baseline": 1}
-        removed = clear_disk_tiers(tmp_path)
-        assert removed == {"baseline": 1}
-        assert disk_tier_entries(tmp_path) == {"baseline": 0}
+    def test_only_the_sweep_persists_a_cache(self, tmp_path):
+        sweep = SweepRunner(tmp_path / "sweep", _BASELINE_GRID)
+        assert isinstance(sweep.execution.cache, BaselineCache)
+        assert sweep.execution.cache.disk_dir == sweep.cache_dir() \
+            == tmp_path / "sweep" / "baseline_cache"
+        campaign = CharacterizationCampaign(tmp_path / "campaign")
+        assert campaign.execution.cache is None
+        assert campaign.execution.describe_cache() is None
 
-    def test_clear_missing_root_is_a_noop(self, tmp_path):
-        assert clear_disk_tiers(tmp_path / "nope") == {"baseline": 0}
+    def test_force_clears_the_sweeps_cache(self, tmp_path):
+        runner = SweepRunner(tmp_path / "sweep", _BASELINE_GRID)
+        runner.run(jobs=1)
+        stale = runner.cache_dir() / "baseline_deadbeef.json"
+        stale.write_text("{}")
+        assert len(runner.execution.cache.disk_entries()) == 2
+        runner.run(jobs=1, force=True)
+        # The stale entry is gone; the forced run stored its one baseline
+        # again.
+        assert not stale.exists()
+        assert len(runner.execution.cache.disk_entries()) == 1
+
+    def test_force_on_a_missing_dir_is_a_noop(self, tmp_path):
+        cache = BaselineCache(disk_dir=tmp_path / "nope")
+        execution = JobExecution(tmp_path / "job", cache=cache)
+        _force(execution)
+        assert cache.disk_entries() == [] and cache.clear_disk() == 0
+        assert not (tmp_path / "nope").exists()
 
     def test_foreign_files_survive_force(self, tmp_path):
-        (tmp_path / "baseline_cache").mkdir()
-        keeper = tmp_path / "baseline_cache" / "README.txt"
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        keeper = cache_dir / "README.txt"
         keeper.write_text("not a cache entry")
-        clear_disk_tiers(tmp_path)
-        assert keeper.exists()
+        (cache_dir / "baseline_deadbeef.json").write_text("{}")
+        execution = JobExecution(tmp_path,
+                                 cache=BaselineCache(disk_dir=cache_dir))
+        _force(execution)
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["README.txt"]
 
+    def test_force_without_a_cache_clears_nothing(self, tmp_path):
+        # A campaign persists no cache: its force drops only its results,
+        # never a cache that happens to live in the directory.
+        entry = tmp_path / "baseline_cache" / "baseline_deadbeef.json"
+        entry.parent.mkdir()
+        entry.write_text("{}")
+        _force(CharacterizationCampaign(tmp_path).execution)
+        assert entry.exists()
 
-class TestUnifiedCounters:
-    def test_counters_accumulate_across_instances(self):
-        reset_cache_counters()
-        for _ in range(2):
-            cache = ProbeCache()
-            cache.ensure("d")
-            cache.get(("k",))
-            cache.put(("k",), 1)
-            cache.get(("k",))
-        counts = cache_counters()["probe"]
-        assert counts["hits"] == 2 and counts["misses"] == 2
-
-    def test_summary_lists_registered_tiers(self, tmp_path):
-        reset_cache_counters()
-        text = summarize_caches(tmp_path)
-        assert "cache baseline:" in text and "persisted=0" in text
-        assert "cache probe:" not in text  # no tier and nothing counted
-
-    def test_summary_without_root_skips_persisted(self):
-        reset_cache_counters()
-        cache = ProbeCache()
-        cache.ensure("d")
-        cache.get(("k",))
-        text = summarize_caches()
-        assert "misses=1" in text and "persisted" not in text
+    def test_summary_counts_entries_on_disk(self, tmp_path):
+        execution = JobExecution(
+            tmp_path, cache=_DiskCache(maxsize=4, disk_dir=tmp_path / "c"))
+        assert execution.describe_cache() == "cache test-disk: persisted=0"
+        # Entries another instance wrote (a worker's) count too.
+        worker = _DiskCache(maxsize=4, disk_dir=tmp_path / "c")
+        worker.ensure("d")
+        worker.put("a", 1)
+        worker.put("b", 2)
+        (tmp_path / "c" / "notes.txt").write_text("not an entry")
+        assert execution.describe_cache() == "cache test-disk: persisted=2"
 
 
 class TestProbeCacheInMemory:
     """A scalar campaign memoizes its probes in memory and persists
     nothing beside its results."""
 
-    def test_scalar_campaign_leaves_only_results(self, tmp_path):
-        from repro.characterization.campaign import (
-            CampaignConfig,
-            CharacterizationCampaign,
-        )
+    def test_scalar_campaign_leaves_only_results(self, tmp_path,
+                                                 monkeypatch):
+        served = []
+        get = ProbeCache.get
 
-        reset_cache_counters()
+        def spy(self, key):
+            value = get(self, key)
+            served.append(value is not None)
+            return value
+
+        monkeypatch.setattr(ProbeCache, "get", spy)
         results = tmp_path / "campaign"
         config = CampaignConfig(module_ids=("S6",), per_region=1,
                                 kernel="scalar")
         CharacterizationCampaign(results, config).run(jobs=1)
         assert sorted(p.name for p in results.iterdir()) \
             == ["S6.json", "run_report.json"]
-        assert cache_counters()["probe"]["hits"] > 0
+        assert any(served)  # the probes did hit the memory tier
 
 
 _DIGESTS = st.sampled_from(
@@ -245,7 +265,7 @@ class TestKeyCanonicalization:
 
 
 class TestForceClearsMemoryTier:
-    """Regression: ``clear_disk()``/``clear_disk_tiers()`` must also drop
+    """Regression: ``clear_disk()`` (what ``force`` calls) must also drop
     the in-memory tier and unbind the digest, or a live instance keeps
     serving stale payloads after ``--force``."""
 
@@ -266,20 +286,24 @@ class TestForceClearsMemoryTier:
         cache.ensure("d")
         assert cache.get({"k": 1}) is None
 
-    def test_clear_disk_tiers_clears_live_instances(self, tmp_path):
+    def test_force_clears_the_jobs_live_instance(self, tmp_path):
         live = _DiskCache(maxsize=4, disk_dir=tmp_path / "entries")
         live.ensure("model")
         live.put({"k": 1}, 42)
-        clear_disk_tiers(tmp_path)
+        _force(JobExecution(tmp_path, cache=live))
         assert len(live) == 0 and live.digest is None
+        live.ensure("model")
+        assert live.get({"k": 1}) is None
 
-    def test_clear_disk_tiers_scopes_to_root(self, tmp_path):
-        other = _DiskCache(maxsize=4, disk_dir=tmp_path / "elsewhere")
-        other.ensure("model")
-        other.put({"k": 1}, 9)
-        clear_disk_tiers(tmp_path / "results")
-        assert len(other) == 1  # different root: memory tier untouched
-        assert other.get({"k": 1}) == 9 and other.disk_hits == 0
+    def test_force_leaves_other_sweeps_alone(self, tmp_path):
+        forced = SweepRunner(tmp_path / "a", _BASELINE_GRID)
+        other = SweepRunner(tmp_path / "b", _BASELINE_GRID)
+        forced.run(jobs=1)
+        other.run(jobs=1)
+        kept = other.execution.cache.disk_entries()
+        _force(forced.execution)
+        assert forced.execution.cache.disk_entries() == []
+        assert other.execution.cache.disk_entries() == kept
 
     def test_rebind_after_force_is_not_an_invalidation(self, tmp_path):
         cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
@@ -312,25 +336,33 @@ class TestDiskHitCounter:
         assert cache.hits == 1 and cache.disk_hits == 0
         assert cache.stats()["disk_hits"] == 0
 
-    def test_unified_counters_and_summary_surface_disk_hits(self, tmp_path):
-        reset_cache_counters()
-        cache = _DiskCache(maxsize=4, disk_dir=tmp_path)
-        cache.ensure("d")
-        cache.put({"k": 1}, 2)
-        fresh = _DiskCache(maxsize=4, disk_dir=tmp_path)
-        fresh.ensure("d")
-        fresh.get({"k": 1})
-        counts = cache_counters()["test-disk"]
-        assert counts["hits"] == 1 and counts["disk_hits"] == 1
-        text = summarize_caches(tmp_path)
-        assert "cache test-disk: hits=1 disk_hits=1" in text
+
+
+class TestChecksumRequired:
+    """A disk entry is served only under its checksum: one without is a
+    miss, however plausible its payload."""
+
+    def test_entry_without_checksum_is_a_miss(self, tmp_path):
+        writer = _DiskCache(maxsize=4, disk_dir=tmp_path)
+        writer.ensure("d")
+        writer.put({"k": 1}, {"value": 13})
+        (path,) = writer.disk_entries()
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        payload["result"]["value"] = 14
+        path.write_text(json.dumps(payload, sort_keys=True))
+        reader = _DiskCache(maxsize=4, disk_dir=tmp_path)
+        reader.ensure("d")
+        assert reader.get({"k": 1}) is None
+        assert reader.corrupt_entries == 1 and reader.misses == 1
 
 
 class TestForceClearsProbeTier:
-    """``sweep --force`` must clear every registered tier under the results
-    dir (``baseline_cache/``), stale entries included; a resume must not."""
+    """``sweep --force`` must clear the sweep's baseline cache, stale
+    entries included, and keep files that are not entries; a resume must
+    not touch it."""
 
-    def test_cli_force_clears_all_tiers(self, tmp_path):
+    def test_cli_force_clears_all_tiers(self, tmp_path, capsys):
         from repro.cli import main
 
         results = tmp_path / "sweep"
@@ -338,10 +370,14 @@ class TestForceClearsProbeTier:
         stale.parent.mkdir(parents=True)
         stale.write_text(json.dumps(
             {"digest": "stale-model", "key": "k", "result": {}}))
+        keeper = stale.parent / "README.txt"
+        keeper.write_text("not a cache entry")
         argv = ["sweep", "--dir", str(results), "--jobs", "1",
                 "--mitigations", "Graphene", "--nrh", "128",
                 "--requests", "300"]
         assert main(argv) == 0
         assert stale.exists()  # untouched resume
+        assert "cache baseline: persisted=2" in capsys.readouterr().out
         assert main(argv + ["--force"]) == 0
-        assert not stale.exists()
+        assert not stale.exists() and keeper.exists()
+        assert "cache baseline: persisted=1" in capsys.readouterr().out

@@ -475,9 +475,9 @@ PLUMBING_TOKENS = (
     "make_scheduler",
     "LEDGER_NAME",
     "REPORT_NAME",
-    "clear_disk_tiers",
+    "clear_disk(",
     "describe_run_report",
-    "summarize_caches",
+    "disk_entries(",
     "_pool(",
 )
 
@@ -501,5 +501,5 @@ class TestThinAdapters:
     def test_the_plumbing_does_live_in_the_execution_layer(self):
         text = (SRC_ROOT / "service" / "execution.py").read_text()
         for token in ("make_scheduler", "LEDGER_NAME", "REPORT_NAME",
-                      "clear_disk_tiers"):
+                      "clear_disk(", "disk_entries("):
             assert token in text
