@@ -30,11 +30,6 @@ class BoxStats:
     q3: float
     maximum: float
 
-    @property
-    def iqr(self) -> float:
-        """Inter-quartile range (the box size)."""
-        return self.q3 - self.q1
-
     @classmethod
     def from_values(cls, values: list[float]) -> "BoxStats":
         if not values:

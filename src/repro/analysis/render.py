@@ -1,7 +1,7 @@
-"""Terminal rendering of experiment series (ASCII charts).
+"""Terminal rendering of experiment series.
 
 The benchmark harness and CLI print data series; these helpers render them
-as compact ASCII line/bar charts so trends are visible without plotting
+as sparklines and two-column tables so trends are visible without plotting
 dependencies.
 """
 
@@ -29,21 +29,6 @@ def sparkline(values: list[float]) -> str:
         index = 1 + round((value - lo) / span * (len(_BARS) - 2))
         out.append(_BARS[index])
     return "".join(out)
-
-
-def bar_chart(series: dict, *, width: int = 40,
-              value_format: str = "{:.4f}") -> str:
-    """A labeled horizontal bar chart of a {label: value} mapping."""
-    if not series:
-        raise ConfigError("nothing to render")
-    label_width = max(len(str(key)) for key in series)
-    peak = max(abs(float(v)) for v in series.values()) or 1.0
-    lines = []
-    for key, value in series.items():
-        bar = "#" * max(1, round(abs(float(value)) / peak * width))
-        lines.append(f"{str(key):>{label_width}} | {bar} "
-                     + value_format.format(float(value)))
-    return "\n".join(lines)
 
 
 def curve_table(series: dict, *, x_label: str = "x",

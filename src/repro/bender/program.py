@@ -121,19 +121,3 @@ class TestProgram:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    def estimated_duration_ns(self) -> float:
-        """Lower-bound runtime of the program (explicit waits only)."""
-        total = 0.0
-        for inst in self.instructions:
-            if isinstance(inst, (Act, Pre)):
-                total += inst.wait_ns
-            elif isinstance(inst, Sleep):
-                total += inst.duration_ns
-            elif isinstance(inst, Hammer):
-                total += inst.count * len(inst.rows) * self.timing.tRC
-            elif isinstance(inst, Restore):
-                total += inst.count * (inst.tras_ns + self.timing.tRP)
-            elif isinstance(inst, SleepUntil):
-                total = max(total, inst.target_ns)
-        return total

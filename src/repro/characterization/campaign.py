@@ -242,16 +242,6 @@ class CharacterizationCampaign:
         return result
 
     # ------------------------------------------------------------------
-    def run_module(self, module_id: str, *,
-                   force: bool = False) -> ModuleCharacterization:
-        """Characterize one module, persisting (or reusing) its results."""
-        if module_id not in self.config.module_ids:
-            raise CharacterizationError(
-                f"{module_id} is not part of this campaign")
-        results = self.execution.run([self._task(module_id)],
-                                     loader=self._load, force=force)
-        return results[module_id]
-
     def run(self, *, force: bool = False,
             progress: ProgressReporter | None = None,
             fleet: Fleet | None = None,

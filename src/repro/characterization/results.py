@@ -99,18 +99,6 @@ class ModuleCharacterization:
                 out.append((m.nrh or 0) / base)
         return out
 
-    def wcdp_histogram(self, tras_factor: float = 1.00,
-                       n_pr: int = 1) -> dict[str, int]:
-        """How often each data pattern was the worst case (§4.3).
-
-        The paper identifies the worst-case data pattern per row before
-        measuring it; this histogram summarizes which patterns dominate.
-        """
-        histogram: dict[str, int] = {}
-        for m in self.at(tras_factor=tras_factor, n_pr=n_pr):
-            histogram[m.wcdp] = histogram.get(m.wcdp, 0) + 1
-        return histogram
-
     def normalized_ber(self, tras_factor: float, n_pr: int = 1) -> list[float]:
         """Per-row BER normalized to nominal latency (Fig. 9 data points)."""
         baseline = {(m.bank, m.row): m.ber
@@ -164,9 +152,10 @@ class ModuleCharacterization:
     def save(self, path: str | Path, *, durable: bool = False) -> None:
         """Persist atomically; ``durable`` fsyncs through to stable storage.
 
-        Campaign workers save durably — a module characterization is the
-        most expensive artifact in the repo, and a power loss must not
-        resurface an empty file that existence-based resume then trusts.
+        Campaign workers save durably.  Resume validates a file before
+        reusing it, so one that a power loss empties is quarantined and
+        recomputed, never trusted; the fsync spares that recompute of the
+        most expensive artifact in the repo.
         """
         write_atomic(path, self.to_json(), durable=durable)
 

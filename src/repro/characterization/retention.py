@@ -1,56 +1,20 @@
 """Data-retention characterization under partial restoration (§7, Fig. 14).
 
-Two granularities are provided:
-
-* :func:`sample_retention_failures` — the literal test: write a solid data
-  pattern, partially restore the row ``n`` times, idle for the target
-  retention time, read back.  Exercises the full program/executor path on a
-  sample of rows.
-* :func:`retention_failure_fractions` — the bank-scale analytic fraction
-  from the device physics, used to regenerate Fig. 14's small fractions
-  (1e-6 .. 1e-2) that row sampling could not resolve without testing every
-  row of every bank.
+:func:`retention_failure_fractions` derives the bank-scale fraction of rows
+with retention failures from the device physics.  Fig. 14's fractions
+(1e-6 .. 1e-2) are too small for row sampling to resolve without testing
+every row of every bank.
 """
 
 from __future__ import annotations
 
-from repro.bender.host import DRAMBenderHost
-from repro.characterization.rows import select_test_bank, select_test_rows
 from repro.dram.catalog import module_spec
 from repro.dram.charge import ChargeModel
-from repro.dram.disturbance import DataPattern
-from repro.errors import CharacterizationError
 from repro.units import MS
 
 #: The retention times the paper tests (§7).
 RETENTION_TIMES_NS: tuple[float, ...] = (
     64 * MS, 96 * MS, 128 * MS, 256 * MS, 512 * MS, 1024 * MS)
-
-
-def sample_retention_failures(module_id: str, *, tras_factor: float,
-                              n_pr: int, retention_time_ns: float,
-                              per_region: int = 64, seed: int = 2025,
-                              temperature_c: float = 80.0,
-                              pattern: DataPattern = DataPattern.SOLID_ONES,
-                              ) -> tuple[int, int]:
-    """(rows with retention bitflips, rows tested) via real test programs."""
-    if retention_time_ns <= 0:
-        raise CharacterizationError("retention time must be positive")
-    host = DRAMBenderHost(module_id, temperature_c=temperature_c, seed=seed)
-    module = host.module
-    bank = select_test_bank(module_id, module.geometry.total_banks, seed)
-    rows = select_test_rows(module.geometry.rows_per_bank, per_region)
-    tras_red_ns = tras_factor * module.timing.tRAS
-    failed = 0
-    for row in rows:
-        program = host.new_program()
-        program.init_rows(bank, row, (), pattern)
-        program.partial_restoration(bank, row, tras_red_ns, n_pr)
-        program.sleep(retention_time_ns)
-        program.check_bitflips(bank, row, key="row")
-        if host.run(program).flips("row") > 0:
-            failed += 1
-    return failed, len(rows)
 
 
 def retention_failure_fractions(module_id: str, *,

@@ -44,10 +44,6 @@ class FRBitVector:
         """Periodic t_FCRI reset: every row returns to F-state."""
         self._restored.clear()
 
-    def fraction_in_f_state(self) -> float:
-        """Fraction of rows currently requiring full restoration."""
-        return (self.storage_bits - len(self._restored)) / self.storage_bits
-
     @property
     def storage_bits(self) -> int:
         """SRAM bits this vector occupies (one per row)."""

@@ -86,9 +86,6 @@ class OnDiePaCRAM(RefreshLatencyPolicy):
         register.program(self.config.timing.tRAS)
         return self.config.timing.tRAS, True
 
-    def nrh_scale(self) -> float:
-        return min(self.pacram.nrh_reduction_ratio, 1.0)
-
     def mode_register_writes(self) -> int:
         """Total MR transactions issued (the §8.5 interface cost)."""
         return sum(r.writes for r in self._mode_registers)
@@ -110,8 +107,8 @@ class SelfManagingDRAMPaCRAM(RefreshLatencyPolicy):
 
     The chip holds the FR vector itself and needs *no* controller or
     interface support: full per-row granularity, zero MR traffic.  From the
-    simulator's perspective it behaves like the controller-side PaCRAM but
-    reports zero controller-side area.
+    simulator's perspective it behaves like the controller-side PaCRAM, with
+    no controller-side area.
     """
 
     def __init__(self, config: SystemConfig, pacram_config: PaCRAMConfig) -> None:
@@ -135,14 +132,6 @@ class SelfManagingDRAMPaCRAM(RefreshLatencyPolicy):
             self.fr.mark_fully_restored(flat_bank, tracked_row)
             return self.config.timing.tRAS, True
         return self.reduced_tras_ns, False
-
-    def nrh_scale(self) -> float:
-        return min(self.pacram.nrh_reduction_ratio, 1.0)
-
-    @staticmethod
-    def controller_area_mm2() -> float:
-        """No controller-side state at all (the §8.5 selling point)."""
-        return 0.0
 
     def _maybe_reset(self, now_ns: float) -> None:
         if now_ns < self._next_reset_ns:

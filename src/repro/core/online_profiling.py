@@ -93,8 +93,3 @@ class OnlineProfiler:
         self._next_row += batch.row_count
         self._completed_batches += 1
         self._in_flight = None
-
-    def abort_batch(self) -> None:
-        """Drop an in-flight batch (e.g. the idle window closed early);
-        it will be re-issued by the next :meth:`next_batch` call."""
-        self._in_flight = None

@@ -60,10 +60,6 @@ class PaCRAM(RefreshLatencyPolicy):
         self.partial_refreshes += 1
         return self.reduced_tras_ns, False
 
-    def nrh_scale(self) -> float:
-        """Security adjustment: mitigations run at a reduced N_RH (§8.2)."""
-        return min(self.pacram.nrh_reduction_ratio, 1.0)
-
     def partial_restoration_limit(self) -> int | None:
         """PaCRAM's N_PCR bound on consecutive partial restorations (§8.3)."""
         return self.pacram.npcr

@@ -79,7 +79,8 @@ class SpdRecord:
 
     @classmethod
     def decode(cls, blob: bytes) -> "SpdRecord":
-        """Parse and verify an SPD blob."""
+        """Parse and verify an SPD blob; any malformed blob is a
+        :class:`~repro.errors.ConfigError`."""
         if len(blob) < _HEADER.size + 2:
             raise ConfigError("SPD blob truncated")
         payload, checksum = blob[:-2], struct.unpack("<H", blob[-2:])[0]
@@ -90,7 +91,14 @@ class SpdRecord:
             raise ConfigError("not a PaCRAM SPD record")
         if version != _VERSION:
             raise ConfigError(f"unsupported SPD record version {version}")
-        module_id = raw_id.rstrip(b"\0").decode("ascii")
+        if len(payload) != _HEADER.size + count * _ENTRY.size:
+            raise ConfigError(
+                f"SPD record declares {count} entries in "
+                f"{len(payload) - _HEADER.size} bytes of entries")
+        try:
+            module_id = raw_id.rstrip(b"\0").decode("ascii")
+        except UnicodeDecodeError:
+            raise ConfigError("SPD module id is not ASCII") from None
         entries = []
         offset = _HEADER.size
         for _ in range(count):

@@ -1,4 +1,4 @@
-"""Read-disturbance kernels: data patterns, blast radius, access patterns.
+"""Read-disturbance kernels: data patterns, blast radius, hammer doses.
 
 RowHammer disturbance in the device model is *dose based*: every aggressor
 activation deposits a disturbance dose on physically nearby rows, weighted by
@@ -12,13 +12,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
-
 
 class DataPattern(enum.Enum):
     """The six data patterns used by the paper's methodology (§4.3).
 
-    Value is ``(victim_byte, aggressor_byte)``.
+    Value is the ``(victim, aggressor)`` byte pair.
     """
 
     ROW_STRIPE = (0xFF, 0x00)  #: RS
@@ -29,14 +27,6 @@ class DataPattern(enum.Enum):
     COLUMN_STRIPE_INV = (0x55, 0x55)  #: CSI
     SOLID_ONES = (0xFF, 0xFF)  #: all 1s (retention testing, §7)
     SOLID_ZEROS = (0x00, 0x00)  #: all 0s (retention testing, §7)
-
-    @property
-    def victim_byte(self) -> int:
-        return self.value[0]
-
-    @property
-    def aggressor_byte(self) -> int:
-        return self.value[1]
 
     @property
     def short_name(self) -> str:
@@ -88,13 +78,6 @@ BLAST_RADIUS_WEIGHTS: dict[int, float] = {1: 1.0, 2: 0.012}
 BLAST_RADIUS: int = 2
 
 
-def distance_weight(distance: int) -> float:
-    """Disturbance weight for an aggressor ``distance`` rows away."""
-    if distance <= 0:
-        raise ConfigError(f"distance must be positive, got {distance}")
-    return BLAST_RADIUS_WEIGHTS.get(distance, 0.0)
-
-
 @dataclass(frozen=True)
 class HammerDose:
     """Accumulated disturbance on one victim row, split by coupling distance.
@@ -119,32 +102,6 @@ class HammerDose:
         """Equivalent distance-1 activation count."""
         return self.near + far_weight * self.far
 
-    @property
-    def is_zero(self) -> bool:
-        return self.near == 0.0 and self.far == 0.0
-
 
 ZERO_DOSE = HammerDose()
 
-
-def double_sided_dose(hammer_count: int) -> HammerDose:
-    """Dose on the sandwiched victim after ``hammer_count`` activations of
-    *each* of the two adjacent aggressors (the paper's primary pattern).
-
-    Double-sided hammering couples the victim from both sides, so the
-    effective per-pair dose is about twice a single-sided activation.  The
-    paper's ``N_RH`` counts activations *per aggressor row*, which is what
-    this function takes.
-    """
-    if hammer_count < 0:
-        raise ConfigError("hammer count must be non-negative")
-    return HammerDose(near=2.0 * hammer_count, far=0.0)
-
-
-def half_double_dose(far_hammers: int, near_hammers: int) -> HammerDose:
-    """Dose from the Half-Double pattern (§6): many activations of the far
-    aggressor (distance 2) followed by a few of the near aggressor
-    (distance 1)."""
-    if far_hammers < 0 or near_hammers < 0:
-        raise ConfigError("hammer counts must be non-negative")
-    return HammerDose(near=float(near_hammers), far=float(far_hammers))

@@ -1,15 +1,15 @@
-"""SEC-DED ECC substrate (Hamming(72, 64)) and its interaction with PaCRAM.
+"""SEC-DED ECC row-outcome model and its interaction with PaCRAM.
 
 §10 notes that PaCRAM "can be combined with error correction mechanisms" to
-absorb dynamic variability.  This module provides the substrate for that
-study: a bit-exact Hamming(72, 64) single-error-correct / double-error-
-detect code — the rank-level ECC used in servers — plus a word-level model
-of how per-row bitflip counts translate into corrected, detected, and
-silent errors.
+absorb dynamic variability.  This module models that pairing at word level:
+rank-level SEC-DED ECC (the Hamming(72, 64) code used in servers) corrects
+one flipped bit per 64-bit word and cannot correct two or more, so a row's
+raw bitflip count translates into expected corrected and uncorrectable
+words.
 
 The characterization methodology itself runs with ECC *disabled* (§4.1:
-tested modules have neither rank-level nor on-die ECC), so this substrate
-is used only by the ECC-interaction analyses and tests.
+tested modules have neither rank-level nor on-die ECC), so this model is
+used only by the ECC-interaction analyses.
 """
 
 from __future__ import annotations
@@ -19,82 +19,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+#: Data bits per SEC-DED codeword.
 DATA_BITS = 64
-PARITY_BITS = 8  # 7 Hamming bits + 1 overall parity (SEC-DED)
-CODEWORD_BITS = DATA_BITS + PARITY_BITS
-
-#: Positions 1..72 (1-indexed); powers of two hold parity bits.
-_PARITY_POSITIONS = tuple(1 << i for i in range(7))  # 1,2,4,...,64
-_DATA_POSITIONS = tuple(p for p in range(1, CODEWORD_BITS)
-                        if p not in _PARITY_POSITIONS)
-
-
-def encode(data: int) -> int:
-    """Encode a 64-bit word into a 72-bit SEC-DED codeword."""
-    if not 0 <= data < (1 << DATA_BITS):
-        raise ConfigError("data word must fit in 64 bits")
-    codeword = 0
-    for index, position in enumerate(_DATA_POSITIONS):
-        if (data >> index) & 1:
-            codeword |= 1 << (position - 1)
-    for parity_position in _PARITY_POSITIONS:
-        parity = 0
-        for position in range(1, CODEWORD_BITS):
-            if position & parity_position and (codeword >> (position - 1)) & 1:
-                parity ^= 1
-        if parity:
-            codeword |= 1 << (parity_position - 1)
-    # Overall parity bit (position 72) makes the whole codeword even.
-    overall = bin(codeword).count("1") & 1
-    if overall:
-        codeword |= 1 << (CODEWORD_BITS - 1)
-    return codeword
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of decoding one codeword."""
-
-    data: int
-    corrected: bool  #: a single-bit error was corrected
-    detected_uncorrectable: bool  #: a double-bit error was detected
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrected and not self.detected_uncorrectable
-
-
-def decode(codeword: int) -> DecodeResult:
-    """Decode a 72-bit codeword, correcting one flipped bit if present."""
-    if not 0 <= codeword < (1 << CODEWORD_BITS):
-        raise ConfigError("codeword must fit in 72 bits")
-    syndrome = 0
-    for parity_position in _PARITY_POSITIONS:
-        parity = 0
-        for position in range(1, CODEWORD_BITS):
-            if position & parity_position and (codeword >> (position - 1)) & 1:
-                parity ^= 1
-        if parity:
-            syndrome |= parity_position
-    overall = bin(codeword).count("1") & 1
-    corrected = False
-    detected = False
-    if syndrome and overall:
-        # Single-bit error at `syndrome`: correct it.
-        codeword ^= 1 << (syndrome - 1)
-        corrected = True
-    elif syndrome and not overall:
-        detected = True  # double-bit error: uncorrectable
-    elif not syndrome and overall:
-        # The overall parity bit itself flipped: correct it.
-        codeword ^= 1 << (CODEWORD_BITS - 1)
-        corrected = True
-    data = 0
-    for index, position in enumerate(_DATA_POSITIONS):
-        if (codeword >> (position - 1)) & 1:
-            data |= 1 << index
-    return DecodeResult(data=data, corrected=corrected,
-                        detected_uncorrectable=detected)
 
 
 # ---------------------------------------------------------------------------

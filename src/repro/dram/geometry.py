@@ -43,11 +43,6 @@ class ModuleGeometry:
         return self.total_banks * self.rows_per_bank
 
     @property
-    def cells_per_row(self) -> int:
-        """Bits stored in one row across the rank (8 KB rows -> 65536 bits)."""
-        return self.row_size_bytes * 8
-
-    @property
     def capacity_bytes(self) -> int:
         """Total rank-level capacity in bytes."""
         return self.total_rows * self.row_size_bytes

@@ -6,18 +6,17 @@ treats RowPress as background: existing mitigations prevent RowPress bitflips
 when configured aggressively (equivalent to sub-1K ``N_RH``), and combining
 RowHammer with RowPress lowers the effective threshold further.
 
-This module extends the disturbance model accordingly: an aggressor
-activation held open for ``t_on`` deposits more dose than a minimum-latency
-activation, following the published observation that the per-activation
-disturbance grows roughly logarithmically with on-time over several decades.
+This module models that remark.  :func:`press_amplification` is how many
+minimum-latency activations one activation held open for ``t_on`` is worth;
+it grows roughly logarithmically with on-time over several decades, as
+RowPress observed.  :func:`equivalent_nrh` divides a row's pure-hammer
+threshold by it: the threshold a mitigation faces under a pressed pattern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.dram.disturbance import HammerDose
 from repro.errors import ConfigError
 
 #: Minimum aggressor-on time (an ordinary activation, tRAS-bounded), ns.
@@ -38,45 +37,6 @@ def press_amplification(t_on_ns: float) -> float:
     clamped = min(max(t_on_ns, MIN_ON_TIME_NS), MAX_ON_TIME_NS)
     decades = math.log10(clamped / MIN_ON_TIME_NS)
     return 1.0 + AMPLIFICATION_PER_DECADE * decades
-
-
-def pressed_dose(activations: int, t_on_ns: float) -> HammerDose:
-    """Dose on the sandwiched victim after ``activations`` double-sided
-    aggressor activations, each kept open for ``t_on_ns``."""
-    if activations < 0:
-        raise ConfigError("activation count must be non-negative")
-    amplification = press_amplification(t_on_ns)
-    return HammerDose(near=2.0 * activations * amplification, far=0.0)
-
-
-@dataclass(frozen=True)
-class CombinedPattern:
-    """A combined RowHammer + RowPress access pattern.
-
-    ``activations`` per aggressor row, each keeping the row open for
-    ``t_on_ns``.  ``effective_hammer_count`` is the equivalent pure-hammer
-    count — what a mitigation mechanism's threshold must cover.
-    """
-
-    activations: int
-    t_on_ns: float
-
-    def __post_init__(self) -> None:
-        if self.activations < 0:
-            raise ConfigError("activation count must be non-negative")
-        if self.t_on_ns <= 0:
-            raise ConfigError("on-time must be positive")
-
-    @property
-    def effective_hammer_count(self) -> float:
-        return self.activations * press_amplification(self.t_on_ns)
-
-    def dose(self) -> HammerDose:
-        return pressed_dose(self.activations, self.t_on_ns)
-
-    def duration_ns(self, trp_ns: float = 15.0) -> float:
-        """Wall-clock time of the pattern (both aggressors, serialized)."""
-        return 2.0 * self.activations * (self.t_on_ns + trp_ns)
 
 
 def equivalent_nrh(nominal_nrh: float, t_on_ns: float) -> float:

@@ -11,7 +11,7 @@ following an ``ACT`` to the same bank needs ``tRC = tRAS + tRP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -61,21 +61,6 @@ class TimingParams:
     def tRC(self) -> float:
         """Row-cycle time: minimum ACT-to-ACT delay to the same bank."""
         return self.tRAS + self.tRP
-
-    @property
-    def preventive_refresh_latency(self) -> float:
-        """Latency of one preventive refresh (= open + close a row, §3)."""
-        return self.tRAS + self.tRP
-
-    def with_reduced_tras(self, factor: float) -> "TimingParams":
-        """Return a copy whose ``tRAS`` is scaled by ``factor`` (0 < f <= 1).
-
-        This models PaCRAM's partial charge restoration: only the
-        charge-restoration component shrinks; ``tRP`` is unchanged (§8.3).
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ConfigError(f"tRAS factor must be in (0, 1], got {factor}")
-        return replace(self, tRAS=self.tRAS * factor)
 
 
 def ddr4_timing() -> TimingParams:

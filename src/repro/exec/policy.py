@@ -39,7 +39,7 @@ other module grows its own kernel-selection branching again.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -183,11 +183,6 @@ class ExecutionPolicy:
         self._oracle_noted = True
         print("note: --check-protocol requires the scalar oracle kernels; "
               "overriding the requested fast path", file=sys.stderr)
-
-    # ------------------------------------------------------------------
-    def with_overrides(self, **changes) -> "ExecutionPolicy":
-        """A copy with fields replaced (note state not shared)."""
-        return replace(self, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,11 @@ BLOB_MIN = 96
 #: the receiver allocate gigabytes).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
+#: The cap on a connection's first frame, read before its ``hello`` is
+#: checked: any peer may send it.  Worker and client hellos are a few
+#: hundred bytes at most.
+MAX_HELLO_BYTES = 64 * 1024
+
 _HEADER = struct.Struct("!BI")
 _FLAG_ZLIB = 0x01
 
@@ -188,25 +193,30 @@ def send_frame(sock: socket.socket, message: dict) -> int:
     return len(frame)
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Receive one message; ``None`` on clean EOF at a frame boundary."""
+def recv_frame(sock: socket.socket, *,
+               max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
+    """Receive one message; ``None`` on clean EOF at a frame boundary.
+
+    A frame that claims more than ``max_bytes``, or inflates past it, is a
+    :class:`FrameError`.
+    """
     header = _recv_exact(sock, _HEADER.size, eof_ok=True)
     if header is None:
         return None
     flags, length = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
+    if length > max_bytes:
         raise FrameError(f"frame claims {length} bytes "
-                         f"(cap {MAX_FRAME_BYTES}); corrupt length prefix?")
+                         f"(cap {max_bytes}); corrupt length prefix?")
     blob = _recv_exact(sock, length, eof_ok=False)
     if flags & _FLAG_ZLIB:
         inflater = zlib.decompressobj()
         try:
-            blob = inflater.decompress(blob, MAX_FRAME_BYTES)
+            blob = inflater.decompress(blob, max_bytes)
         except zlib.error as error:
             raise FrameError(f"bad compressed frame: {error}") from error
         if not inflater.eof:  # input left over, or a stream cut short
             raise FrameError(f"compressed frame is truncated or inflates "
-                             f"past {MAX_FRAME_BYTES} bytes")
+                             f"past {max_bytes} bytes")
     try:
         message = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, ValueError, RecursionError) as error:
@@ -246,10 +256,11 @@ class FrameServer:
     accepted connection gets :func:`nodelay` and must open with a
     ``hello`` of this :data:`PROTOCOL_VERSION`: another version is
     answered with an error frame telling the ``peer`` to upgrade, and a
-    first frame that is not a hello (or not a frame) is closed without a
-    reply.  A good hello goes to ``handler(conn, hello)`` on the
-    connection's thread; the connection is closed when the handler
-    returns, and a dropped peer never takes the endpoint down.
+    first frame that is not a hello (or not a frame, or larger than
+    :data:`MAX_HELLO_BYTES`) is closed without a reply.  A good hello
+    goes to ``handler(conn, hello)`` on the connection's thread; the
+    connection is closed when the handler returns, and a dropped peer
+    never takes the endpoint down.
     """
 
     def __init__(self, address: tuple[str, int],
@@ -312,7 +323,7 @@ class FrameServer:
     def _serve(self, conn: socket.socket) -> None:
         try:
             nodelay(conn)
-            hello = recv_frame(conn)
+            hello = recv_frame(conn, max_bytes=MAX_HELLO_BYTES)
             if hello is None or hello.get("type") != "hello":
                 return
             if hello.get("protocol") != PROTOCOL_VERSION:

@@ -87,10 +87,3 @@ class AddressMapper:
         value = (value << self._channel_bits) | decoded.channel
         value = (value << self._col_low_bits) | col_low
         return value
-
-    def flat_bank_of(self, decoded: DecodedAddress) -> int:
-        """Instance-method flat bank index (independent of module state)."""
-        config = self.config
-        return decoded.bank + config.banks_per_group * (
-            decoded.bank_group + config.bank_groups * (
-                decoded.rank + config.ranks * decoded.channel))

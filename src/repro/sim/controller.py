@@ -40,7 +40,9 @@ class RefreshLatencyPolicy:
     """Default refresh-latency policy: nominal latency for everything.
 
     PaCRAM (:class:`repro.core.pacram.PaCRAM`) subclasses this to return
-    reduced latencies and to scale the mitigation's configured ``N_RH``.
+    reduced latencies and to bound consecutive partial restorations; the
+    mitigation's ``N_RH`` is scaled before the run, by
+    :meth:`repro.core.config.PaCRAMConfig.scaled_nrh`.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -54,11 +56,6 @@ class RefreshLatencyPolicy:
 
     def periodic_refresh_scale(self) -> float:
         """Scaling of the periodic-refresh latency (Appendix B extension)."""
-        return 1.0
-
-    def nrh_scale(self) -> float:
-        """Factor by which the mitigation's N_RH must be scaled down to stay
-        secure under this policy's reduced latencies (§8.2)."""
         return 1.0
 
     def partial_restoration_limit(self) -> int | None:

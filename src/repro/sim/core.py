@@ -104,16 +104,6 @@ class CoreModel:
         self._last_completion_ns = max(self._last_completion_ns,
                                        request.completion_ns)
 
-    def waiting_for_memory(self) -> bool:
-        """True when the window is full behind an unserviced load."""
-        if self._index >= len(self.trace) or not self._inflight:
-            return False
-        bubbles = int(self.trace.bubbles[self._index])
-        position = self._next_position + bubbles
-        head = self._inflight[0]
-        return (position - head.position >= self.config.instruction_window
-                and head.completion_ns < 0)
-
     def trace_exhausted(self) -> bool:
         return self._index >= len(self.trace)
 

@@ -1,8 +1,7 @@
 """Time, frequency, and size units used throughout the library.
 
-All device-level timing in this library is expressed in **nanoseconds** as
-floats, and all simulator timing in integer **memory-controller clock
-cycles**.  These helpers make call sites explicit about which unit a literal
+All timing in this library is expressed in **nanoseconds** as floats.
+These constants make call sites explicit about which unit a literal
 carries, e.g. ``tras = 33 * NS`` or ``window = 64 * MS``.
 """
 
@@ -24,26 +23,6 @@ GIB: int = 1024 * MIB
 
 #: Kilo as used for hammer counts (paper reports e.g. "4.8K activations").
 K: int = 1000
-
-
-def ns_to_cycles(time_ns: float, freq_mhz: float) -> int:
-    """Convert a duration in nanoseconds to clock cycles (rounded up).
-
-    DRAM standards specify timings in nanoseconds while controllers count
-    cycles; JEDEC rounding is "round up to the next whole cycle".
-    """
-    if time_ns < 0:
-        raise ValueError(f"negative duration: {time_ns}")
-    cycles = time_ns * freq_mhz / 1000.0
-    whole = int(cycles)
-    return whole if cycles == whole else whole + 1
-
-
-def cycles_to_ns(cycles: int, freq_mhz: float) -> float:
-    """Convert clock cycles to nanoseconds."""
-    if cycles < 0:
-        raise ValueError(f"negative cycle count: {cycles}")
-    return cycles * 1000.0 / freq_mhz
 
 
 def format_time_ns(time_ns: float) -> str:

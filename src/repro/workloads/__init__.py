@@ -16,7 +16,7 @@ from repro.workloads.suites import (
     single_core_suite,
     workload_by_name,
 )
-from repro.workloads.attack import double_sided_trace, many_sided_trace
+from repro.workloads.attack import double_sided_trace
 
 __all__ = [
     "Trace",
@@ -26,5 +26,4 @@ __all__ = [
     "multicore_mixes",
     "workload_by_name",
     "double_sided_trace",
-    "many_sided_trace",
 ]

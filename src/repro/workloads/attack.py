@@ -1,12 +1,12 @@
 """RowHammer attack traces for the full-system simulator.
 
-Synthetic memory traces that implement the attack access patterns of the
-paper's threat model *as seen by the memory controller* — useful for
+A synthetic memory trace that implements the double-sided access pattern
+of the paper's threat model *as seen by the memory controller* — useful for
 observing mitigation mechanisms trigger inside the system simulator (the
-characterization stack attacks the device model directly; these attack the
+characterization stack attacks the device model directly; this attacks the
 simulated *system*).
 
-All generators emit cache-line addresses that decode (through the MOP
+The generator emits cache-line addresses that decode (through the MOP
 mapping) to alternating rows of one bank, maximizing per-row activation
 rates the way a real attacker's access pattern would.
 """
@@ -66,49 +66,3 @@ def double_sided_trace(config: SystemConfig, *, victim_row: int = 1000,
         is_write=np.zeros(2 * hammers, dtype=bool),
         addresses=addresses,
     )
-
-
-def many_sided_trace(config: SystemConfig, *, first_row: int = 1000,
-                     aggressor_rows: int = 8, hammers_per_row: int = 4_000,
-                     serialized: bool = True,
-                     name: str = "attack.many_sided") -> Trace:
-    """TRRespass-style many-sided pattern: N aggressors hammered round-robin
-    (defeats simple trackers by spreading activations)."""
-    if aggressor_rows < 2:
-        raise ConfigError("many-sided needs at least two aggressors")
-    if hammers_per_row <= 0:
-        raise ConfigError("hammer count must be positive")
-    mapper = AddressMapper(config)
-    rows = [first_row + 2 * i for i in range(aggressor_rows)]
-    if rows[-1] >= config.rows_per_bank:
-        raise ConfigError("aggressor rows exceed the bank")
-    runs = config.columns_per_row // AddressMapper.MOP_RUN
-    total = aggressor_rows * hammers_per_row
-    addresses = np.empty(total, dtype=np.int64)
-    for i in range(total):
-        row = rows[i % aggressor_rows]
-        addresses[i] = _line_of_row(mapper, row,
-                                    column_run=(i // aggressor_rows) % runs)
-    return Trace(
-        name=name,
-        bubbles=_attack_bubbles(config, total, serialized),
-        is_write=np.zeros(total, dtype=bool),
-        addresses=addresses,
-    )
-
-
-def row_activation_counts(config: SystemConfig, trace: Trace,
-                          ) -> dict[tuple[int, int], int]:
-    """(flat bank, row) -> guaranteed activation count for an attack trace
-    (each access misses the row buffer by construction)."""
-    mapper = AddressMapper(config)
-    counts: dict[tuple[int, int], int] = {}
-    previous_row: dict[int, int] = {}
-    for address in trace.addresses:
-        decoded = mapper.decode(int(address))
-        flat = mapper.flat_bank_of(decoded)
-        if previous_row.get(flat) != decoded.row:
-            counts[(flat, decoded.row)] = counts.get(
-                (flat, decoded.row), 0) + 1
-        previous_row[flat] = decoded.row
-    return counts

@@ -57,20 +57,6 @@ class Trace:
     def write_fraction(self) -> float:
         return float(self.is_write.mean())
 
-    def truncated(self, max_instructions: int) -> "Trace":
-        """A prefix of this trace covering about ``max_instructions``."""
-        if max_instructions <= 0:
-            raise ConfigError("max_instructions must be positive")
-        cumulative = np.cumsum(self.bubbles + 1)
-        keep = int(np.searchsorted(cumulative, max_instructions, side="right"))
-        keep = max(keep, 1)
-        return Trace(
-            name=self.name,
-            bubbles=self.bubbles[:keep],
-            is_write=self.is_write[:keep],
-            addresses=self.addresses[:keep],
-        )
-
     # ------------------------------------------------------------------
     # persistence (npz round trip)
     # ------------------------------------------------------------------

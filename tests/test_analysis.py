@@ -38,7 +38,7 @@ class TestBoxStats:
     def test_single_value(self):
         stats = BoxStats.from_values([7.0])
         assert stats.minimum == stats.median == stats.maximum == 7.0
-        assert stats.iqr == 0.0
+        assert stats.q1 == stats.q3 == 7.0
 
     def test_unordered_input(self):
         stats = BoxStats.from_values([5, 1, 3])

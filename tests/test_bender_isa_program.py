@@ -78,18 +78,3 @@ class TestProgramBuilder:
     def test_check_bitflips_requires_key(self):
         with pytest.raises(ProgramError):
             TestProgram().check_bitflips(0, 5, key="")
-
-    def test_estimated_duration_counts_waits(self):
-        program = TestProgram()
-        program.act(0, 5, wait_ns=33.0).pre(0, wait_ns=15.0)
-        assert program.estimated_duration_ns() == pytest.approx(48.0)
-
-    def test_estimated_duration_hammer(self):
-        program = TestProgram()
-        program.hammer_doublesided(0, (1, 2), 100)
-        expected = 100 * 2 * program.timing.tRC
-        assert program.estimated_duration_ns() == pytest.approx(expected)
-
-    def test_estimated_duration_sleep_until(self):
-        program = TestProgram().sleep_until(64e6)
-        assert program.estimated_duration_ns() == pytest.approx(64e6)

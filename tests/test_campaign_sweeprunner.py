@@ -26,6 +26,12 @@ def tiny_campaign(tmp_path) -> CharacterizationCampaign:
     return CharacterizationCampaign(tmp_path / "results", config)
 
 
+def only_s6(campaign: CharacterizationCampaign) -> CharacterizationCampaign:
+    """The same campaign narrowed to S6, over the same directory."""
+    config = dataclasses.replace(campaign.config, module_ids=("S6",))
+    return CharacterizationCampaign(campaign.results_dir, config)
+
+
 def last_counts(runner) -> dict:
     """The ``counts`` of a campaign's or sweep's last ``run_report.json``."""
     return json.loads(runner.report_path().read_text())["counts"]
@@ -47,26 +53,23 @@ class TestCharacterizationCampaign:
 
     def test_resume_skips_done_modules(self, tmp_path):
         campaign = tiny_campaign(tmp_path)
-        campaign.run_module("S6")
+        s6_only = only_s6(campaign)
+        first = s6_only.run()["S6"]
         assert campaign.pending_modules() == ("M2",)
         # Re-running S6 loads from disk (same results, no recompute drift).
-        again = campaign.run_module("S6")
-        assert again.module_id == "S6"
+        again = s6_only.run()["S6"]
+        assert again.measurements == first.measurements
+        assert last_counts(s6_only)["reused"] == 1
 
     def test_load_incomplete_rejected(self, tmp_path):
         campaign = tiny_campaign(tmp_path)
         with pytest.raises(CharacterizationError, match="incomplete"):
             campaign.load()
 
-    def test_unknown_module_rejected(self, tmp_path):
-        campaign = tiny_campaign(tmp_path)
-        with pytest.raises(CharacterizationError):
-            campaign.run_module("H5")
-
     def test_summary_reports_progress(self, tmp_path):
         campaign = tiny_campaign(tmp_path)
         assert "0/2" in campaign.summary()
-        campaign.run_module("S6")
+        only_s6(campaign).run()
         assert "1/2" in campaign.summary()
 
     @pytest.mark.parametrize("change", [

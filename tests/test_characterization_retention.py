@@ -1,40 +1,10 @@
 """Tests for data-retention characterization (§7)."""
 
-import pytest
-
 from repro.characterization.retention import (
     RETENTION_TIMES_NS,
     retention_failure_fractions,
-    sample_retention_failures,
 )
-from repro.errors import CharacterizationError
 from repro.units import MS
-
-
-class TestSampledRetention:
-    def test_nominal_latency_retains(self):
-        failed, tested = sample_retention_failures(
-            "S6", tras_factor=1.0, n_pr=1, retention_time_ns=64 * MS,
-            per_region=8)
-        assert tested > 0
-        assert failed == 0
-
-    def test_deep_reduction_fails(self):
-        failed, _ = sample_retention_failures(
-            "S6", tras_factor=0.18, n_pr=1, retention_time_ns=64 * MS,
-            per_region=24)
-        assert failed > 0
-
-    def test_m_never_fails(self):
-        failed, _ = sample_retention_failures(
-            "M2", tras_factor=0.18, n_pr=10, retention_time_ns=256 * MS,
-            per_region=16)
-        assert failed == 0
-
-    def test_invalid_time_rejected(self):
-        with pytest.raises(CharacterizationError):
-            sample_retention_failures("S6", tras_factor=1.0, n_pr=1,
-                                      retention_time_ns=0.0)
 
 
 class TestAnalyticFractions:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.render import bar_chart, curve_table, sparkline
+from repro.analysis.render import curve_table, sparkline
 from repro.cli import main
 from repro.errors import ConfigError
 
@@ -22,21 +22,6 @@ class TestSparkline:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             sparkline([])
-
-
-class TestBarChart:
-    def test_renders_all_rows(self):
-        chart = bar_chart({"a": 1.0, "bb": 2.0})
-        assert chart.count("\n") == 1
-        assert "a" in chart and "bb" in chart
-
-    def test_peak_gets_full_width(self):
-        chart = bar_chart({"x": 10.0}, width=20)
-        assert "#" * 20 in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            bar_chart({})
 
 
 class TestCurveTable:

@@ -158,24 +158,23 @@ class TestFrames:
             recv_frame(right)
         left.close(), right.close()
 
-    def test_inflation_is_bounded(self, monkeypatch):
+    def test_inflation_is_bounded(self):
         """A compressed frame under the length cap may not inflate past
         it (the cap is lowered so the bomb stays small)."""
         import struct
         import zlib
 
-        from repro.runtime import wire
-        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 1 << 16)
         left, right = _socket_pair()
         for size, accepted in ((1 << 15, True), (1 << 20, False)):
             blob = zlib.compress(json.dumps({"x": "a" * size}).encode())
             assert len(blob) < 1 << 16
             left.sendall(struct.pack("!BI", 1, len(blob)) + blob)
             if accepted:
-                assert recv_frame(right) == {"x": "a" * size}
+                assert recv_frame(right, max_bytes=1 << 16) == {
+                    "x": "a" * size}
             else:
                 with pytest.raises(FrameError, match="inflates past"):
-                    recv_frame(right)
+                    recv_frame(right, max_bytes=1 << 16)
         left.close(), right.close()
 
     def test_truncated_compressed_frame_rejected(self):

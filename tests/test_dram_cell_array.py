@@ -7,12 +7,7 @@ import pytest
 from repro.dram.catalog import module_spec
 from repro.dram.cell_array import RowPopulation
 from repro.dram.charge import ChargeModel
-from repro.dram.disturbance import (
-    ALL_PATTERNS,
-    DataPattern,
-    HammerDose,
-    double_sided_dose,
-)
+from repro.dram.disturbance import ALL_PATTERNS, HammerDose
 from repro.rng import SeedTree
 
 
@@ -63,20 +58,20 @@ class TestHammerFlips:
     def test_no_flips_below_threshold(self):
         row = make_row("S6")
         nrh = row.effective_nrh(pattern=row.worst_case_pattern())
-        dose = double_sided_dose(int(nrh * 0.9))
+        dose = HammerDose(near=2.0 * int(nrh * 0.9))
         assert row.hammer_flips(dose, pattern=row.worst_case_pattern()) == 0
 
     def test_flips_at_threshold(self):
         row = make_row("S6")
         pattern = row.worst_case_pattern()
         nrh = row.effective_nrh(pattern=pattern)
-        dose = double_sided_dose(int(nrh) + 1)
+        dose = HammerDose(near=2.0 * (int(nrh) + 1))
         assert row.hammer_flips(dose, pattern=pattern) >= 1
 
     def test_flips_monotone_in_dose(self):
         row = make_row("S6")
         pattern = row.worst_case_pattern()
-        counts = [row.hammer_flips(double_sided_dose(hc), pattern=pattern)
+        counts = [row.hammer_flips(HammerDose(near=2.0 * hc), pattern=pattern)
                   for hc in (10_000, 30_000, 100_000, 300_000)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -85,7 +80,7 @@ class TestHammerFlips:
         worst = row.worst_case_pattern()
         weak = min(ALL_PATTERNS,
                    key=lambda p: row.traits.pattern_effectiveness[p])
-        dose = double_sided_dose(100_000)
+        dose = HammerDose(near=2.0 * 100_000)
         assert (row.hammer_flips(dose, pattern=weak)
                 <= row.hammer_flips(dose, pattern=worst))
 
@@ -97,7 +92,7 @@ class TestHammerFlips:
         # Fig. 9: BER grows superlinearly as restoration weakens (Mfr. S).
         row = make_row("S6")
         pattern = row.worst_case_pattern()
-        dose = double_sided_dose(100_000)
+        dose = HammerDose(near=2.0 * 100_000)
         nominal = row.hammer_flips(dose, factor=1.0, pattern=pattern)
         reduced = row.hammer_flips(dose, factor=0.27, pattern=pattern)
         assert reduced > nominal

@@ -1,55 +1,13 @@
-"""Tests for the SEC-DED ECC substrate."""
+"""Tests for the SEC-DED ECC row-outcome model."""
 
 import pytest
 
 from repro.dram.ecc import (
-    CODEWORD_BITS,
-    DecodeResult,
     EccOutcome,
-    decode,
     effective_failure_probability,
-    encode,
     row_outcome,
 )
 from repro.errors import ConfigError
-
-WORDS = (0, 1, 0xDEADBEEFCAFEBABE, (1 << 64) - 1, 0x0123456789ABCDEF)
-
-
-class TestCodec:
-    @pytest.mark.parametrize("word", WORDS)
-    def test_round_trip_clean(self, word):
-        result = decode(encode(word))
-        assert result.data == word
-        assert result.clean
-
-    @pytest.mark.parametrize("word", WORDS[:3])
-    def test_corrects_any_single_bit_error(self, word):
-        codeword = encode(word)
-        for position in range(CODEWORD_BITS):
-            corrupted = codeword ^ (1 << position)
-            result = decode(corrupted)
-            assert result.data == word, f"bit {position}"
-            assert result.corrected
-            assert not result.detected_uncorrectable
-
-    def test_detects_double_bit_errors(self):
-        codeword = encode(0xDEADBEEFCAFEBABE)
-        detected = 0
-        trials = 0
-        for a in range(0, CODEWORD_BITS, 7):
-            for b in range(a + 1, CODEWORD_BITS, 11):
-                trials += 1
-                result = decode(codeword ^ (1 << a) ^ (1 << b))
-                if result.detected_uncorrectable:
-                    detected += 1
-        assert detected == trials  # SEC-DED guarantees double detection
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigError):
-            encode(1 << 64)
-        with pytest.raises(ConfigError):
-            decode(1 << 72)
 
 
 class TestRowOutcome:
@@ -90,10 +48,6 @@ class TestPaCRAMInteraction:
 
 
 class TestDataclasses:
-    def test_decode_result_clean_flag(self):
-        assert DecodeResult(0, False, False).clean
-        assert not DecodeResult(0, True, False).clean
-
     def test_outcome_survival_boundary(self):
         assert EccOutcome(10.0, 0.4).survives
         assert not EccOutcome(0.0, 0.6).survives

@@ -11,7 +11,7 @@ class TestModuleGeometry:
         geometry = ModuleGeometry()
         assert geometry.total_banks == 16
         assert geometry.total_rows == 16 * 65_536
-        assert geometry.cells_per_row == 8192 * 8
+        assert geometry.row_size_bytes == 8192
 
     def test_capacity(self):
         geometry = ModuleGeometry()

@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.dram.disturbance import HammerDose
 from repro.dram.rowpress import (
     MIN_ON_TIME_NS,
-    CombinedPattern,
     equivalent_nrh,
     press_amplification,
-    pressed_dose,
 )
 from repro.errors import ConfigError
 from repro.units import US
@@ -35,32 +34,7 @@ class TestPressAmplification:
             press_amplification(0.0)
 
 
-class TestPressedDose:
-    def test_plain_hammering_equivalence(self):
-        dose = pressed_dose(1000, MIN_ON_TIME_NS)
-        assert dose.near == pytest.approx(2000.0)
-
-    def test_pressing_amplifies(self):
-        plain = pressed_dose(1000, MIN_ON_TIME_NS)
-        pressed = pressed_dose(1000, 7_800.0)
-        assert pressed.near > 5 * plain.near
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            pressed_dose(-1, 100.0)
-
-
 class TestCombinedPattern:
-    def test_effective_hammer_count(self):
-        pattern = CombinedPattern(activations=500, t_on_ns=7_800.0)
-        assert pattern.effective_hammer_count == pytest.approx(
-            500 * press_amplification(7_800.0))
-
-    def test_duration(self):
-        pattern = CombinedPattern(activations=100, t_on_ns=1_000.0)
-        assert pattern.duration_ns(trp_ns=15.0) == pytest.approx(
-            2 * 100 * 1_015.0)
-
     def test_equivalent_nrh_sub_1k(self):
         # §2.2: combined patterns make mitigations face sub-1K thresholds.
         assert equivalent_nrh(8_000, 7_800.0) < 1_000
@@ -71,13 +45,13 @@ class TestCombinedPattern:
         population = host_s6.module.row_population(0, 500)
         pattern_obj = population.worst_case_pattern()
         nrh = population.effective_nrh(pattern=pattern_obj)
-        combined = CombinedPattern(activations=int(nrh // 5),
-                                   t_on_ns=2 * US)
-        flips = population.hammer_flips(combined.dose(), pattern=pattern_obj)
+        # Both aggressors, each activation held open for 2 us.
+        activations = int(nrh // 5)
+        dose = HammerDose(
+            near=2.0 * activations * press_amplification(2 * US))
+        flips = population.hammer_flips(dose, pattern=pattern_obj)
         assert flips > 0
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            CombinedPattern(activations=-1, t_on_ns=100.0)
         with pytest.raises(ConfigError):
             equivalent_nrh(0, 100.0)

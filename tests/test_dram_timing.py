@@ -26,10 +26,6 @@ class TestDDR4:
     def test_refresh_interval_7_8us(self):
         assert ddr4_timing().tREFI == 7800.0
 
-    def test_preventive_refresh_latency(self):
-        timing = ddr4_timing()
-        assert timing.preventive_refresh_latency == timing.tRAS + timing.tRP
-
 
 class TestDDR5:
     def test_refresh_window_32ms(self):
@@ -52,24 +48,6 @@ class TestTestedLatencies:
         assert len(TESTED_TRAS_FACTORS) == 7
         assert TESTED_TRAS_FACTORS[0] == 1.00
         assert TESTED_TRAS_FACTORS[-1] == 0.18
-
-
-class TestReducedTras:
-    def test_scales_only_tras(self):
-        timing = ddr4_timing()
-        reduced = timing.with_reduced_tras(0.36)
-        assert reduced.tRAS == pytest.approx(33.0 * 0.36)
-        assert reduced.tRP == timing.tRP
-        assert reduced.tRCD == timing.tRCD
-
-    def test_identity_factor(self):
-        timing = ddr4_timing()
-        assert timing.with_reduced_tras(1.0).tRAS == timing.tRAS
-
-    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
-    def test_invalid_factor_rejected(self, factor):
-        with pytest.raises(ConfigError):
-            ddr4_timing().with_reduced_tras(factor)
 
 
 class TestValidation:

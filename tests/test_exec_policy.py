@@ -116,14 +116,6 @@ class TestCheckedResolution:
         policy.checked_kernel_for("sim")
         assert capsys.readouterr().err == ""
 
-    def test_with_overrides_resets_the_note(self, capsys):
-        policy = ExecutionPolicy(kernel_policy="array",
-                                 check_protocol="strict")
-        policy.checked_kernel_for("sim")
-        copy = policy.with_overrides()
-        copy.checked_kernel_for("sim")
-        assert capsys.readouterr().err.count("oracle") == 2
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="check-protocol"):
             ExecutionPolicy(check_protocol="paranoid")

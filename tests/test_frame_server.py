@@ -17,6 +17,7 @@ from repro.runtime import RunOptions, Task, make_scheduler
 from repro.runtime.distributed import echo_point, run_worker
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
+    MAX_HELLO_BYTES,
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
@@ -78,24 +79,40 @@ def _open_with(sock, case):
     elif case == "not-a-hello":
         send_frame(sock, {"type": "status", "job_id": "0" * 16})
     elif case == "nested-frame":  # deeper than the JSON decoder recurses
-        sock.sendall(struct.pack("!BI", 0, 100_000) + b"[" * 100_000)
-    else:  # a length prefix past the cap, with no payload behind it
+        sock.sendall(struct.pack("!BI", 0, 60_000) + b"[" * 60_000)
+    elif case == "oversized-frame":  # past the cap, no payload behind it
         sock.sendall(struct.pack("!BI", 0, MAX_FRAME_BYTES + 1))
+    elif case == "oversized-hello":  # under the frame cap, far past a hello
+        sock.sendall(struct.pack("!BI", 0, 200 * 1024 * 1024))
+    else:  # a well-formed hello, padded past the cap claimed or inflated
+        hello = {"type": "hello", "protocol": PROTOCOL_VERSION,
+                 "worker": "w-padded", "max": 1, "results": [],
+                 "pad": "x" * MAX_HELLO_BYTES}
+        if case == "padded-hello-compressed":
+            assert send_frame(sock, hello) < MAX_HELLO_BYTES
+        else:
+            blob = json.dumps(hello).encode()
+            sock.sendall(struct.pack("!BI", 0, len(blob)) + blob)
 
 
 # An opening that escapes a connection thread uncaught fails the case.
 @pytest.mark.filterwarnings(
     "error::pytest.PytestUnhandledThreadExceptionWarning")
 @pytest.mark.parametrize("case", ["wrong-protocol", "not-a-hello",
-                                  "nested-frame", "oversized-frame"])
+                                  "nested-frame", "oversized-frame",
+                                  "oversized-hello", "padded-hello",
+                                  "padded-hello-compressed"])
 def test_bad_opening_is_refused_and_the_endpoint_keeps_serving(endpoint,
                                                                 case):
     address, peer, still_serves = endpoint
+    replies = []
     with socket.create_connection(address, timeout=10.0) as sock:
-        _open_with(sock, case)
-        replies = []
-        while (frame := recv_frame(sock)) is not None:
-            replies.append(frame)
+        try:
+            _open_with(sock, case)
+            while (frame := recv_frame(sock)) is not None:
+                replies.append(frame)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # closed with the rest of the opening frame unread
     if case == "wrong-protocol":
         assert replies == [{
             "type": "error",
@@ -104,3 +121,4 @@ def test_bad_opening_is_refused_and_the_endpoint_keeps_serving(endpoint,
     else:
         assert replies == []  # closed without a reply
     still_serves()
+

@@ -16,8 +16,8 @@ from repro.sim.config import SystemConfig
 class TestFRBitVector:
     def test_all_rows_start_in_f_state(self):
         fr = FRBitVector(4, 128)
-        assert fr.fraction_in_f_state() == 1.0
-        assert fr.needs_full_restoration(0, 0)
+        assert all(fr.needs_full_restoration(bank, row)
+                   for bank in range(4) for row in range(128))
 
     def test_full_restoration_moves_to_p(self):
         fr = FRBitVector(4, 128)
@@ -30,7 +30,7 @@ class TestFRBitVector:
         for row in range(64):
             fr.mark_fully_restored(0, row)
         fr.reset_all()
-        assert fr.fraction_in_f_state() == 1.0
+        assert all(fr.needs_full_restoration(0, row) for row in range(64))
 
     def test_storage_one_bit_per_row(self):
         # §8.4: 8 KB per 64K-row bank.
@@ -44,17 +44,6 @@ class TestFRBitVector:
             fr.needs_full_restoration(2, 0)
         with pytest.raises(ConfigError):
             fr.mark_fully_restored(0, 64)
-
-    def test_fraction_counts_marked_rows(self):
-        fr = FRBitVector(32, 65_536)
-        rows = [(0, 0), (3, 17), (31, 65_535), (3, 17), (7, 1000)]
-        for bank, row in rows:
-            fr.mark_fully_restored(bank, row)
-        k = len(set(rows))
-        assert fr.fraction_in_f_state() == (
-            (fr.storage_bits - k) / fr.storage_bits)
-        fr.reset_all()
-        assert fr.fraction_in_f_state() == 1.0
 
     @pytest.mark.parametrize("policy_class",
                              [PaCRAM, SelfManagingDRAMPaCRAM])
@@ -122,14 +111,6 @@ class TestPaCRAMPolicy:
         _, full_first = policy.preventive_tras_ns(5, -1, 0.0)
         _, full_second = policy.preventive_tras_ns(5, -1, 1.0)
         assert full_first and not full_second
-
-    def test_nrh_scale_matches_reduction(self):
-        policy, _ = make_policy("H5", 0.27)
-        assert policy.nrh_scale() == pytest.approx(9_400 / 10_200)
-
-    def test_nrh_scale_capped_at_one(self):
-        policy, _ = make_policy("M2", 0.18)
-        assert policy.nrh_scale() <= 1.0
 
     def test_periodic_refreshes_unaffected(self):
         # Footnote 5: PaCRAM does not touch periodic refresh latency.

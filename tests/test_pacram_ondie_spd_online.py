@@ -1,5 +1,7 @@
 """Tests for §8.5 on-die PaCRAM, §10 SPD configs, and online profiling."""
 
+import struct
+
 import pytest
 
 from repro.core.config import PaCRAMConfig
@@ -8,6 +10,11 @@ from repro.core.online_profiling import OnlineProfiler
 from repro.core.spd import SpdEntry, SpdRecord, crc16
 from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
+
+
+def with_valid_crc(payload: bytes) -> bytes:
+    """An SPD blob whose checksum matches ``payload``, however malformed."""
+    return payload + struct.pack("<H", crc16(payload))
 
 
 def short_tfcri_config() -> PaCRAMConfig:
@@ -62,11 +69,6 @@ class TestOnDiePaCRAM:
         _, full = policy.preventive_tras_ns(0, -1, 2e6)
         assert full
 
-    def test_nrh_scale(self):
-        config = SystemConfig(num_cores=1)
-        policy = OnDiePaCRAM(config, short_tfcri_config())
-        assert policy.nrh_scale() == pytest.approx(0.5)
-
 
 class TestSelfManagingDRAM:
     def test_per_row_granularity_without_controller_state(self):
@@ -77,7 +79,6 @@ class TestSelfManagingDRAM:
         _, full_c = policy.preventive_tras_ns(0, 11, 2.0)
         assert full_a and not full_b
         assert full_c  # a different row still needs its first full restore
-        assert SelfManagingDRAMPaCRAM.controller_area_mm2() == 0.0
 
     def test_footnote6_always_partial(self):
         config = SystemConfig(num_cores=1)
@@ -116,6 +117,19 @@ class TestSpdRecord:
         blob = SpdRecord.from_catalog("H5").encode()
         with pytest.raises(ConfigError):
             SpdRecord.decode(blob[:4])
+
+    @pytest.mark.parametrize("malform", [
+        # The entry count (header byte 5) claims one entry too many.
+        lambda p: p[:5] + bytes([p[5] + 1]) + p[6:],
+        # The module id (header bytes 6..15) is not ASCII.
+        lambda p: p[:6] + b"\xff" * 10 + p[16:],
+        # Bytes follow the declared entries.
+        lambda p: p + b"\0" * 10,
+    ], ids=["count-exceeds-entries", "non-ascii-id", "trailing-bytes"])
+    def test_malformed_blob_with_valid_crc_refused(self, malform):
+        payload = SpdRecord.from_catalog("H5").encode()[:-2]
+        with pytest.raises(ConfigError):
+            SpdRecord.decode(with_valid_crc(malform(payload)))
 
     def test_unknown_operating_point_rejected(self):
         record = SpdRecord.from_catalog("S6")
@@ -156,13 +170,6 @@ class TestOnlineProfiler:
         profiler.next_batch()
         with pytest.raises(ConfigError):
             profiler.next_batch()
-
-    def test_abort_reissues_same_rows(self):
-        profiler = OnlineProfiler()
-        first = profiler.next_batch()
-        profiler.abort_batch()
-        again = profiler.next_batch()
-        assert again.first_row == first.first_row
 
     def test_done_refuses_more(self):
         profiler = OnlineProfiler(rows_per_bank=100, rows_per_batch=100)

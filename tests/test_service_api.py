@@ -325,10 +325,10 @@ class TestServiceSockets:
         server_side = []
         real_recv = wire.recv_frame
 
-        def spy(conn):
+        def spy(conn, **kwargs):
             server_side.append(conn.getsockopt(socket.IPPROTO_TCP,
                                                socket.TCP_NODELAY))
-            return real_recv(conn)
+            return real_recv(conn, **kwargs)
 
         # The server reads the hello through the wire module's binding;
         # the client and the service's handler hold their own.

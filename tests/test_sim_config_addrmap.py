@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.addrmap import AddressMapper, DecodedAddress
+from repro.sim.addrmap import AddressMapper
 from repro.sim.config import SystemConfig
 
 
@@ -74,17 +74,6 @@ class TestAddressMapper:
             assert 0 <= d.bank < config.banks_per_group
             assert 0 <= d.row < config.rows_per_bank
             assert 0 <= d.column < config.columns_per_row
-
-    def test_flat_bank_unique(self):
-        config = SystemConfig()
-        mapper = AddressMapper(config)
-        flats = set()
-        for rank in range(config.ranks):
-            for group in range(config.bank_groups):
-                for bank in range(config.banks_per_group):
-                    decoded = DecodedAddress(0, rank, group, bank, 0, 0)
-                    flats.add(mapper.flat_bank_of(decoded))
-        assert flats == set(range(config.total_banks))
 
     def test_wraps_modulo_capacity(self):
         mapper = AddressMapper(SystemConfig())

@@ -89,19 +89,6 @@ class TestCoreModel:
         with pytest.raises(SimulationError):
             core.stats()
 
-    def test_waiting_for_memory_reports_window_stall(self, config, mapper):
-        trace = make_trace([0] * 200, list(range(200)))
-        core = CoreModel(0, trace, config, mapper)
-        requests = core.pump()
-        assert core.waiting_for_memory()  # window full, head unserviced
-        head = requests[0]
-        head.completion_ns = 10.0
-        core.note_completion(head)
-        core.pump()
-        # After draining, either more issued or still stalled on a new head.
-        assert core.trace_exhausted() or core.waiting_for_memory() or \
-            not core.finished()
-
     def test_address_offset_applied(self, config, mapper):
         trace = make_trace([0], [100])
         core = CoreModel(1, trace, config, mapper, address_offset=1 << 20)

@@ -1,7 +1,5 @@
 """Tests for repro.units."""
 
-import pytest
-
 from repro.units import (
     K,
     KIB,
@@ -9,9 +7,7 @@ from repro.units import (
     NS,
     S,
     US,
-    cycles_to_ns,
     format_time_ns,
-    ns_to_cycles,
 )
 
 
@@ -24,39 +20,6 @@ class TestConstants:
     def test_sizes(self):
         assert KIB == 1024
         assert K == 1000
-
-
-class TestNsToCycles:
-    def test_exact_conversion(self):
-        # 10 ns at 1000 MHz = 10 cycles exactly.
-        assert ns_to_cycles(10.0, 1000.0) == 10
-
-    def test_rounds_up(self):
-        # 10 ns at 1200 MHz = 12 cycles exactly; 10.1 ns rounds up to 13.
-        assert ns_to_cycles(10.0, 1200.0) == 12
-        assert ns_to_cycles(10.1, 1200.0) == 13
-
-    def test_zero(self):
-        assert ns_to_cycles(0.0, 1600.0) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ns_to_cycles(-1.0, 1600.0)
-
-    def test_round_trip_upper_bounds(self):
-        # cycles -> ns -> cycles is the identity.
-        for cycles in (1, 7, 33, 1000):
-            ns = cycles_to_ns(cycles, 2400.0)
-            assert ns_to_cycles(ns, 2400.0) == cycles
-
-
-class TestCyclesToNs:
-    def test_basic(self):
-        assert cycles_to_ns(2400, 2400.0) == pytest.approx(1000.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            cycles_to_ns(-1, 2400.0)
 
 
 class TestFormatTime:

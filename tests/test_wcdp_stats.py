@@ -1,34 +1,21 @@
 """Tests for worst-case-data-pattern statistics (§4.3)."""
 
-from repro.characterization.results import ModuleCharacterization, RowMeasurement
+from collections import Counter
+
 from repro.characterization.sweeps import characterize_module
 from repro.dram.disturbance import ALL_PATTERNS
 
 
-def measurement(row, wcdp, factor=1.0):
-    return RowMeasurement(bank=0, row=row, tras_factor=factor, n_pr=1,
-                          temperature_c=80.0, wcdp=wcdp, nrh=5000, ber=0.01)
+def wcdp_histogram(result) -> Counter:
+    """How often each data pattern was a row's worst case at nominal tRAS."""
+    return Counter(m.wcdp for m in result.at(tras_factor=1.0, n_pr=1))
 
 
 class TestWcdpHistogram:
-    def test_counts_by_pattern(self):
-        result = ModuleCharacterization("S6", seed=1)
-        result.add(measurement(1, "RS"))
-        result.add(measurement(2, "RS"))
-        result.add(measurement(3, "CB"))
-        assert result.wcdp_histogram() == {"RS": 2, "CB": 1}
-
-    def test_filtered_by_factor(self):
-        result = ModuleCharacterization("S6", seed=1)
-        result.add(measurement(1, "RS", factor=1.0))
-        result.add(measurement(1, "CS", factor=0.36))
-        assert result.wcdp_histogram(1.0) == {"RS": 1}
-        assert result.wcdp_histogram(0.36) == {"CS": 1}
-
     def test_real_campaign_uses_only_the_six_patterns(self):
         result = characterize_module("H5", tras_factors=(1.0,),
                                      per_region=8)
-        histogram = result.wcdp_histogram()
+        histogram = wcdp_histogram(result)
         valid_names = {p.short_name for p in ALL_PATTERNS}
         assert set(histogram) <= valid_names
         assert sum(histogram.values()) == len(result.at(tras_factor=1.0))
@@ -37,6 +24,6 @@ class TestWcdpHistogram:
         # PATTERN_BASE_EFFECTIVENESS makes row stripes the usual winners.
         result = characterize_module("M2", tras_factors=(1.0,),
                                      per_region=16)
-        histogram = result.wcdp_histogram()
+        histogram = wcdp_histogram(result)
         stripes = histogram.get("RS", 0) + histogram.get("RSI", 0)
         assert stripes > sum(histogram.values()) / 2

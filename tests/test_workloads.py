@@ -42,14 +42,6 @@ class TestTrace:
             Trace("t", np.array([], dtype=np.int64),
                   np.array([], dtype=bool), np.array([], dtype=np.int64))
 
-    def test_truncated_respects_budget(self):
-        trace = Trace("t", np.full(100, 9, dtype=np.int64),
-                      np.zeros(100, dtype=bool),
-                      np.arange(100, dtype=np.int64))
-        shorter = trace.truncated(55)
-        assert shorter.instructions <= 60
-        assert len(shorter) >= 1
-
     def test_npz_round_trip(self, tmp_path):
         trace = generate_trace(TraceSpec("x", 10.0, 0.5, 1024),
                                requests=200)
