@@ -8,9 +8,13 @@ point normalized against its no-PaCRAM baseline) two ways:
 * **array** — the structure-of-arrays kernel
   (:mod:`repro.sim.arraykernel`) with a shared
   :class:`~repro.analysis.baselines.BaselineCache`, so the baseline runs
-  once per (mitigation, workload) across the whole factor sweep.
+  once per (mitigation, workload) across the whole factor sweep, and the
+  mitigation skip of :mod:`repro.sim.replay`, so a point whose mechanism
+  never acts on the no-mitigation activation stream is served that run's
+  result (each phase is best-of-two, so the array side's best pass finds
+  both streams recorded).
 
-Five contracts are asserted, not just reported:
+Six contracts are asserted, not just reported:
 
 * both phases produce identical normalized series (the scalar path is
   the parity oracle, and memoized baselines must replay exactly);
@@ -24,7 +28,13 @@ Five contracts are asserted, not just reported:
   epoch-batchable mechanisms;
 * one array sweep from cleared input memos builds each of its 2 distinct
   traces once, not once per simulation (80): the per-process trace memo
-  of :func:`repro.workloads.synth.generate_trace` at work.
+  of :func:`repro.workloads.synth.generate_trace` at work;
+* on a grid where mechanisms seldom act (Graphene, Hydra and RFM at N_RH
+  1024 and 32, every PaCRAM configuration, 400 requests),
+  ``run_simulation`` gives every point the result of a full
+  ``MemorySystem.run("array")``, serves ``skip_served_points`` of them
+  from the replay, and is at least 4x faster than the full run on those
+  points (``skip_margin``, best-of-five per point, interleaved).
 
 The kernel-level scalar side is exactly what ``--kernel-policy scalar``
 runs: scalar mitigation classes, one plugin call per activation, one
@@ -51,12 +61,15 @@ machine-readable ``bench_results/BENCH_system_scaling.json``.
 import gc
 import json
 import time
+from dataclasses import asdict
+from unittest import mock
 
 from bench_util import RESULTS_DIR, run_once, save_result
 
 from repro.analysis.baselines import BaselineCache
 from repro.analysis.figures import fig17_18_performance_energy, fig19_periodic
 from repro.analysis.runner import pacram_reference_config, run_simulation
+from repro.core.pacram import PaCRAM
 from repro.mitigations import make_mitigation
 from repro.sim.arraykernel import (
     ArrayCore,
@@ -65,8 +78,10 @@ from repro.sim.arraykernel import (
     service_array,
 )
 from repro.sim.config import SystemConfig
+from repro.sim.replay import ActivationStream, clear_stream_memo
 from repro.sim.system import MemorySystem
 from repro.workloads.attack import double_sided_trace
+from repro.workloads.suites import workload_by_name
 from repro.workloads.synth import clear_trace_memo, trace_generations
 
 _TRAS_FACTORS = (0.81, 0.64, 0.45, 0.36, 0.27)
@@ -100,6 +115,19 @@ _EPOCH_ATTEMPTS = 3
 #: Asserted ceiling on traces one array sweep builds from cleared memos:
 #: one per distinct (workload, requests, seed) input.
 _TRACE_GENERATION_CEILING = len(_WORKLOADS)
+
+#: The mitigation-skip grid: mechanisms without an ACT penalty at the
+#: evaluation's outer thresholds, where the no-mitigation stream decides
+#: many points without an action (and the rest act, so both paths run).
+_SKIP_MITIGATIONS = ("Graphene", "Hydra", "RFM")
+_SKIP_NRH = (1024, 32)
+_SKIP_VENDORS = (None, "H", "M", "S")
+_SKIP_REQUESTS = 400
+_SKIP_ROUNDS = 5
+#: Asserted skip-over-full-run margin on the points the skip serves
+#: (5.9-6.9x measured on a shared 2-vCPU host; the floor leaves room for
+#: a noisy runner).
+_SKIP_MARGIN_FLOOR = 4.0
 
 
 def _sweep(sim_kernel, cache):
@@ -144,8 +172,70 @@ def _array_trace_generations():
     """Traces one array sweep builds when it starts from cleared memos."""
     clear_trace_memo()
     clear_decode_memo()
+    clear_stream_memo()
     _sweep("array", BaselineCache())
     return trace_generations()
+
+
+def _skip_margin():
+    """The mitigation skip against the full array run, point by point.
+
+    Every point of the skip grid runs through ``run_simulation`` and as a
+    full ``MemorySystem.run("array")`` (the run ``run_simulation`` made
+    before the skip existed), and the two results must be identical.
+    ``skip_served_points`` counts the points ``run_simulation`` served
+    from the replay; on those, both paths are then timed interleaved,
+    best-of-``_SKIP_ROUNDS`` each, with the activation streams recorded.
+    """
+    config = SystemConfig(num_cores=1)
+    points = [(mitigation, nrh, vendor, name)
+              for mitigation in _SKIP_MITIGATIONS for nrh in _SKIP_NRH
+              for vendor in _SKIP_VENDORS for name in _WORKLOADS]
+
+    def skip_run(point):
+        mitigation, nrh, vendor, name = point
+        pacram = pacram_reference_config(vendor) if vendor else None
+        return run_simulation((name,), mitigation=mitigation, nrh=nrh,
+                              pacram=pacram, requests=_SKIP_REQUESTS,
+                              config=config, sim_kernel="array")
+
+    def full_run(point):
+        mitigation, nrh, vendor, name = point
+        pacram = pacram_reference_config(vendor) if vendor else None
+        trace = workload_by_name(name, requests=_SKIP_REQUESTS, seed=7)
+        mechanism = make_mitigation(
+            mitigation, nrh if pacram is None else pacram.scaled_nrh(nrh),
+            batched=True, config=config)
+        policy = None if pacram is None else PaCRAM(config, pacram)
+        return MemorySystem(config, [trace], mitigation=mechanism,
+                            policy=policy).run("array")
+
+    clear_stream_memo()
+    served = []
+    for point in points:
+        with mock.patch.object(ActivationStream, "result", autospec=True,
+                               side_effect=ActivationStream.result) as spy:
+            skipped = skip_run(point)
+        assert asdict(skipped) == asdict(full_run(point)), point
+        if spy.call_count:
+            served.append(point)
+    best = {point: {"skip": float("inf"), "full": float("inf")}
+            for point in served}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(_SKIP_ROUNDS):
+            for point in served:
+                for variant, run in (("skip", skip_run), ("full", full_run)):
+                    started = time.perf_counter()
+                    run(point)
+                    elapsed = time.perf_counter() - started
+                    best[point][variant] = min(best[point][variant], elapsed)
+    finally:
+        gc.enable()
+    skip_s = sum(times["skip"] for times in best.values())
+    full_s = sum(times["full"] for times in best.values())
+    return len(points), len(served), skip_s, full_s
 
 
 def _epoch_kernel_margin():
@@ -244,13 +334,16 @@ def _run_all_phases():
     before, before_s, _ = _timed_sweep("scalar", lambda: None)
     array, array_s, cache = _timed_sweep("array", BaselineCache)
     generations = _array_trace_generations()
+    skip = _skip_margin()
     return (before, before_s, array, array_s, cache, per_mechanism,
-            epoch_margin, generations)
+            epoch_margin, generations, skip)
 
 
 def bench_system_scaling(benchmark):
     (before, before_s, array, array_s, cache, per_mechanism,
-     epoch_margin, generations) = run_once(benchmark, _run_all_phases)
+     epoch_margin, generations, skip) = run_once(benchmark, _run_all_phases)
+    skip_points, skip_served, skip_s, full_s = skip
+    skip_margin = full_s / skip_s if skip_s > 0 else float("inf")
     # Parity first: a fast path that changes results is not a fast path.
     assert before == array
     points = len(before)
@@ -276,7 +369,14 @@ def bench_system_scaling(benchmark):
         f"(nrh={_EPOCH_NRH}, {_EPOCH_HAMMERS} hammer pairs):\n"
         f"{epoch_lines}\n"
         f"epoch-dispatch aggregate margin "
-        f"({'+'.join(_EPOCH_BATCHABLE)}): {epoch_margin:.2f}x")
+        f"({'+'.join(_EPOCH_BATCHABLE)}): {epoch_margin:.2f}x\n"
+        f"mitigation skip: {'/'.join(_SKIP_MITIGATIONS)} x nrh "
+        f"{'/'.join(map(str, _SKIP_NRH))} x {len(_SKIP_VENDORS)} PaCRAM "
+        f"configs x {len(_WORKLOADS)} workloads at {_SKIP_REQUESTS} "
+        f"requests: {skip_served} of {skip_points} points served by the "
+        f"replay\n"
+        f"  on those points: full array runs {full_s * 1e3:.1f}ms, "
+        f"run_simulation {skip_s * 1e3:.1f}ms, margin {skip_margin:.1f}x")
     save_result("system_scaling", text)
     payload = {
         "array_speedup": array_speedup,
@@ -291,8 +391,12 @@ def bench_system_scaling(benchmark):
         "epoch_kernel_sweep": per_mechanism,
         "epoch_kernel_batchable": list(_EPOCH_BATCHABLE),
         "array_trace_generations": generations,
+        "skip_points": skip_points,
+        "skip_served_points": skip_served,
+        "skip_margin": skip_margin,
         "floors": {"array_speedup": _ARRAY_FLOOR,
-                   "epoch_kernel_margin": _EPOCH_MARGIN_FLOOR},
+                   "epoch_kernel_margin": _EPOCH_MARGIN_FLOOR,
+                   "skip_margin": _SKIP_MARGIN_FLOOR},
         "ceilings": {"array_trace_generations": _TRACE_GENERATION_CEILING},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -307,6 +411,12 @@ def bench_system_scaling(benchmark):
     assert generations <= _TRACE_GENERATION_CEILING, (
         f"one array sweep built {generations} traces "
         f"(ceiling {_TRACE_GENERATION_CEILING})")
+    assert 0 < skip_served < skip_points, (
+        f"the skip served {skip_served} of {skip_points} points: the grid "
+        f"must hold both served and acting points")
+    assert skip_margin >= _SKIP_MARGIN_FLOOR, (
+        f"mitigation skip only {skip_margin:.1f}x faster than the full run "
+        f"(floor {_SKIP_MARGIN_FLOOR}x)")
 
 
 def bench_fig_builders_kernel_parity(benchmark):

@@ -68,6 +68,14 @@ def run_simulation(workload_names: tuple[str, ...], *,
     no-PaCRAM runs across calls (and across processes, through its disk
     tier): Fig. 16 pointed at a sweep's cache reads the baselines that
     sweep simulated.
+
+    An unchecked array-kernel run whose mechanism has no ACT penalty is
+    first replayed on the no-mitigation run's activation stream
+    (:mod:`repro.sim.replay`, recorded once per process per traces and
+    config).  If the mechanism never acts there, its run is that
+    no-mitigation run, and a fresh copy of its result is returned;
+    otherwise the point runs in full.  Writable traces, the scalar
+    oracle, checked runs and PRAC always run in full.
     """
     from repro.analysis.baselines import (
         baseline_code_digest,
@@ -95,14 +103,28 @@ def run_simulation(workload_names: tuple[str, ...], *,
         cached = cache.get(key)
         if cached is not None:
             return cached
-    policy = None
-    effective_nrh = nrh
-    if pacram is not None:
-        policy = PaCRAM(config, pacram)
-        effective_nrh = pacram.scaled_nrh(nrh)
+    effective_nrh = nrh if pacram is None else pacram.scaled_nrh(nrh)
     mechanism = make_mitigation(mitigation, effective_nrh,
                                 batched=(kernel == "array"),
                                 config=config)
+    if (kernel == "array" and violations_path is None
+            and mechanism.act_penalty_ns == 0):
+        # Imported here, with the array kernel it records on: scalar and
+        # checked runs never load either.
+        from repro.sim.replay import activation_stream
+
+        stream = activation_stream(traces, config)
+        if stream is not None:
+            if not stream.acts(mechanism):
+                result = stream.result()
+                if use_cache:
+                    cache.put(key, result)
+                return result
+            # The replay advanced this instance: the full run needs a
+            # fresh one.
+            mechanism = make_mitigation(mitigation, effective_nrh,
+                                        batched=True, config=config)
+    policy = None if pacram is None else PaCRAM(config, pacram)
     checker = make_checker(
         config, mode=mode,
         partial_limit=(policy.partial_restoration_limit()

@@ -115,9 +115,33 @@ class SweepRow:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepRow":
-        raw = dict(raw)
-        raw["workloads"] = tuple(raw["workloads"])
-        return cls(**raw)
+        """A row from its JSON form; a field of the wrong type is refused."""
+        for name, kinds in _ROW_JSON_TYPES.items():
+            if type(raw[name]) not in kinds:
+                raise TypeError(f"sweep row field {name!r} holds "
+                                f"{raw[name]!r}")
+        if not all(type(name) is str for name in raw["workloads"]):
+            raise TypeError(f"sweep row workloads {raw['workloads']!r}")
+        return cls(**{**raw, "workloads": tuple(raw["workloads"])})
+
+
+#: The JSON type each persisted :class:`SweepRow` field must load as.  A
+#: digest vouches for a row's bytes, not for their types.  A statistic
+#: loads as a ``float`` even when whole: ``json.dumps`` writes ``1.0``,
+#: never ``1``.
+_ROW_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "key": (str,),
+    "mitigation": (str,),
+    "nrh": (int,),
+    "pacram_vendor": (str, type(None)),
+    "workloads": (list,),
+    "mean_ipc": (float,),
+    "energy_nj": (float,),
+    "preventive_busy_fraction": (float,),
+    "preventive_refresh_rows": (int,),
+    "violations": (int,),
+    "digest": (str, type(None)),
+}
 
 
 def row_digest(payload: dict) -> str:
@@ -134,7 +158,8 @@ def row_digest(payload: dict) -> str:
 def load_row(path: str | Path) -> SweepRow:
     """Parse and validate one persisted row.
 
-    Truncated, schema-invalid, or digest-mismatched files raise
+    Truncated, schema-invalid (a field missing, unknown or of the wrong
+    type), or digest-mismatched files raise
     :class:`~repro.errors.SimulationError` so the engine can quarantine
     and re-run the point instead of crashing the resume (or worse,
     aggregating corrupted statistics).  A row without its digest is

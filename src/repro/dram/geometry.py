@@ -21,12 +21,10 @@ class ModuleGeometry:
     columns_per_row: int = 1024
     device_width: int = 8  #: bits per chip per beat (x4 / x8 / x16)
     chips_per_rank: int = 8
-    row_size_bytes: int = 8192  #: one DRAM row holds 8 KB of data (paper §10)
 
     def __post_init__(self) -> None:
         for name in ("ranks", "banks_per_rank", "rows_per_bank",
-                     "columns_per_row", "device_width", "chips_per_rank",
-                     "row_size_bytes"):
+                     "columns_per_row", "device_width", "chips_per_rank"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.device_width not in (4, 8, 16):
@@ -36,16 +34,6 @@ class ModuleGeometry:
     def total_banks(self) -> int:
         """Banks across all ranks."""
         return self.ranks * self.banks_per_rank
-
-    @property
-    def total_rows(self) -> int:
-        """Rows across all banks and ranks."""
-        return self.total_banks * self.rows_per_bank
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total rank-level capacity in bytes."""
-        return self.total_rows * self.row_size_bytes
 
     def valid_row(self, bank: int, row: int) -> bool:
         """Whether ``(bank, row)`` addresses a row within this geometry."""
@@ -72,5 +60,4 @@ def geometry_for_density(die_density_gbit: int, device_width: int) -> ModuleGeom
         columns_per_row=1024,
         device_width=device_width,
         chips_per_rank=64 // device_width,
-        row_size_bytes=8192,
     )

@@ -66,8 +66,9 @@ import os
 import threading
 from bisect import bisect_right, insort_right
 from collections import OrderedDict, deque
+from collections.abc import Callable
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -101,6 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import MemorySystem, SimulationResult
 
 _INF = float("inf")
+_T = TypeVar("_T")
 
 
 class SharedQueues:
@@ -124,35 +126,7 @@ class SharedQueues:
         self.completion: list[float] = []
 
 
-#: Decoded columns are memoized per process and bounded by the requests
-#: they hold (about 215 bytes each, so about 13 MiB when full).  One
-#: evaluation pass needs about 7,200: 18 decodings of 400 requests.
-_DECODE_BUDGET = 65_536
-#: key -> (trace arrays, columns), least recently used first.
-_decoded: OrderedDict[tuple, tuple] = OrderedDict()
-_decoded_requests = 0
-_decode_lock = threading.Lock()
-
-
-def _fresh_decode_lock() -> None:
-    # A fork while another thread holds the lock must not hand the child
-    # a lock that nobody will ever release.
-    global _decode_lock
-    _decode_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_decode_lock)
-
-
-def clear_decode_memo() -> None:
-    """Forget every memoized decoding."""
-    global _decoded_requests
-    with _decode_lock:
-        _decoded.clear()
-        _decoded_requests = 0
-
-
-def _read_only(array: np.ndarray) -> bool:
+def read_only(array: np.ndarray) -> bool:
     """Whether nothing can write into ``array``: neither it nor any array
     it is a view of is writeable."""
     while isinstance(array, np.ndarray):
@@ -162,40 +136,88 @@ def _read_only(array: np.ndarray) -> bool:
     return True
 
 
+class ArrayMemo:
+    """A bounded, thread-safe LRU of what runs derive from read-only
+    arrays.
+
+    A sweep simulates the same few traces hundreds of times, so what a
+    run builds from them is built once per process.  An entry is keyed by
+    the arrays' ``id`` values and the other inputs, and holds the arrays
+    themselves, so those ids cannot be recycled while it lives.  Only
+    read-only arrays may key one: an in-place edit of a writable array
+    would leave it stale.  Each entry weighs ``size``; the least recently
+    used go once the total passes ``budget``, and a value heavier than
+    the whole budget is never kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.held = 0
+        #: key -> (arrays, value, size), least recently used first.
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+        os.register_at_fork(after_in_child=self._fresh_lock)
+
+    def _fresh_lock(self) -> None:
+        # A fork while another thread holds the lock must not hand the
+        # child a lock that nobody will ever release.
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        """Forget every entry."""
+        with self._lock:
+            self._entries.clear()
+            self.held = 0
+
+    def get(self, arrays: tuple[np.ndarray, ...], inputs: tuple, size: int,
+            build: Callable[[], _T]) -> _T:
+        """What ``build()`` makes of ``arrays`` and ``inputs``: built on a
+        miss, shared on a hit."""
+        key = (*map(id, arrays), *inputs)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[1]
+        value = build()
+        if size <= self.budget:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = (arrays, value, size)
+                    self.held += size
+                while self.held > self.budget:
+                    _, (_arrays, _value, evicted) = self._entries.popitem(
+                        last=False)
+                    self.held -= evicted
+        return value
+
+
+#: Decoded columns, bounded by the requests they hold (about 215 bytes
+#: each, so about 13 MiB when full).  One evaluation pass needs about
+#: 7,200: 18 decodings of 400 requests.
+_decoded = ArrayMemo(budget=65_536)
+
+
+def clear_decode_memo() -> None:
+    """Forget every memoized decoding."""
+    _decoded.clear()
+
+
 def decoded_columns(core: CoreModel) -> tuple[list, list, list, float]:
     """``core``'s ``(tails, positions, fetch_done, final_frontend)``.
 
-    Memoized per (trace arrays, core id, address offset, config) when the
-    trace's arrays are read-only, as generated traces are: a sweep
-    simulates the same few traces hundreds of times.  A writable trace
-    is decoded afresh on every call, so editing it in place between runs
-    can never serve a stale decoding.  An entry holds the arrays
-    themselves, so the ``id`` values in its key cannot be recycled while
-    it lives.
+    Shared per (trace arrays, core id, address offset, config) when the
+    trace's arrays are read-only, as generated traces are.  A writable
+    trace is decoded afresh on every call, so editing it in place
+    between runs can never serve a stale decoding.
     """
-    global _decoded_requests
     trace = core.trace
     arrays = (trace.bubbles, trace.is_write, trace.addresses)
     inputs = (core.core_id, core.address_offset, core.config)
-    if not all(map(_read_only, arrays)):
+    if not all(map(read_only, arrays)):
         return _decode(arrays, *inputs)
-    key = (*map(id, arrays), *inputs)
-    with _decode_lock:
-        entry = _decoded.get(key)
-        if entry is not None:
-            _decoded.move_to_end(key)
-            return entry[1]
-    columns = _decode(arrays, *inputs)
-    n = len(trace)
-    if n <= _DECODE_BUDGET:
-        with _decode_lock:
-            if key not in _decoded:
-                _decoded[key] = (arrays, columns)
-                _decoded_requests += n
-            while _decoded_requests > _DECODE_BUDGET:
-                _, (evicted, _columns) = _decoded.popitem(last=False)
-                _decoded_requests -= len(evicted[0])
-    return columns
+    return _decoded.get(arrays, inputs, len(trace),
+                        lambda: _decode(arrays, *inputs))
 
 
 def _decode(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], core_id: int,

@@ -9,7 +9,6 @@ whether it is a write, and its cache-line address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +21,8 @@ class Trace:
 
     Readers never write into the arrays or reassign a field, so traces
     can be shared: :func:`~repro.workloads.synth.generate_trace` hands
-    every caller the same object with read-only arrays.  Hand-built and
-    loaded traces stay writable.
+    every caller the same object with read-only arrays.  A hand-built
+    trace stays writable.
     """
 
     name: str
@@ -56,22 +55,3 @@ class Trace:
     @property
     def write_fraction(self) -> float:
         return float(self.is_write.mean())
-
-    # ------------------------------------------------------------------
-    # persistence (npz round trip)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            Path(path), name=np.asarray(self.name),
-            bubbles=self.bubbles, is_write=self.is_write,
-            addresses=self.addresses)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        data = np.load(Path(path), allow_pickle=False)
-        return cls(
-            name=str(data["name"]),
-            bubbles=data["bubbles"],
-            is_write=data["is_write"],
-            addresses=data["addresses"],
-        )

@@ -175,6 +175,31 @@ class TestSweepRunner:
         with pytest.raises(SimulationError, match="invalid sweep row"):
             load_row(path)
 
+    @pytest.mark.parametrize("edit", [
+        {"nrh": "64", "mean_ipc": None},
+        {"workloads": "spec06.gcc"},
+        {"pacram_vendor": 7},
+        {"energy_nj": "1.5"},
+        {"preventive_refresh_rows": 3.0},
+        {"violations": True},
+    ])
+    def test_row_with_a_wrong_type_is_refused(self, tmp_path, edit):
+        # The digest is recomputed, so only the types are wrong: the row
+        # must still be quarantined and re-run, not aggregated.
+        runner = SweepRunner(tmp_path / "ram", tiny_grid())
+        runner.run(jobs=1)
+        path = runner.row_path(tiny_grid().points()[0])
+        original = path.read_bytes()
+        payload = {**json.loads(original), **edit}
+        payload["digest"] = row_digest(payload)
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(SimulationError, match="invalid sweep row"):
+            load_row(path)
+        rows = runner.run(jobs=1)
+        assert last_counts(runner)["quarantined"] == 1
+        assert path.read_bytes() == original
+        assert ("PARA", "PaCRAM-H") in runner.aggregate(rows)
+
     def test_aggregate_normalizes_against_no_pacram(self, tmp_path):
         runner = SweepRunner(tmp_path / "ram", tiny_grid())
         aggregated = runner.aggregate()

@@ -10,12 +10,6 @@ class TestModuleGeometry:
     def test_defaults_consistent(self):
         geometry = ModuleGeometry()
         assert geometry.total_banks == 16
-        assert geometry.total_rows == 16 * 65_536
-        assert geometry.row_size_bytes == 8192
-
-    def test_capacity(self):
-        geometry = ModuleGeometry()
-        assert geometry.capacity_bytes == geometry.total_rows * 8192
 
     def test_valid_row_bounds(self):
         geometry = ModuleGeometry()

@@ -284,7 +284,7 @@ class TestInputMemos:
             for core in cores]
         # 8 decodings of 300 requests against a budget of 1,000: every
         # round evicts, so a lost update would show in the bookkeeping.
-        monkeypatch.setattr(arraykernel, "_DECODE_BUDGET", 1_000)
+        monkeypatch.setattr(arraykernel._decoded, "budget", 1_000)
         clear_decode_memo()
         failures = []
 
@@ -309,7 +309,7 @@ class TestInputMemos:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
-        held = sum(len(arrays[0])
-                   for arrays, _ in arraykernel._decoded.values())
-        assert arraykernel._decoded_requests == held <= 1_000
+        held = sum(size for _, _, size
+                   in arraykernel._decoded._entries.values())
+        assert arraykernel._decoded.held == held <= 1_000
         clear_decode_memo()

@@ -42,16 +42,6 @@ class TestTrace:
             Trace("t", np.array([], dtype=np.int64),
                   np.array([], dtype=bool), np.array([], dtype=np.int64))
 
-    def test_npz_round_trip(self, tmp_path):
-        trace = generate_trace(TraceSpec("x", 10.0, 0.5, 1024),
-                               requests=200)
-        path = tmp_path / "x.npz"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.name == trace.name
-        assert (loaded.addresses == trace.addresses).all()
-        assert (loaded.bubbles == trace.bubbles).all()
-
 
 class TestGenerateTrace:
     def test_deterministic(self):
