@@ -2,8 +2,8 @@
 
 Times the same attack simulation with the checker detached (``off``) and
 attached in ``tolerant`` and ``strict`` mode.  Every mode runs the scalar
-sim kernel: an attached checker forces that oracle, so ``off`` must run it
-too, or the ratio would compare kernels instead of measuring the checker.
+sim kernel: checked runs take that oracle, so ``off`` must run it too, or
+the ratio would compare kernels instead of measuring the checker.
 Detached, the only instrumentation on the hot path is one
 ``observer is not None`` check per command site.  Results land in
 ``bench_results/checker_overhead.txt``; EXPERIMENTS.md records the
@@ -35,7 +35,7 @@ def _simulate(checker_mode: str) -> float:
     system = MemorySystem(config, [trace], mitigation=mitigation,
                           observer=checker)
     started = time.perf_counter()
-    result = system.run("scalar")  # the kernel the checker observes
+    result = system.run("scalar")  # the kernel checked runs take
     elapsed = time.perf_counter() - started
     assert result.protocol_violations == []
     if checker is not None:

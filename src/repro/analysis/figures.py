@@ -34,9 +34,11 @@ from repro.core.periodic import PeriodicPaCRAM
 from repro.dram.catalog import module_spec, modules_by_manufacturer
 from repro.dram.timing import TESTED_TRAS_FACTORS, ddr4_timing
 from repro.errors import ConfigError
+from repro.exec import default_policy, resolve_kernel
 from repro.mitigations import make_mitigation
 from repro.sim.config import SystemConfig
-from repro.sim.system import MemorySystem
+from repro.sim.system import MemorySystem, SimulationResult
+from repro.validation import make_checker
 from repro.workloads.suites import multicore_mixes, single_core_suite, workload_by_name
 
 #: The five evaluated mitigation mechanisms, in the paper's order.
@@ -496,13 +498,28 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
 
     Normalized to a hypothetical system with no periodic refresh.  Larger
     densities mean more rows per REF and a longer tRFC (modeled by scaling
-    tRFC with density).
+    tRFC with density).  Every run resolves ``sim_kernel`` and attaches
+    the protocol checker under the default
+    :class:`repro.exec.ExecutionPolicy`'s ``check_protocol`` mode.
     """
     if mix is None:
         mix = multicore_mixes(1)[0]
     # Nothing mutates a trace, so every run below shares these.
     traces = [workload_by_name(name, requests=requests, seed=7 + i)
               for i, name in enumerate(mix)]
+    mode = default_policy().check_protocol
+    kernel = resolve_kernel("sim", sim_kernel)
+
+    def simulate(config: SystemConfig,
+                 policy: PeriodicPaCRAM) -> SimulationResult:
+        mitigation = make_mitigation("None", 1)
+        checker = make_checker(
+            config, mode=mode,
+            partial_limit=policy.partial_restoration_limit(),
+            mitigation=mitigation)
+        return MemorySystem(config, traces, mitigation=mitigation,
+                            policy=policy, observer=checker).run(kernel)
+
     out: dict[int, dict[float, dict[str, float]]] = {}
     for density in densities_gbit:
         # tRFC grows sublinearly with density (JEDEC: ~1.45x per doubling;
@@ -513,17 +530,12 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
         scaled_timing = replace(timing, tRFC=timing.tRFC * trfc_scale)
         config = SystemConfig(num_cores=len(mix), timing=scaled_timing)
         # Hypothetical no-refresh baseline: scale periodic latency to ~0.
-        baseline_policy = PeriodicPaCRAM(config, latency_factor_rfc=1e-6,
-                                         npcr=10**9)
-        baseline = MemorySystem(config, traces,
-                                mitigation=make_mitigation("None", 1),
-                                policy=baseline_policy).run(sim_kernel)
+        baseline = simulate(config, PeriodicPaCRAM(
+            config, latency_factor_rfc=1e-6, npcr=10**9))
         out[density] = {}
         for factor in latency_factors:
-            policy = PeriodicPaCRAM(config, latency_factor_rfc=factor)
-            result = MemorySystem(config, traces,
-                                  mitigation=make_mitigation("None", 1),
-                                  policy=policy).run(sim_kernel)
+            result = simulate(config, PeriodicPaCRAM(
+                config, latency_factor_rfc=factor))
             ws = sum(result.ipc[c] / baseline.ipc[c] for c in result.ipc)
             ws /= len(result.ipc)
             out[density][factor] = {

@@ -82,7 +82,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
         baseline_key,
         cacheable,
     )
-    from repro.exec import checked_kernel, default_policy
+    from repro.exec import default_policy, resolve_kernel
 
     if config is None:
         config = SystemConfig(num_cores=max(1, len(workload_names)))
@@ -90,7 +90,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
               for i, name in enumerate(workload_names)]
     mode = (check_protocol if check_protocol is not None
             else default_policy().check_protocol)
-    kernel = checked_kernel("sim", sim_kernel, check_protocol=mode)
+    kernel = resolve_kernel("sim", sim_kernel, check_protocol=mode)
     use_cache = cache is not None and cacheable(
         pacram=pacram, checker=None if mode == "off" else mode,
         violations_path=violations_path)

@@ -44,7 +44,7 @@ from repro.analysis.runner import (
     run_simulation,
 )
 from repro.errors import ConfigError, SimulationError
-from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
+from repro.exec import fallback_kernel, resolve_kernel, validate_stage_kernel
 from repro.mitigations import MITIGATION_CLASSES
 from repro.runtime import ProgressReporter, Task
 from repro.runtime.persist import write_atomic
@@ -372,7 +372,7 @@ class SweepRunner:
         # Resolve the sim kernel once, here in the parent process (the
         # checking-forces-the-oracle rule included), so pickled workers
         # receive a concrete name and never resolve on their own.
-        kernel = checked_kernel("sim", self.grid.sim_kernel,
+        kernel = resolve_kernel("sim", self.grid.sim_kernel,
                                 check_protocol=self.grid.check_protocol)
         cache_dir = str(self.cache_dir())
         # Graceful degradation: a fast kernel that raises in a worker gets

@@ -20,11 +20,11 @@ from repro.bender.program import TestProgram
 from repro.bender.executor import ExecutionResult, ProgramExecutor
 from repro.bender.compile import CompiledProgram, DoseSummary, compile_program, run_compiled
 from repro.bender.temperature import PIDTemperatureController
-from repro.bender.host import DRAMBenderHost, EXECUTION_KERNELS
+from repro.bender.host import DRAMBenderHost
 
 __all__ = [
     "Act", "Pre", "ReadRow", "Sleep", "SleepUntil", "WriteRow",
     "TestProgram", "ExecutionResult", "ProgramExecutor",
     "CompiledProgram", "DoseSummary", "compile_program", "run_compiled",
-    "PIDTemperatureController", "DRAMBenderHost", "EXECUTION_KERNELS",
+    "PIDTemperatureController", "DRAMBenderHost",
 ]

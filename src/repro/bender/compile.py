@@ -13,8 +13,8 @@ checks (same :class:`~repro.errors.ProgramError` messages, same indices),
 the same clock arithmetic in the same operation order, and the same
 device-state side effects applied back to the module afterward — so a
 compiled run is indistinguishable from a stepped run, just cheaper.  The
-stepping executor remains the validation path (``--check-protocol`` runs
-observe it), with this compiled path selected through
+stepping executor remains the oracle (``--check-protocol`` runs take
+it), with this compiled path selected through
 ``DRAMBenderHost(kernel="compiled")``.
 """
 

@@ -13,23 +13,24 @@ from repro.bender.executor import ExecutionResult, ProgramExecutor
 from repro.bender.program import TestProgram
 from repro.bender.temperature import PIDTemperatureController
 from repro.dram.module import DRAMModule
-from repro.exec import STAGE_KERNELS, resolve_kernel
-
-#: Program-execution kernels (the ``host`` stage of
-#: :data:`repro.exec.STAGE_KERNELS`): ``stepping`` walks every instruction
-#: through the device model (the validation path, observed by
-#: ``--check-protocol``); ``compiled`` folds each program analytically
-#: (bit-identical, faster).
-EXECUTION_KERNELS = STAGE_KERNELS["host"]
+from repro.exec import resolve_kernel, validate_stage_kernel
 
 
 class DRAMBenderHost:
-    """Connects a module, runs programs, and regulates temperature."""
+    """Connects a module, runs programs, and regulates temperature.
+
+    ``kernel`` is the program-execution kernel (the ``host`` stage of
+    :data:`repro.exec.STAGE_KERNELS`): ``stepping`` walks every
+    instruction through the device model (the oracle); ``compiled`` folds
+    each program analytically (bit-identical, faster).  ``None`` resolves
+    through the default :class:`repro.exec.ExecutionPolicy`.
+    """
 
     def __init__(self, module: DRAMModule | str, *,
                  temperature_c: float = 80.0, seed: int = 2025,
                  kernel: str | None = None) -> None:
-        kernel = resolve_kernel("host", kernel)
+        kernel = (resolve_kernel("host") if kernel is None
+                  else validate_stage_kernel("host", kernel))
         if isinstance(module, str):
             module = DRAMModule(module, seed=seed, temperature_c=temperature_c)
         self.module = module

@@ -19,7 +19,6 @@ from repro.characterization.algorithm1 import (
 from repro.characterization.probecache import ProbeCache
 from repro.characterization.rows import select_test_rows
 from repro.characterization.sweeps import (
-    CHARACTERIZATION_KERNELS,
     characterize_module,
     sweep_npr,
     sweep_temperature,
@@ -38,7 +37,6 @@ __all__ = [
     "perform_rh",
     "ProbeCache",
     "select_test_rows",
-    "CHARACTERIZATION_KERNELS",
     "characterize_module",
     "sweep_tras",
     "sweep_npr",

@@ -42,7 +42,7 @@ from repro.dram.catalog import all_module_ids
 from repro.dram.module import DRAMModule
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
-from repro.exec import checked_kernel, fallback_kernel, validate_stage_kernel
+from repro.exec import fallback_kernel, resolve_kernel, validate_stage_kernel
 from repro.runtime import ProgressReporter, Task
 from repro.service.execution import JobExecution
 from repro.service.jobs import check_tuple, is_int
@@ -222,7 +222,7 @@ class CharacterizationCampaign:
         # Resolve the device kernel once, here in the parent process (the
         # checking-forces-the-oracle rule included), so pickled workers
         # receive a concrete name and never resolve on their own.
-        kernel = checked_kernel("device", self.config.kernel)
+        kernel = resolve_kernel("device", self.config.kernel)
         # Graceful degradation: a fast kernel that raises in a worker gets
         # one re-run on the stage's scalar oracle before retry accounting
         # resumes (no fallback when the oracle is already selected).

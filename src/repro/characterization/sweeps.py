@@ -33,17 +33,13 @@ from repro.dram.kernels import EvalCounters
 from repro.dram.module import DRAMModule
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
-from repro.exec import STAGE_KERNELS, resolve_kernel
+from repro.exec import resolve_kernel, validate_stage_kernel
 from repro.validation.physics import model_digest
 
 #: Default config for sweeps: a single iteration, because the device model
 #: is deterministic (the paper's five iterations guard against run-to-run
 #: noise on real hardware).
 _SWEEP_CONFIG = CharacterizationConfig(iterations=1)
-
-#: Device kernels for characterization sweeps (the ``device`` stage of
-#: :data:`repro.exec.STAGE_KERNELS`).
-CHARACTERIZATION_KERNELS = STAGE_KERNELS["device"]
 
 
 def measured_rows(module: DRAMModule, per_region: int,
@@ -94,7 +90,8 @@ def characterize_module(module_id: str, *,
     """
     if not tras_factors:
         raise CharacterizationError("need at least one tRAS factor")
-    kernel = resolve_kernel("device", kernel)
+    kernel = (resolve_kernel("device") if kernel is None
+              else validate_stage_kernel("device", kernel))
     config = config or _SWEEP_CONFIG
     host = DRAMBenderHost(module_id, temperature_c=temperatures_c[0], seed=seed)
     module = host.module

@@ -19,16 +19,12 @@ class ModuleGeometry:
     banks_per_rank: int = 16
     rows_per_bank: int = 65_536
     columns_per_row: int = 1024
-    device_width: int = 8  #: bits per chip per beat (x4 / x8 / x16)
-    chips_per_rank: int = 8
 
     def __post_init__(self) -> None:
         for name in ("ranks", "banks_per_rank", "rows_per_bank",
-                     "columns_per_row", "device_width", "chips_per_rank"):
+                     "columns_per_row"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.device_width not in (4, 8, 16):
-            raise ConfigError(f"device_width must be 4, 8, or 16, got {self.device_width}")
 
     @property
     def total_banks(self) -> int:
@@ -40,7 +36,7 @@ class ModuleGeometry:
         return 0 <= bank < self.total_banks and 0 <= row < self.rows_per_bank
 
 
-def geometry_for_density(die_density_gbit: int, device_width: int) -> ModuleGeometry:
+def geometry_for_density(die_density_gbit: int) -> ModuleGeometry:
     """Geometry for a single-rank module built from dies of a given density.
 
     Used to instantiate the catalog's modules (4 / 8 / 16 Gb dies) and the
@@ -58,6 +54,4 @@ def geometry_for_density(die_density_gbit: int, device_width: int) -> ModuleGeom
         banks_per_rank=16,
         rows_per_bank=rows,
         columns_per_row=1024,
-        device_width=device_width,
-        chips_per_rank=64 // device_width,
     )

@@ -56,8 +56,7 @@ class DRAMModule:
             spec = module_spec(spec)
         self.spec = spec
         self.timing: TimingParams = ddr4_timing()
-        self.geometry = geometry or geometry_for_density(
-            spec.die_density_gbit, spec.device_width)
+        self.geometry = geometry or geometry_for_density(spec.die_density_gbit)
         self.charge = ChargeModel(spec)
         self.mapping: RowMapping = mapping_for_vendor(
             spec.manufacturer, self.geometry.rows_per_bank)

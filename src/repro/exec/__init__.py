@@ -4,8 +4,10 @@
 
 * :class:`ExecutionPolicy` (:mod:`repro.exec.policy`) — which kernel each
   stage (device characterization, system simulation, program execution)
-  uses and how protocol checking forces the scalar oracles.  Every layer
-  that used to pick a kernel on its own now asks the policy.
+  uses.  One resolver, :meth:`ExecutionPolicy.kernel_for` (or its
+  default-policy shorthand :func:`resolve_kernel`), answers every layer,
+  and under any ``check_protocol`` mode but ``off`` it answers with the
+  stage's scalar oracle.
 * :func:`assert_parity` (:mod:`repro.exec.parity`) — the one
   oracle-comparison harness all parity test suites share.
 
@@ -20,7 +22,6 @@ from repro.exec.policy import (
     KERNEL_POLICIES,
     STAGE_KERNELS,
     ExecutionPolicy,
-    checked_kernel,
     default_policy,
     fallback_kernel,
     reset_default_policy,
@@ -36,7 +37,6 @@ __all__ = [
     "ExecutionPolicy",
     "assert_all_parity",
     "assert_parity",
-    "checked_kernel",
     "default_policy",
     "fallback_kernel",
     "parity_diff",

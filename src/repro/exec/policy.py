@@ -1,11 +1,8 @@
 """The single kernel-resolution site of the repository.
 
-Every execution layer used to pick its kernel on its own: the CLI forced
-the scalar oracle under ``--check-protocol`` in two places, and
-:meth:`MemorySystem.run` special-cased observers.  An
-:class:`ExecutionPolicy` replaces all of that: it is built once per
-invocation (CLI) or once per process (library default), and every layer
-asks it which concrete kernel to run.
+An :class:`ExecutionPolicy` is built once per invocation (CLI) or once
+per process (library default), and every layer asks its one resolver,
+:meth:`ExecutionPolicy.kernel_for`, which concrete kernel to run.
 
 Stages and their kernels::
 
@@ -25,15 +22,22 @@ fastest kernel on stages without one — the host stage's compiled fold),
 and ``"auto"`` (default) the array tier on the device and sim stages and
 the stepping executor on the host stage.  An explicit kernel passed at a
 call site beats the policy; it is the only way to reach the device
-stage's ``vectorized`` tier.  Protocol checking (``check_protocol !=
-"off"``) beats everything: the checker observes the instruction-level
-oracles, so the scalar kernel is forced and the "oracle forced" note is
-emitted exactly once per policy (i.e. once per CLI invocation).
+stage's ``vectorized`` tier.
 
-The forcing *reason* lives with the checker
-(:func:`repro.validation.checker.requires_scalar_oracle`); the *decision*
-lives here, and a lint test (``tests/test_exec_policy.py``) asserts no
-other module grows its own kernel-selection branching again.
+One rule covers protocol checking: a call that resolves under any
+``check_protocol`` mode but ``off`` runs the stage's oracle, whatever
+was picked, and the "oracle" note goes out once per policy (i.e. once
+per CLI invocation) when that overrides the pick.  Task builders and
+:func:`repro.analysis.runner.run_simulation` resolve under the mode that
+applies to them (their grid's or call's, else the policy's) and hand the
+concrete kernel down; a layer handed a concrete kernel runs it as given,
+and only a layer handed ``None`` resolves, under the policy's own mode.
+The oracle runs by rule: only the sim stage is observed (the
+:class:`~repro.validation.checker.ProtocolChecker` on its command
+stream); the device and host stages run their oracles so that a checked
+run exercises the reference implementations end to end.  A lint test
+(``tests/test_exec_policy.py``) asserts no other module grows its own
+kernel-selection branching again.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ KERNEL_POLICIES = ("scalar", "array", "auto")
 def _check_modes() -> tuple[str, ...]:
     from repro.validation.checker import CHECK_MODES
     return CHECK_MODES
-
-
-def _requires_oracle(mode: str) -> bool:
-    from repro.validation.checker import requires_scalar_oracle
-    return requires_scalar_oracle(mode)
 
 
 def fallback_kernel(stage: str, kernel: str) -> str | None:
@@ -131,51 +130,36 @@ class ExecutionPolicy:
     # resolution (the one place kernels are chosen)
     # ------------------------------------------------------------------
     def kernel_for(self, stage: str, explicit: str | None = None, *,
-                   observer: bool = False) -> str:
-        """The concrete kernel ``stage`` should run, checking aside.
+                   check_protocol: str | None = None) -> str:
+        """The concrete kernel ``stage`` runs.
 
-        Precedence: an ``explicit`` call-site kernel, then (for the sim
-        stage) the attached-observer safety default, then
-        ``kernel_policy``.
+        ``explicit`` is the caller's kernel (a config's ``kernel`` field),
+        else ``kernel_policy`` picks.  ``check_protocol`` is the mode the
+        call runs under, ``None`` meaning the policy's own: under any mode
+        but ``off`` the stage's oracle runs instead, and the note goes
+        out once per policy when that overrides the pick.
         """
-        names = STAGE_KERNELS[stage]
-        scalar = names[0]
-        if explicit is not None:
-            return validate_stage_kernel(stage, explicit)
-        if observer:
-            # An attached observer re-validates the per-request command
-            # stream; the oracle is the safe default unless a kernel was
-            # requested explicitly.
-            return scalar
-        if self.kernel_policy == "scalar":
-            return scalar
-        if self.kernel_policy == "array":
-            # The stage's array tier, or the fastest kernel it has (the
-            # host stage folds doses analytically either way).
-            return names[-1]
-        return AUTO_KERNELS[stage]
-
-    def checked_kernel_for(self, stage: str, explicit: str | None = None, *,
-                           check_protocol: str | None = None) -> str:
-        """Like :meth:`kernel_for`, but protocol checking forces the oracle.
-
-        ``check_protocol`` overrides the policy's own mode (e.g. a
-        per-call ``check_protocol=`` argument); the "oracle forced" note
-        is emitted at most once per policy, and only when the forcing
-        actually changed the outcome.
-        """
-        mode = (check_protocol if check_protocol is not None
-                else self.check_protocol)
+        mode = (self.check_protocol if check_protocol is None
+                else check_protocol)
         if mode not in _check_modes():
             raise ConfigError(
                 f"check-protocol mode must be one of {_check_modes()}, "
                 f"got {mode!r}")
-        scalar = STAGE_KERNELS[stage][0]
-        if not _requires_oracle(mode):
-            return self.kernel_for(stage, explicit)
-        if self.kernel_for(stage, explicit) != scalar:
-            self._note_oracle_forced()
-        return scalar
+        names = STAGE_KERNELS[stage]
+        if explicit is not None:
+            pick = validate_stage_kernel(stage, explicit)
+        elif self.kernel_policy == "scalar":
+            pick = names[0]
+        elif self.kernel_policy == "array":
+            # The stage's array tier, or the fastest kernel it has (the
+            # host stage folds doses analytically either way).
+            pick = names[-1]
+        else:
+            pick = AUTO_KERNELS[stage]
+        if mode == "off" or pick == names[0]:
+            return pick
+        self._note_oracle_forced()
+        return names[0]
 
     def _note_oracle_forced(self) -> None:
         if self._oracle_noted:
@@ -211,14 +195,7 @@ def reset_default_policy() -> None:
 
 
 def resolve_kernel(stage: str, explicit: str | None = None, *,
-                   observer: bool = False) -> str:
-    """Default-policy shorthand for :meth:`ExecutionPolicy.kernel_for`."""
-    return _default_policy.kernel_for(stage, explicit, observer=observer)
-
-
-def checked_kernel(stage: str, explicit: str | None = None, *,
                    check_protocol: str | None = None) -> str:
-    """Default-policy shorthand for
-    :meth:`ExecutionPolicy.checked_kernel_for`."""
-    return _default_policy.checked_kernel_for(
-        stage, explicit, check_protocol=check_protocol)
+    """Default-policy shorthand for :meth:`ExecutionPolicy.kernel_for`."""
+    return _default_policy.kernel_for(stage, explicit,
+                                      check_protocol=check_protocol)

@@ -42,16 +42,13 @@ MITIGATION_CLASSES = {
 }
 
 
-def make_mitigation(name: str, nrh: int, *, batched: bool | None = False,
+def make_mitigation(name: str, nrh: int, *, batched: bool = False,
                     config=None, **kwargs) -> MitigationMechanism:
     """Instantiate a mitigation by name, configured for a RowHammer threshold.
 
     With ``batched=True``, mechanisms that have a flattened variant in
     :mod:`repro.mitigations.batched` use it (decisions stay bit-identical);
-    the rest fall back to their scalar class.  ``batched=None`` matches the
-    sim kernel the default :class:`repro.exec.ExecutionPolicy` would pick,
-    so a mechanism built without run orchestration still pairs with the
-    drain loop it will serve.  ``config`` (a
+    the rest fall back to their scalar class.  ``config`` (a
     :class:`~repro.sim.config.SystemConfig`) sizes the flattened tables —
     without it the batched variants use safe defaults.
     """
@@ -61,9 +58,6 @@ def make_mitigation(name: str, nrh: int, *, batched: bool | None = False,
         raise ValueError(
             f"unknown mitigation {name!r}; known: {sorted(MITIGATION_CLASSES)}"
         ) from None
-    if batched is None:
-        from repro.exec import resolve_kernel
-        batched = resolve_kernel("sim") == "array"
     if batched:
         from repro.mitigations.batched import BATCHED_CLASSES
         batched_cls = BATCHED_CLASSES.get(name)

@@ -196,7 +196,10 @@ def run_worker(host: str, port: int, *, worker_id: str | None = None,
     drops; returns 0 on a clean shutdown and 3 if the coordinator went
     away first (its fleet may simply have closed while this worker was
     idle — closing drops every connection).  Between runs of a fleet that
-    stays open, the worker's lease request waits on the coordinator.
+    stays open, the worker's lease request waits on the coordinator.  A
+    coordinator replies ``lease``, ``shutdown`` or ``error``; an
+    ``error`` or any other reply raises
+    :class:`~repro.errors.ConfigError` naming it.
     ``scratch_dir`` overrides the temporary scratch root (kept if given,
     deleted otherwise).  Connecting retries with bounded exponential
     backoff for up to ``connect_timeout_s`` (a worker started moments
@@ -222,16 +225,14 @@ def run_worker(host: str, port: int, *, worker_id: str | None = None,
                 return 3  # coordinator gone (usually: the fleet closed)
             if reply is None or reply.get("type") == "shutdown":
                 return 0
-            if reply.get("type") == "error":
+            kind = reply.get("type")
+            if kind == "error":
                 raise ConfigError(f"coordinator refused worker: "
                                   f"{reply.get('error')}")
-            if reply.get("type") == "idle":
-                # Only a coordinator from an older checkout still replies
-                # ``idle``; this one parks the request instead.
-                time.sleep(float(reply.get("poll_s", DEFAULT_POLL_S)))
-                send_frame(sock, {"type": "lease", "max": batch,
-                                  "results": []})
-                continue
+            if kind != "lease":
+                raise ConfigError(
+                    f"coordinator sent a reply this worker does not know: "
+                    f"type {kind!r}")
             # A lease: absorb new blob bodies, run the batch, report the
             # outcomes and ask for the next batch in the same frame.
             blobs.update(reply.get("blobs") or {})

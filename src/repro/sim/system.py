@@ -83,14 +83,13 @@ class MemorySystem:
         the per-request oracle below, ``"array"`` the bit-exact
         structure-of-arrays drain loop in :mod:`repro.sim.arraykernel`.
         ``None`` resolves through the default
-        :class:`repro.exec.ExecutionPolicy` — with an observer attached,
-        the oracle is the safe default and the array tier must be
-        requested explicitly.
+        :class:`repro.exec.ExecutionPolicy`.  Both kernels feed an
+        attached observer the same command stream.
         """
-        from repro.exec import resolve_kernel
+        from repro.exec import resolve_kernel, validate_stage_kernel
 
-        kernel = resolve_kernel(
-            "sim", kernel, observer=self.controller.observer is not None)
+        kernel = (resolve_kernel("sim") if kernel is None
+                  else validate_stage_kernel("sim", kernel))
         if kernel == "array":
             from repro.sim.arraykernel import run_array
             return run_array(self)

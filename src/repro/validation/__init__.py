@@ -24,7 +24,6 @@ from repro.validation.checker import (
     ProtocolChecker,
     Violation,
     make_checker,
-    requires_scalar_oracle,
 )
 from repro.validation.physics import (
     MODEL_VERSION,
@@ -43,5 +42,4 @@ __all__ = [
     "make_checker",
     "model_digest",
     "physics_problems",
-    "requires_scalar_oracle",
 ]

@@ -58,18 +58,6 @@ EPSILON_NS = 1e-6
 CHECK_MODES = ("off", "tolerant", "strict")
 
 
-def requires_scalar_oracle(mode: str) -> bool:
-    """Whether ``mode`` demands the scalar oracle kernels.
-
-    The checker observes per-request command streams and instruction-level
-    program execution, which only the scalar/stepping kernels drive; the
-    decision of *which* kernel to substitute lives in
-    :class:`repro.exec.ExecutionPolicy` — this is the one statement of the
-    requirement itself.
-    """
-    return mode != "off"
-
-
 @dataclass(frozen=True)
 class Violation:
     """One protocol/physics violation observed during a run."""

@@ -95,7 +95,8 @@ def _attack_checker(*, mitigation, policy=None, hammers=1_500,
     """Run a double-sided hammer attack under a tolerant checker.
 
     ``patch`` receives the live :class:`MemoryController` before the run —
-    the fault-injection probe point.
+    the fault-injection probe point.  The run takes the scalar drain loop,
+    the one that calls the controller methods the probes patch.
     """
     config = SystemConfig(num_cores=1)
     trace = double_sided_trace(config, hammers=hammers)
@@ -106,7 +107,7 @@ def _attack_checker(*, mitigation, policy=None, hammers=1_500,
                           policy=policy, observer=checker)
     if patch is not None:
         patch(system.controller)
-    system.run()
+    system.run("scalar")
     return checker
 
 

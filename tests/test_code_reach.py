@@ -59,12 +59,6 @@ ALLOWED = {
         "tests check that a run retires its whole trace",
     "repro.exec.parity:assert_all_parity":
         "kernel parity tests compare whole event streams with it",
-    # The benchmark tracer imports repro.sim.kernels by name; the module's
-    # helpers leave with that import.
-    "repro.sim.kernels:default_sim_kernel":
-        "pinned by the benchmark tracer's module list",
-    "repro.sim.kernels:resolve_sim_kernel":
-        "pinned by the benchmark tracer's module list",
 }
 
 

@@ -19,10 +19,6 @@ class TestModuleGeometry:
         assert not geometry.valid_row(0, 65_536)
         assert not geometry.valid_row(-1, 0)
 
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ConfigError):
-            ModuleGeometry(device_width=5)
-
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError):
             ModuleGeometry(rows_per_bank=0)
@@ -30,23 +26,18 @@ class TestModuleGeometry:
 
 class TestGeometryForDensity:
     def test_8gb_reference(self):
-        geometry = geometry_for_density(8, 8)
+        geometry = geometry_for_density(8)
         assert geometry.rows_per_bank == 65_536
 
     def test_rows_scale_with_density(self):
-        assert geometry_for_density(16, 8).rows_per_bank == 2 * 65_536
-        assert geometry_for_density(4, 8).rows_per_bank == 65_536 // 2
-
-    def test_chips_per_rank_from_width(self):
-        assert geometry_for_density(8, 4).chips_per_rank == 16
-        assert geometry_for_density(8, 8).chips_per_rank == 8
-        assert geometry_for_density(8, 16).chips_per_rank == 4
+        assert geometry_for_density(16).rows_per_bank == 2 * 65_536
+        assert geometry_for_density(4).rows_per_bank == 65_536 // 2
 
     def test_appendix_b_densities(self):
         # The Fig. 19 sweep goes up to 512 Gb chips.
-        geometry = geometry_for_density(512, 8)
+        geometry = geometry_for_density(512)
         assert geometry.rows_per_bank == 64 * 65_536
 
     def test_invalid_density_rejected(self):
         with pytest.raises(ConfigError):
-            geometry_for_density(0, 8)
+            geometry_for_density(0)

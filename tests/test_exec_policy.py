@@ -1,8 +1,10 @@
 """The execution policy: the repository's single kernel-resolution site.
 
 Covers the resolution precedence matrix, the once-per-invocation "oracle
-forced" note, the CLI's policy wiring, and a lint test that keeps kernel
-selection from leaking back into individual layers.
+forced" note, the one rule at every stage (a layer handed no kernel
+resolves under the policy's mode; a concrete kernel from a task builder
+runs as given), the CLI's policy wiring, and a lint test that keeps
+kernel selection from leaking back into individual layers.
 """
 
 import re
@@ -10,6 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.figures import fig19_periodic
+from repro.analysis.runner import run_simulation
+from repro.bender.host import DRAMBenderHost
+from repro.characterization import sweeps
+from repro.characterization.campaign import (
+    CampaignConfig,
+    CharacterizationCampaign,
+)
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.exec import (
@@ -17,12 +27,16 @@ from repro.exec import (
     KERNEL_POLICIES,
     STAGE_KERNELS,
     ExecutionPolicy,
-    checked_kernel,
     default_policy,
     resolve_kernel,
     set_default_policy,
     validate_stage_kernel,
 )
+from repro.sim import arraykernel
+from repro.sim.config import SystemConfig
+from repro.sim.system import MemorySystem
+from repro.validation.checker import ProtocolChecker
+from repro.workloads.suites import workload_by_name
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -52,16 +66,14 @@ class TestResolutionMatrix:
         assert policy.kernel_for("host") == "compiled"
 
     def test_explicit_beats_override_and_policy(self):
-        # The attached-observer default overrides the policy; an explicit
-        # call-site kernel beats both.
+        # An explicit call-site kernel beats the policy; a layer handed a
+        # concrete kernel resolves nothing, so the check override leaves
+        # it alone too.
         policy = ExecutionPolicy(kernel_policy="scalar")
         assert policy.kernel_for("device", "vectorized") == "vectorized"
-        assert policy.kernel_for("sim", "array", observer=True) == "array"
-
-    def test_observer_forces_oracle_unless_explicit(self):
-        policy = ExecutionPolicy(kernel_policy="array")
-        assert policy.kernel_for("sim", observer=True) == "scalar"
-        assert policy.kernel_for("sim", "array", observer=True) == "array"
+        set_default_policy(ExecutionPolicy(kernel_policy="scalar",
+                                           check_protocol="strict"))
+        assert DRAMBenderHost("S6", kernel="compiled").kernel == "compiled"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="kernel policy"):
@@ -84,51 +96,50 @@ class TestCheckedResolution:
     def test_checking_forces_every_oracle(self, mode):
         policy = ExecutionPolicy(kernel_policy="array", check_protocol=mode)
         for stage, names in STAGE_KERNELS.items():
-            assert policy.checked_kernel_for(stage) == names[0]
+            assert policy.kernel_for(stage) == names[0]
             # Even an explicit fast-tier request is overridden.
             for fast in names[1:]:
-                assert policy.checked_kernel_for(stage, fast) == names[0]
+                assert policy.kernel_for(stage, fast) == names[0]
 
     def test_off_leaves_resolution_alone(self):
         policy = ExecutionPolicy(kernel_policy="array")
-        assert policy.checked_kernel_for("sim") == "array"
+        assert policy.kernel_for("sim") == "array"
 
     def test_per_call_mode_overrides_policy_mode(self):
         policy = ExecutionPolicy(kernel_policy="array", check_protocol="off")
-        assert policy.checked_kernel_for(
-            "sim", check_protocol="strict") == "scalar"
+        assert policy.kernel_for("sim", check_protocol="strict") == "scalar"
         checked = ExecutionPolicy(check_protocol="strict")
-        assert checked.checked_kernel_for(
-            "sim", check_protocol="off") == "array"
+        assert checked.kernel_for("sim", check_protocol="off") == "array"
 
     def test_note_emitted_exactly_once_per_policy(self, capsys):
         policy = ExecutionPolicy(kernel_policy="array",
                                  check_protocol="strict")
         for _ in range(3):
-            policy.checked_kernel_for("sim")
-            policy.checked_kernel_for("device")
+            policy.kernel_for("sim")
+            policy.kernel_for("device")
         err = capsys.readouterr().err
         assert err.count("oracle") == 1
 
     def test_no_note_when_oracle_already_chosen(self, capsys):
         policy = ExecutionPolicy(kernel_policy="scalar",
                                  check_protocol="strict")
-        policy.checked_kernel_for("sim")
+        policy.kernel_for("sim")
         assert capsys.readouterr().err == ""
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="check-protocol"):
             ExecutionPolicy(check_protocol="paranoid")
         with pytest.raises(ConfigError, match="check-protocol"):
-            ExecutionPolicy().checked_kernel_for(
-                "sim", check_protocol="paranoid")
+            ExecutionPolicy().kernel_for("sim", check_protocol="paranoid")
 
 
 class TestDefaultPolicy:
     def test_module_shorthands_use_the_default(self):
         set_default_policy(ExecutionPolicy(kernel_policy="scalar"))
         assert resolve_kernel("sim") == "scalar"
-        assert checked_kernel("device", check_protocol="off") == "scalar"
+        assert resolve_kernel("device", check_protocol="off") == "scalar"
+        assert resolve_kernel("device", "array",
+                              check_protocol="strict") == "scalar"
 
     def test_install_aligns_check_mode(self):
         set_default_policy(ExecutionPolicy(check_protocol="tolerant"))
@@ -137,6 +148,92 @@ class TestDefaultPolicy:
     def test_non_policy_rejected(self):
         with pytest.raises(ConfigError):
             set_default_policy("array")
+
+
+#: What ``run --check-protocol strict --kernel-policy array`` installs.
+STRICT_ARRAY = dict(kernel_policy="array", check_protocol="strict")
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The kernels the device and sim stages actually ran, in order."""
+    ran = []
+
+    def spy(owner, name, kernel):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            ran.append(kernel)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(sweeps, "measure_row", "device:scalar")
+    spy(sweeps, "measure_rows_array", "device:array")
+    spy(MemorySystem, "_run_scalar", "sim:scalar")
+    spy(arraykernel, "run_array", "sim:array")
+    return ran
+
+
+def _short_system() -> MemorySystem:
+    config = SystemConfig(num_cores=1)
+    return MemorySystem(config, [workload_by_name("spec06.mcf",
+                                                  requests=50, seed=7)])
+
+
+class TestEveryStageUnderChecking:
+    """Under a non-``off`` policy every layer handed no kernel runs its
+    stage's oracle, with one note per policy; a concrete kernel a task
+    builder hands down runs as given."""
+
+    def test_host_handed_none_runs_stepping(self):
+        set_default_policy(ExecutionPolicy(**STRICT_ARRAY))
+        assert DRAMBenderHost("S6").kernel == "stepping"
+
+    def test_layers_handed_none_run_oracles_with_one_note(self, ran, capsys):
+        set_default_policy(ExecutionPolicy(**STRICT_ARRAY))
+        sweeps.characterize_module("S6", tras_factors=(1.0,), rows=(500,))
+        _short_system().run()
+        assert DRAMBenderHost("S6").kernel == "stepping"
+        assert ran == ["device:scalar", "sim:scalar"]
+        assert capsys.readouterr().err.count("oracle") == 1
+
+    def test_layers_handed_none_follow_an_off_policy(self, ran):
+        set_default_policy(ExecutionPolicy(kernel_policy="array"))
+        sweeps.characterize_module("S6", tras_factors=(1.0,), rows=(500,))
+        _short_system().run()
+        assert ran == ["device:array", "sim:array"]
+        assert DRAMBenderHost("S6").kernel == "compiled"
+
+    def test_builder_kernel_runs_as_given(self, ran, capsys):
+        set_default_policy(ExecutionPolicy(**STRICT_ARRAY))
+        result = run_simulation(("spec06.mcf",), mitigation="PRAC",
+                                requests=200, check_protocol="off",
+                                sim_kernel="array")
+        assert ran == ["sim:array"]
+        assert result.protocol_violations == []
+        assert capsys.readouterr().err == ""
+
+    def test_campaign_task_still_resolves_to_the_oracle(self, tmp_path):
+        set_default_policy(ExecutionPolicy(**STRICT_ARRAY))
+        campaign = CharacterizationCampaign(
+            tmp_path, CampaignConfig(module_ids=("S6",), per_region=1,
+                                     kernel="array"))
+        assert campaign._task("S6").args[3] == "scalar"
+
+    def test_fig19_runs_are_checked_on_the_oracle(self, ran, monkeypatch):
+        built = []
+        original = ProtocolChecker.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("mode"))
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(ProtocolChecker, "__init__", counting)
+        set_default_policy(ExecutionPolicy(**STRICT_ARRAY))
+        fig19_periodic(densities_gbit=(8,), latency_factors=(0.36,),
+                       requests=200)
+        # The no-refresh baseline and the one latency factor.
+        assert built == ["strict", "strict"]
+        assert ran == ["sim:scalar", "sim:scalar"]
 
 
 class TestCliPolicyWiring:
@@ -182,19 +279,11 @@ class TestSingleResolutionSite:
         r"kernel\s*=\s*'scalar'",
         # per-layer auto defaults
         r"\bAUTO_KERNELS\b",
-        # the forcing *decision* (the reason lives in validation.checker,
-        # the decision in the policy)
-        r"\brequires_scalar_oracle\b",
         # hardcoded fast-path defaults in signatures
         r'kernel:\s*str\s*=\s*"(vectorized|array|compiled|stepping)"',
     )
 
     ALLOWED_DIRS = ("exec",)
-    ALLOWED_FILES = {
-        # the reason-side definition and its re-export
-        "validation/checker.py": (r"\brequires_scalar_oracle\b",),
-        "validation/__init__.py": (r"\brequires_scalar_oracle\b",),
-    }
 
     def test_no_kernel_selection_outside_the_policy(self):
         offenders = []
@@ -204,8 +293,6 @@ class TestSingleResolutionSite:
                 continue
             text = path.read_text()
             for pattern in self.BANNED:
-                if pattern in self.ALLOWED_FILES.get(rel, ()):
-                    continue
                 for match in re.finditer(pattern, text):
                     line = text.count("\n", 0, match.start()) + 1
                     offenders.append(f"{rel}:{line}: {pattern}")

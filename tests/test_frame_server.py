@@ -3,7 +3,8 @@
 Both serve on :class:`repro.runtime.wire.FrameServer`, so each hostile
 opening runs against each endpoint, and after every case the endpoint
 must still serve a good peer: the fleet run finishes with the right
-results, and a service client connects.
+results, and a service client connects.  The other way round, a worker
+refuses a coordinator reply it does not know instead of looping on it.
 """
 
 import json
@@ -13,12 +14,14 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.runtime import RunOptions, Task, make_scheduler
 from repro.runtime.distributed import echo_point, run_worker
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
     MAX_HELLO_BYTES,
     PROTOCOL_VERSION,
+    FrameServer,
     recv_frame,
     send_frame,
 )
@@ -122,3 +125,30 @@ def test_bad_opening_is_refused_and_the_endpoint_keeps_serving(endpoint,
         assert replies == []  # closed without a reply
     still_serves()
 
+
+
+@pytest.mark.parametrize("reply", ["idle", "bogus"])
+def test_worker_refuses_a_reply_it_does_not_know(tmp_path, reply):
+    """A coordinator sends ``lease``, ``shutdown`` or ``error``; any other
+    reply stops the worker with a refusal naming it, and the worker asks
+    for nothing more."""
+    after = []
+    done = threading.Event()
+
+    def coordinator(conn, hello):
+        assert hello["worker"] == "w-confused"
+        send_frame(conn, {"type": reply})
+        after.append(recv_frame(conn))
+        done.set()
+
+    server = FrameServer(("127.0.0.1", 0), coordinator, "worker")
+    server.start()
+    try:
+        with pytest.raises(ConfigError, match=repr(reply)):
+            run_worker(*server.address, worker_id="w-confused",
+                       scratch_dir=tmp_path / "scratch",
+                       connect_timeout_s=5.0)
+        assert done.wait(timeout=10.0)
+    finally:
+        server.close()
+    assert after == [None]  # the worker hung up instead of leasing again

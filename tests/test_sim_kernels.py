@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.errors import ConfigError
+from repro.exec import STAGE_KERNELS, resolve_kernel
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.mitigations import MITIGATION_CLASSES, make_mitigation
 from repro.mitigations.batched import (
@@ -29,11 +30,6 @@ from repro.mitigations.batched import (
 from repro.sim import arraykernel
 from repro.sim.arraykernel import clear_decode_memo, decoded_columns
 from repro.sim.config import SystemConfig
-from repro.sim.kernels import (
-    SIM_KERNELS,
-    default_sim_kernel,
-    resolve_sim_kernel,
-)
 from repro.sim.system import MemorySystem
 from repro.workloads.suites import multicore_mixes
 from repro.workloads.synth import TraceSpec, clear_trace_memo, generate_trace
@@ -66,28 +62,21 @@ def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
 
 class TestKernelKnob:
     def test_known_kernels(self):
-        assert SIM_KERNELS == ("scalar", "array")
-        for kernel in SIM_KERNELS:
-            assert resolve_sim_kernel(kernel) == kernel
+        assert STAGE_KERNELS["sim"] == ("scalar", "array")
+        for kernel in STAGE_KERNELS["sim"]:
+            assert resolve_kernel("sim", kernel) == kernel
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_sim_kernel("turbo")
+            resolve_kernel("sim", "turbo")
 
     def test_default_is_array(self):
-        assert default_sim_kernel() == "array"
+        assert resolve_kernel("sim") == "array"
 
     def test_run_rejects_unknown_kernel(self, single_core_config):
         system = MemorySystem(single_core_config, [_trace(requests=10)])
         with pytest.raises(ConfigError):
             system.run("turbo")
-
-    def test_observer_defaults_to_scalar(self, single_core_config):
-        observer = _RecordingObserver()
-        system = MemorySystem(single_core_config, [_trace(requests=50)],
-                              observer=observer)
-        system.run()  # must not crash: implicit scalar under an observer
-        assert observer.finalized is not None
 
 
 class TestKernelParity:

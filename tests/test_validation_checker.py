@@ -19,7 +19,7 @@ def _run_attack(checker, *, mitigation=None, hammers=400):
     trace = double_sided_trace(CONFIG, hammers=hammers)
     system = MemorySystem(CONFIG, [trace], mitigation=mechanism,
                           observer=checker)
-    system.run()
+    system.run("scalar")
     return checker
 
 
@@ -30,7 +30,7 @@ def _dropping_attack(checker, hammers=400):
     system = MemorySystem(CONFIG, [trace], mitigation=mechanism,
                           observer=checker)
     system.controller._do_preventive_refresh = lambda action: None
-    system.run()
+    system.run("scalar")
     return checker
 
 
