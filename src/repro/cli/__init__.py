@@ -10,9 +10,11 @@ Installed as ``repro-experiments``::
     repro-experiments sweep --check-protocol strict
     repro-experiments serve-api --dir jobs --serve 127.0.0.1:7910
 
-``run``, ``campaign``, and ``sweep`` accept ``--check-protocol
+``campaign`` and ``sweep`` accept ``--check-protocol
 {off,tolerant,strict}`` to attach the :mod:`repro.validation` protocol
-checker (and, for campaigns, the physics invariant guards); ``validate``
+checker (and, for campaigns, the physics invariant guards), and ``run``
+accepts ``off`` or ``strict``: it keeps only the figure data, so it has
+no violation count to print (``sweep`` rows carry them); ``validate``
 runs the physics guards plus the deterministic fault-injection matrix and
 fails if any fault class goes undetected.
 

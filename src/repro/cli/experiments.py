@@ -75,9 +75,12 @@ def register(subparsers) -> None:
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_parser.add_argument("--out", help="write the result to a file")
     run_parser.add_argument("--check-protocol", default="off",
-                            choices=("off", "tolerant", "strict"),
+                            choices=("off", "strict"),
                             help="attach the DDR protocol checker to every "
-                                 "simulation this experiment runs")
+                                 "simulation this experiment runs and stop "
+                                 "at the first violation (a run reports no "
+                                 "counts: use sweep --check-protocol "
+                                 "tolerant for per-row counts)")
     add_kernel_policy_flag(
         run_parser,
         "execution policy for every stage "

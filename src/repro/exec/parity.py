@@ -7,11 +7,11 @@ loops on the characterization side).  :func:`assert_parity` replaces both:
 run the oracle, run the candidate, and deep-compare the results exactly,
 reporting the first mismatching paths instead of an opaque ``!=``.
 
-Comparison is structural and exact: dataclasses are compared field by
-field, mappings key by key, sequences element by element, floats with
-``==`` plus a ``repr`` check (so a value that would serialize differently
-— the actual byte-identity contract of persisted rows and rendered
-figures — cannot sneak through as "equal").
+Comparison is structural and exact: dataclasses and named tuples are
+compared field by field, mappings key by key, sequences element by
+element, floats with ``==`` plus a ``repr`` check (so a value that would
+serialize differently — the actual byte-identity contract of persisted
+rows and rendered figures — cannot sneak through as "equal").
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ def _diff(expected: Any, actual: Any, path: str, out: list[str]) -> None:
         for f in dataclasses.fields(expected):
             _diff(getattr(expected, f.name), getattr(actual, f.name),
                   f"{path}.{f.name}", out)
+        return
+    if isinstance(expected, tuple) and hasattr(expected, "_fields"):
+        for name in expected._fields:  # a named tuple (RowMeasurement)
+            _diff(getattr(expected, name), getattr(actual, name),
+                  f"{path}.{name}", out)
         return
     if isinstance(expected, dict):
         for key in expected.keys() | actual.keys():

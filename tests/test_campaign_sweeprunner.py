@@ -16,6 +16,7 @@ from repro.characterization.campaign import (
     CampaignConfig,
     CharacterizationCampaign,
 )
+from repro.characterization.results import ModuleCharacterization
 from repro.errors import CharacterizationError, ConfigError, SimulationError
 
 
@@ -116,6 +117,32 @@ class TestCharacterizationCampaign:
             campaign.load()
         campaign.run(jobs=1)
         assert last_counts(campaign)["quarantined"] == 1
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("edit", [
+        lambda ms: (ms[0].update(nrh="7"), ms[1].update(ber=None)),
+        lambda ms: ms[0].update(ber=None),
+        lambda ms: ms[0].update(nrh=True),
+        lambda ms: ms[0].update(row=float(ms[0]["row"])),
+        lambda ms: ms[0].pop("wcdp"),
+        lambda ms: ms[0].update(extra=1),
+    ], ids=["string", "null", "bool", "float-in-int", "missing-key",
+            "extra-key"])
+    def test_a_mistyped_measurement_is_recomputed(self, tmp_path, edit):
+        campaign = CharacterizationCampaign(tmp_path / "d", SMALL_CAMPAIGN)
+        campaign.run(jobs=1)
+        path = campaign.result_path("S6")
+        original = path.read_bytes()
+        payload = json.loads(original)
+        edit(payload["measurements"])
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(CharacterizationError,
+                           match="invalid characterization payload"):
+            ModuleCharacterization.from_json(path.read_text())
+        campaign.run(jobs=1)
+        counts = last_counts(campaign)
+        assert (counts["computed"], counts["reused"],
+                counts["quarantined"]) == (1, 0, 1)
         assert path.read_bytes() == original
 
     def test_config_validation(self):

@@ -69,6 +69,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
 
+    def test_run_refuses_a_tolerant_check(self, capsys):
+        # ``run`` keeps only figure data, so it has no count to report.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "profiling", "--check-protocol", "tolerant"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tolerant'" in capsys.readouterr().err
+
     def test_campaign_subcommand(self, tmp_path, capsys):
         result_dir = str(tmp_path / "camp")
         assert main(["campaign", "--dir", result_dir,
