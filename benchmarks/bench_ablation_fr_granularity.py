@@ -1,9 +1,10 @@
-"""Ablation: FR-state granularity (per-row vs bank vs on-die).
+"""Ablation: FR-state granularity (per-row vs per-bank).
 
 PaCRAM's tracking granularity is a design choice: the controller-side
 PaCRAM keeps one bit per *row* (8 KB SRAM per bank); the §8.5 mode-register
-variant can only see per *bank*; Self-Managing DRAM keeps per-row state
-inside the chip at zero controller cost.
+variant can only see per *bank*.  Self-Managing DRAM keeps per-row state
+inside the chip at zero controller cost, running PaCRAM's own policy
+on-die, so its row is the controller's.
 
 What granularity buys: per-row tracking guarantees every row's first
 preventive refresh in a t_FCRI interval uses full restoration (the §8.3
@@ -11,13 +12,13 @@ safety argument).  Bank-granular tracking only fully restores one proxy
 refresh per bank per interval — it is *faster* (more refreshes run at the
 reduced latency) but under-restores scattered victims, which is exactly why
 §8.5 positions Self-Managing DRAM (per-row state on-die) as the clean
-integration: it matches the controller-side policy refresh-for-refresh.
+integration.
 """
 
 from bench_util import run_once, save_result
 
 from repro.core.config import PaCRAMConfig
-from repro.core.ondie import OnDiePaCRAM, SelfManagingDRAMPaCRAM
+from repro.core.ondie import OnDiePaCRAM
 from repro.core.pacram import PaCRAM
 from repro.mitigations import make_mitigation
 from repro.sim.config import SystemConfig
@@ -53,7 +54,6 @@ def _collect():
     return {
         "per-row (controller)": _run(PaCRAM),
         "per-bank (mode register)": _run(OnDiePaCRAM),
-        "per-row (self-managing DRAM)": _run(SelfManagingDRAMPaCRAM),
     }
 
 
@@ -67,11 +67,7 @@ def bench_ablation_fr_granularity(benchmark):
     save_result("ablation_fr_granularity", "\n".join(lines))
     controller = data["per-row (controller)"]
     bank = data["per-bank (mode register)"]
-    ondie = data["per-row (self-managing DRAM)"]
     # Bank-granular tracking under-restores: it runs faster but issues far
     # fewer full-latency refreshes than the per-row safety bound requires.
     assert bank["full_fraction"] < controller["full_fraction"]
     assert bank["ipc"] >= controller["ipc"]
-    # Self-Managing DRAM matches the controller-side per-row policy exactly.
-    assert ondie["full"] == controller["full"]
-    assert ondie["partial"] == controller["partial"]

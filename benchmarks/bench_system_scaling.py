@@ -70,6 +70,7 @@ from repro.analysis.baselines import BaselineCache
 from repro.analysis.figures import fig17_18_performance_energy, fig19_periodic
 from repro.analysis.runner import pacram_reference_config, run_simulation
 from repro.core.pacram import PaCRAM
+from repro.exec import ExecutionPolicy, default_policy, set_default_policy
 from repro.mitigations import make_mitigation
 from repro.sim.arraykernel import (
     ArrayCore,
@@ -420,12 +421,21 @@ def bench_system_scaling(benchmark):
 
 
 def bench_fig_builders_kernel_parity(benchmark):
-    """fig17/fig18/fig19 render byte-identically under both kernels."""
+    """fig17/fig18/fig19 render byte-identically under both kernel
+    policies."""
 
-    def _render_all(sim_kernel):
+    def _render_all(kernel_policy):
+        previous = default_policy()
+        set_default_policy(ExecutionPolicy(kernel_policy=kernel_policy))
+        try:
+            return _render()
+        finally:
+            set_default_policy(previous)
+
+    def _render():
         data = fig17_18_performance_energy(
             mitigations=("PARA",), vendors=("H",), nrh_values=(1024, 64),
-            workloads=("spec06.mcf",), requests=800, sim_kernel=sim_kernel)
+            workloads=("spec06.mcf",), requests=800)
         lines = []
         for figure in ("performance", "energy"):
             for (mitigation, label), series in data[figure].items():
@@ -434,7 +444,7 @@ def bench_fig_builders_kernel_parity(benchmark):
                 lines.append(f"[{figure} {mitigation} {label}] {row}")
         periodic = fig19_periodic(densities_gbit=(8, 64),
                                   latency_factors=(1.00, 0.36),
-                                  requests=800, sim_kernel=sim_kernel)
+                                  requests=800)
         for density, per_factor in periodic.items():
             for factor, metrics in per_factor.items():
                 lines.append(f"density={density}Gb f={factor}: "

@@ -53,14 +53,14 @@ def main() -> None:
     for factor in TESTED_TRAS_FACTORS:
         lowest = result.lowest_nrh(factor)
         published = spec.lowest_nrh[factor]
-        values = result.normalized_nrh(factor)
+        values = [ratio for _, ratio in result.normalized("nrh", factor)]
         box = BoxStats.from_values(values).row() if values else "-"
         print(f"{factor:>6.2f} {str(lowest):>12} {str(published):>10} "
               f"{box:>50}")
 
     print("\nNormalized BER:")
     for factor in TESTED_TRAS_FACTORS:
-        values = result.normalized_ber(factor)
+        values = [ratio for _, ratio in result.normalized("ber", factor)]
         if values:
             print(f"  {factor:.2f}: {BoxStats.from_values(values).row()}")
 

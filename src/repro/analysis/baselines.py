@@ -122,9 +122,9 @@ def baseline_key(workloads: tuple[str, ...], traces: list[Trace], *,
     return json.dumps(raw, sort_keys=True)
 
 
-def cacheable(*, pacram, checker, violations_path) -> bool:
+def cacheable(*, pacram, checker) -> bool:
     """Whether a run's result may be served from / stored in the cache."""
-    return pacram is None and checker is None and violations_path is None
+    return pacram is None and checker is None
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ MITIGATIONS: tuple[str, ...] = ("PARA", "RFM", "PRAC", "Hydra", "Graphene")
 def fig3_preventive_overhead(*, nrh_values: tuple[int, ...] = EVALUATED_NRH_VALUES,
                              mitigations: tuple[str, ...] = MITIGATIONS,
                              num_mixes: int = 3, requests: int = 3_000,
-                             sim_kernel: str | None = None,
                              ) -> dict[str, dict[int, dict[str, float]]]:
     """{mitigation: {nrh: {"mean"/"min"/"max": fraction of time}}}."""
     mixes = multicore_mixes(num_mixes)
@@ -62,8 +61,7 @@ def fig3_preventive_overhead(*, nrh_values: tuple[int, ...] = EVALUATED_NRH_VALU
             fractions = []
             for mix in mixes:
                 result = run_simulation(mix, mitigation=mitigation,
-                                        nrh=nrh, requests=requests,
-                                        sim_kernel=sim_kernel)
+                                        nrh=nrh, requests=requests)
                 fractions.append(result.preventive_busy_fraction)
             out[mitigation][nrh] = {
                 "mean": sum(fractions) / len(fractions),
@@ -141,7 +139,7 @@ def fig6_nrh_boxes_from(results, *,
     figure can be rebuilt from persisted campaign rows (e.g. after a
     distributed run) without re-simulating anything.
     """
-    return _vendor_boxes(results, tras_factors, metric="nrh")
+    return _vendor_boxes(results, {f: (f,) for f in tras_factors})
 
 
 def fig9_ber_boxes(module_ids: tuple[str, ...], *,
@@ -151,26 +149,35 @@ def fig9_ber_boxes(module_ids: tuple[str, ...], *,
     """Per-vendor box stats of normalized BER at each latency."""
     results = sweep_tras(module_ids, tras_factors=tras_factors,
                          per_region=per_region, seed=seed)
-    return _vendor_boxes(results, tras_factors, metric="ber")
+    return _vendor_boxes(results, {f: (f,) for f in tras_factors}, "ber")
 
 
-def _vendor_boxes(results, tras_factors, metric: str,
-                  ) -> dict[str, dict[float, BoxStats]]:
-    by_vendor: dict[str, dict[float, list[float]]] = {}
+def _vendor_boxes(results, cells: dict, metric: str = "nrh") -> dict:
+    """``{vendor: {cell: BoxStats}}`` of normalized ``metric``, every
+    module of a vendor pooled into one box.
+
+    ``cells`` maps each box to its test point, the ``(tras_factor, n_pr,
+    temperature_c)`` prefix that
+    :meth:`~repro.characterization.results.ModuleCharacterization.normalized`
+    takes; a box without data points is left out.
+    """
+    pooled: dict[str, dict] = {}
     for module_id, characterization in results.items():
-        vendor = module_id[0]
-        vendor_data = by_vendor.setdefault(
-            vendor, {f: [] for f in tras_factors})
-        for factor in tras_factors:
-            if metric == "nrh":
-                values = characterization.normalized_nrh(factor)
-            else:
-                values = characterization.normalized_ber(factor)
-            vendor_data[factor].extend(values)
-    return {
-        vendor: {f: BoxStats.from_values(vals) for f, vals in data.items() if vals}
-        for vendor, data in by_vendor.items()
-    }
+        pool = pooled.setdefault(module_id[0], {cell: [] for cell in cells})
+        for cell, point in cells.items():
+            pool[cell].extend(ratio for _, ratio
+                              in characterization.normalized(metric, *point))
+    return {vendor: {cell: BoxStats.from_values(values)
+                     for cell, values in pool.items() if values}
+            for vendor, pool in pooled.items()}
+
+
+def _nested(boxes: dict, outer: tuple) -> dict:
+    """``{vendor: {(a, b): box}}`` as ``{vendor: {a: {b: box}}}``, with
+    every ``a`` of ``outer``, boxes or not."""
+    return {vendor: {a: {b: box for (key, b), box in cells.items() if key == a}
+                     for a in outer}
+            for vendor, cells in boxes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +215,9 @@ def fig8_row_scatter(module_ids: tuple[str, ...] = ("H8", "M5", "S1"), *,
         characterization = characterize_module(
             module_id, tras_factors=(1.00, reduced_factor),
             per_region=per_region, seed=seed)
-        baseline = {(m.bank, m.row): m.nrh
-                    for m in characterization.at(tras_factor=1.00)
-                    if m.vulnerable()}
-        points = []
-        for m in characterization.at(tras_factor=reduced_factor):
-            base = baseline.get((m.bank, m.row))
-            if base:
-                points.append((float(base), (m.nrh or 0) / base))
-        out[module_id] = points
+        out[module_id] = [
+            (float(nominal), ratio) for nominal, ratio
+            in characterization.normalized("nrh", reduced_factor)]
     return out
 
 
@@ -237,31 +238,15 @@ def fig10_temperature(module_ids: tuple[str, ...], *,
                       tras_factors: tuple[float, ...] = (1.00, 0.64, 0.36),
                       per_region: int = 12, seed: int = 2025,
                       ) -> dict[str, dict[float, dict[float, BoxStats]]]:
-    """{vendor: {temperature: {factor: BoxStats of normalized N_RH}}}."""
+    """{vendor: {temperature: {factor: BoxStats of normalized N_RH}}},
+    every module of a vendor pooled into its boxes."""
     results = sweep_temperature(module_ids, temperatures_c=temperatures_c,
                                 tras_factors=tras_factors,
                                 per_region=per_region, seed=seed)
-    out: dict[str, dict[float, dict[float, BoxStats]]] = {}
-    for module_id, characterization in results.items():
-        vendor = module_id[0]
-        vendor_out = out.setdefault(
-            vendor, {t: {} for t in temperatures_c})
-        for temperature in temperatures_c:
-            for factor in tras_factors:
-                baseline = {
-                    (m.bank, m.row): m.nrh
-                    for m in characterization.at(
-                        tras_factor=1.00, temperature_c=temperature)
-                    if m.vulnerable()}
-                values = []
-                for m in characterization.at(tras_factor=factor,
-                                             temperature_c=temperature):
-                    base = baseline.get((m.bank, m.row))
-                    if base:
-                        values.append((m.nrh or 0) / base)
-                if values:
-                    vendor_out[temperature][factor] = BoxStats.from_values(values)
-    return out
+    return _nested(_vendor_boxes(results, {(t, f): (f, 1, t)
+                                           for t in temperatures_c
+                                           for f in tras_factors}),
+                   temperatures_c)
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +260,10 @@ def fig11_repeated_pcr(module_ids: tuple[str, ...], *,
     """{vendor: {factor: {n_pr: BoxStats of normalized N_RH}}}."""
     results = sweep_npr(module_ids, tras_factors=tras_factors, n_prs=n_prs,
                         per_region=per_region, seed=seed)
-    pooled: dict[str, dict[float, dict[int, list[float]]]] = {}
-    for module_id, characterization in results.items():
-        vendor = module_id[0]
-        vendor_pool = pooled.setdefault(
-            vendor, {f: {n: [] for n in n_prs} for f in tras_factors})
-        for factor in tras_factors:
-            for n_pr in n_prs:
-                vendor_pool[factor][n_pr].extend(
-                    characterization.normalized_nrh(factor, n_pr=n_pr))
-    return {
-        vendor: {
-            factor: {n: BoxStats.from_values(vals)
-                     for n, vals in per_n.items() if vals}
-            for factor, per_n in per_factor.items()
-        }
-        for vendor, per_factor in pooled.items()
-    }
+    return _nested(_vendor_boxes(results, {(f, n): (f, n)
+                                           for f in tras_factors
+                                           for n in n_prs}),
+                   tras_factors)
 
 
 def fig12_npr_scaling(module_ids: tuple[str, ...] = ("H7", "M2", "S6"), *,
@@ -360,8 +332,7 @@ def fig16_latency_sweep(*, mitigations: tuple[str, ...] = MITIGATIONS,
                         tras_factors: tuple[float, ...] = (0.81, 0.64, 0.45,
                                                            0.36, 0.27),
                         workloads: tuple[str, ...] | None = None,
-                        requests: int = 3_000,
-                        sim_kernel: str | None = None, cache=None,
+                        requests: int = 3_000, cache=None,
                         ) -> dict[tuple[str, str, int], dict[float, float]]:
     """{(mitigation, vendor, nrh): {factor: IPC normalized to no-PaCRAM}}."""
     if workloads is None:
@@ -373,7 +344,6 @@ def fig16_latency_sweep(*, mitigations: tuple[str, ...] = MITIGATIONS,
             baselines = {
                 name: run_simulation((name,), mitigation=mitigation, nrh=nrh,
                                      requests=requests, config=config,
-                                     sim_kernel=sim_kernel,
                                      cache=cache).mean_ipc
                 for name in workloads}
             for vendor in vendors:
@@ -388,7 +358,7 @@ def fig16_latency_sweep(*, mitigations: tuple[str, ...] = MITIGATIONS,
                         result = run_simulation(
                             (name,), mitigation=mitigation, nrh=nrh,
                             pacram=pacram, requests=requests, config=config,
-                            sim_kernel=sim_kernel, cache=cache)
+                            cache=cache)
                         ratios.append(result.mean_ipc / baselines[name])
                     series[factor] = sum(ratios) / len(ratios)
                 out[(mitigation, vendor, nrh)] = series
@@ -402,8 +372,7 @@ def fig17_18_performance_energy(*, mitigations: tuple[str, ...] = MITIGATIONS,
                                 vendors: tuple[str, ...] = ("H", "M", "S"),
                                 nrh_values: tuple[int, ...] = EVALUATED_NRH_VALUES,
                                 workloads: tuple[str, ...] | None = None,
-                                requests: int = 3_000,
-                                sim_kernel: str | None = None, cache=None,
+                                requests: int = 3_000, cache=None,
                                 ) -> dict:
     """Normalized performance (Fig. 17) and energy (Fig. 18) vs N_RH.
 
@@ -418,7 +387,7 @@ def fig17_18_performance_energy(*, mitigations: tuple[str, ...] = MITIGATIONS,
     for name in workloads:
         result = run_simulation((name,), mitigation="None",
                                 requests=requests, config=config,
-                                sim_kernel=sim_kernel, cache=cache)
+                                cache=cache)
         base_ipc[name] = result.mean_ipc
         base_energy[name] = result.energy_nj
     performance: dict[tuple[str, str], dict[int, float]] = {}
@@ -435,7 +404,7 @@ def fig17_18_performance_energy(*, mitigations: tuple[str, ...] = MITIGATIONS,
                     result = run_simulation(
                         (name,), mitigation=mitigation, nrh=nrh,
                         pacram=pacram, requests=requests, config=config,
-                        sim_kernel=sim_kernel, cache=cache)
+                        cache=cache)
                     perf.append(result.mean_ipc / base_ipc[name])
                     joule.append(result.energy_nj / base_energy[name])
                 perf_series[nrh] = sum(perf) / len(perf)
@@ -449,8 +418,7 @@ def fig17_multicore_weighted_speedup(
         *, mitigations: tuple[str, ...] = ("PARA", "RFM"),
         vendors: tuple[str, ...] = ("H",),
         nrh_values: tuple[int, ...] = (1024, 32),
-        num_mixes: int = 2, requests: int = 2_000,
-        sim_kernel: str | None = None, cache=None,
+        num_mixes: int = 2, requests: int = 2_000, cache=None,
         ) -> dict[tuple[str, str], dict[int, float]]:
     """Fig. 17's right subplot: 4-core weighted speedup vs N_RH.
 
@@ -472,12 +440,11 @@ def fig17_multicore_weighted_speedup(
                     config = SystemConfig(num_cores=len(mix))
                     base = run_simulation(mix, mitigation=mitigation,
                                           nrh=nrh, requests=requests,
-                                          config=config,
-                                          sim_kernel=sim_kernel, cache=cache)
+                                          config=config, cache=cache)
                     fast = run_simulation(mix, mitigation=mitigation,
                                           nrh=nrh, pacram=pacram,
                                           requests=requests, config=config,
-                                          sim_kernel=sim_kernel, cache=cache)
+                                          cache=cache)
                     speedups.append(
                         weighted_speedup(fast.ipc, base.ipc) / len(mix))
                 series[nrh] = sum(speedups) / len(speedups)
@@ -492,15 +459,15 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
                    latency_factors: tuple[float, ...] = (1.00, 0.64, 0.36, 0.18),
                    mix: tuple[str, ...] | None = None,
                    requests: int = 2_500,
-                   sim_kernel: str | None = None,
                    ) -> dict[int, dict[float, dict[str, float]]]:
     """{density: {latency factor: {"performance"/"energy": normalized}}}.
 
     Normalized to a hypothetical system with no periodic refresh.  Larger
     densities mean more rows per REF and a longer tRFC (modeled by scaling
-    tRFC with density).  Every run resolves ``sim_kernel`` and attaches
-    the protocol checker under the default
-    :class:`repro.exec.ExecutionPolicy`'s ``check_protocol`` mode.
+    tRFC with density).  Every run takes its kernel and attaches the
+    protocol checker under the default
+    :class:`repro.exec.ExecutionPolicy`'s ``kernel_policy`` and
+    ``check_protocol`` mode.
     """
     if mix is None:
         mix = multicore_mixes(1)[0]
@@ -508,7 +475,7 @@ def fig19_periodic(*, densities_gbit: tuple[int, ...] = (8, 32, 128, 512),
     traces = [workload_by_name(name, requests=requests, seed=7 + i)
               for i, name in enumerate(mix)]
     mode = default_policy().check_protocol
-    kernel = resolve_kernel("sim", sim_kernel)
+    kernel = resolve_kernel("sim")
 
     def simulate(config: SystemConfig,
                  policy: PeriodicPaCRAM) -> SimulationResult:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.core.config import PaCRAMConfig
 from repro.core.pacram import PaCRAM
 from repro.dram.catalog import PACRAM_REFERENCE_MODULES
@@ -44,7 +42,6 @@ def run_simulation(workload_names: tuple[str, ...], *,
                    requests: int = 4_000, seed: int = 7,
                    config: SystemConfig | None = None,
                    check_protocol: str | None = None,
-                   violations_path: str | Path | None = None,
                    sim_kernel: str | None = None,
                    cache=None,
                    ) -> SimulationResult:
@@ -57,8 +54,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
     ``check_protocol`` attaches a :class:`repro.validation.ProtocolChecker`
     to the controller (``"off"``/``"tolerant"``/``"strict"``; ``None``
     takes the default :class:`repro.exec.ExecutionPolicy`'s mode).
-    Observed violations land in ``result.protocol_violations`` and, if
-    ``violations_path`` is given, in a deterministic JSONL ledger there.
+    Observed violations land in ``result.protocol_violations``.
 
     ``sim_kernel`` selects the controller drain loop (``"scalar"`` oracle
     or the bit-exact ``"array"`` tier, which also gets the flattened
@@ -92,8 +88,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
             else default_policy().check_protocol)
     kernel = resolve_kernel("sim", sim_kernel, check_protocol=mode)
     use_cache = cache is not None and cacheable(
-        pacram=pacram, checker=None if mode == "off" else mode,
-        violations_path=violations_path)
+        pacram=pacram, checker=None if mode == "off" else mode)
     key = None
     if use_cache:
         cache.ensure(baseline_code_digest())
@@ -107,8 +102,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
     mechanism = make_mitigation(mitigation, effective_nrh,
                                 batched=(kernel == "array"),
                                 config=config)
-    if (kernel == "array" and violations_path is None
-            and mechanism.act_penalty_ns == 0):
+    if kernel == "array" and mechanism.act_penalty_ns == 0:
         # Imported here, with the array kernel it records on: scalar and
         # checked runs never load either.
         from repro.sim.replay import activation_stream
@@ -135,8 +129,6 @@ def run_simulation(workload_names: tuple[str, ...], *,
     result = system.run(kernel)
     if checker is not None:
         result.protocol_violations = list(checker.violations)
-        if violations_path is not None:
-            checker.write_ledger(violations_path)
     if use_cache:
         cache.put(key, result)
     return result

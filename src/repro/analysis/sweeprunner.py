@@ -328,7 +328,7 @@ def _simulate_to(point: SweepPoint, requests: int, path: str,
         ledger.unlink(missing_ok=True)  # drop a stale ledger on re-run
     payload = asdict(row)
     payload["digest"] = row_digest(payload)
-    write_atomic(path, json.dumps(payload, indent=1), durable=True)
+    write_atomic(path, json.dumps(payload, indent=1))
 
 
 class SweepRunner:
@@ -351,14 +351,6 @@ class SweepRunner:
     def cache_dir(self) -> Path:
         """Where the sweep's baseline cache persists."""
         return self.execution.cache.disk_dir
-
-    def ledger_path(self) -> Path:
-        """Where the engine records failed attempts for this sweep."""
-        return self.execution.ledger_path()
-
-    def report_path(self) -> Path:
-        """Where the engine persists its end-of-run ``run_report.json``."""
-        return self.execution.report_path()
 
     def status(self) -> tuple[int, int]:
         """(completed, total) — the check_run_status.py analogue."""

@@ -109,7 +109,7 @@ def _characterize_to(module_id: str, config: CampaignConfig, path: str,
         n_prs=config.n_prs, temperatures_c=config.temperatures_c,
         per_region=config.per_region, seed=config.seed,
         kernel=kernel)
-    result.save(path, durable=True)
+    result.save(path)
 
 
 def _load_checked(path: str | Path) -> ModuleCharacterization:
@@ -208,10 +208,6 @@ class CharacterizationCampaign:
 
     def pending_modules(self) -> tuple[str, ...]:
         return tuple(m for m in self.config.module_ids if not self.is_done(m))
-
-    def ledger_path(self) -> Path:
-        """Where the engine records failed attempts for this campaign."""
-        return self.execution.ledger_path()
 
     def report_path(self) -> Path:
         """Where the engine persists its end-of-run ``run_report.json``."""

@@ -156,28 +156,31 @@ class ModuleCharacterization:
             return None
         return min(values)
 
-    def normalized_nrh(self, tras_factor: float, n_pr: int = 1) -> list[float]:
-        """Per-row N_RH at a test point normalized to the same row's N_RH at
-        nominal latency with a single restoration (Fig. 6 data points)."""
-        baseline = {(m.bank, m.row): m.nrh
-                    for m in self.at(tras_factor=1.00, n_pr=1)
-                    if m.vulnerable()}
-        out = []
-        for m in self.at(tras_factor=tras_factor, n_pr=n_pr):
-            base = baseline.get((m.bank, m.row))
-            if base:
-                out.append((m.nrh or 0) / base)
-        return out
+    def normalized(self, metric: str, tras_factor: float, n_pr: int = 1,
+                   temperature_c: float | None = None,
+                   ) -> list[tuple[float, float]]:
+        """``(nominal, ratio)`` per row at a test point (Figs. 6 and 8-11).
 
-    def normalized_ber(self, tras_factor: float, n_pr: int = 1) -> list[float]:
-        """Per-row BER normalized to nominal latency (Fig. 9 data points)."""
-        baseline = {(m.bank, m.row): m.ber
-                    for m in self.at(tras_factor=1.00, n_pr=1) if m.ber > 0}
+        ``nominal`` is the row's ``metric`` (``"nrh"`` or ``"ber"``) at
+        nominal latency with a single restoration, and ``ratio`` its value
+        at the test point over that; a row without bitflips there (``nrh``
+        ``None``) counts as 0.  Rows whose nominal value is not positive
+        are left out.  ``temperature_c`` (``None`` = any) selects both
+        measurements.
+        """
+        nominal = {}
+        for m in self.at(tras_factor=1.00, n_pr=1,
+                         temperature_c=temperature_c):
+            value = getattr(m, metric)
+            if value is not None and value > 0:
+                nominal[(m.bank, m.row)] = value
         out = []
-        for m in self.at(tras_factor=tras_factor, n_pr=n_pr):
-            base = baseline.get((m.bank, m.row))
+        for m in self.at(tras_factor=tras_factor, n_pr=n_pr,
+                         temperature_c=temperature_c):
+            base = nominal.get((m.bank, m.row))
             if base:
-                out.append(m.ber / base)
+                value = getattr(m, metric)
+                out.append((base, (0 if value is None else value) / base))
         return out
 
     # ------------------------------------------------------------------
@@ -230,15 +233,16 @@ class ModuleCharacterization:
             raise CharacterizationError(f"invalid model_digest: {digest!r}")
         return cls(module_id, seed, _measurements(raws), digest)
 
-    def save(self, path: str | Path, *, durable: bool = False) -> None:
-        """Persist atomically; ``durable`` fsyncs through to stable storage.
+    def save(self, path: str | Path) -> None:
+        """Persist atomically, without an fsync.
 
-        Campaign workers save durably.  Resume validates a file before
-        reusing it, so one that a power loss empties is quarantined and
-        recomputed, never trusted; the fsync spares that recompute of the
-        most expensive artifact in the repo.
+        A campaign task saves here and the engine commits the file once
+        it has loaded it back (:func:`repro.runtime.persist.commit`).
+        Resume validates a file before reusing it, so one that a power
+        loss before the commit empties is quarantined and recomputed,
+        never trusted.
         """
-        write_atomic(path, self.to_json(), durable=durable)
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "ModuleCharacterization":

@@ -31,7 +31,7 @@ from repro.core.area import (
     fr_storage_bytes,
 )
 from repro.core.profiling import ProfilingCost, profiling_cost
-from repro.core.ondie import ModeRegister, OnDiePaCRAM, SelfManagingDRAMPaCRAM
+from repro.core.ondie import ModeRegister, OnDiePaCRAM
 from repro.core.spd import SpdEntry, SpdRecord
 from repro.core.online_profiling import OnlineProfiler, ProfilingBatch
 from repro.core.security import (
@@ -56,7 +56,6 @@ __all__ = [
     "profiling_cost",
     "ModeRegister",
     "OnDiePaCRAM",
-    "SelfManagingDRAMPaCRAM",
     "SpdEntry",
     "SpdRecord",
     "OnlineProfiler",

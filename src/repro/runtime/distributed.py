@@ -16,7 +16,8 @@ that drives real DRAM Bender boards remotely, but for simulation tasks:
   closes, tracks each lease in a monotonic deadline table, and is the
   only writer of the result store — workers push result bytes back over
   the wire and the coordinator publishes them with the same atomic
-  durable writes the local pool uses;
+  writes the local pool's tasks use, then commits each result it accepts
+  at the engine's one commit point; a worker never fsyncs;
 * the **fleet** (:class:`Fleet`: listener, loopback worker processes,
   connections) has a lifetime of its own, and runs borrow it one at a
   time.  A batch run opens a private fleet and closes it when it ends; a
@@ -728,11 +729,7 @@ class _FleetRun:
             raise FrameError(f"task {task.key!r} shipped an undecodable "
                              f"file: {error}") from None
         for name, text in sorted(texts.items()):
-            # The primary result gets the local pool's durable write;
-            # side files (violation ledgers) take the cheaper default,
-            # exactly as the in-process task function would.
-            write_atomic(task.path.parent / name, text,
-                         durable=(name == task.path.name))
+            write_atomic(task.path.parent / name, text)
 
     # ------------------------------------------------------------------
     # lease watchdog (the draining thread)

@@ -6,7 +6,9 @@ modules is embarrassingly parallel by construction.  :class:`TaskPool` is
 that engine for the in-process reproduction:
 
 * each grid point is an independent :class:`Task` whose worker computes the
-  result and persists it **atomically** to ``task.path``;
+  result and persists it **atomically** to ``task.path``; the engine
+  validates it through the caller's loader and **commits** it (fsyncs the
+  file and its directory) — the one place any result becomes durable;
 * on resume, existing result files are validated by the caller's loader —
   unparseable or schema-invalid files are quarantined (``*.corrupt``) and
   re-run instead of crashing the campaign;
@@ -37,7 +39,9 @@ that engine for the in-process reproduction:
   numpy edge case costs one point's speed, not the campaign;
 * ``jobs=1`` runs the very same submission/retry/load code path inline
   (no subprocesses), so serial and parallel runs are the same engine —
-  deadlines are only enforceable when workers are separate processes;
+  deadlines are only enforceable when workers are separate processes.
+  Each inline task is settled (loaded and committed) before the next one
+  runs;
 * every run ends by writing ``run_report.json`` next to the ledger: task
   counts, the failure-class breakdown, degradations, timeouts, and pool
   rebuilds, machine-readable for dashboards and asserted consistent with
@@ -46,10 +50,11 @@ that engine for the in-process reproduction:
 Both schedulers share one retry policy: a run's :class:`_Attempts` owns
 the ready queue and the retry heap, attempts and infrastructure strikes,
 degradation, the timeout verdict, quarantine of a result that fails to
-load, and abandonment, with every ledger record and progress hook these
-emit.  The local drain (:class:`_Drain`: pool, isolated and inline
-execution, the watchdog) and the fleet's lease table
-(:mod:`repro.runtime.distributed`) each keep only how they run tasks.
+load, the commit of one that loads, and abandonment, with every ledger
+record and progress hook these emit.  The local drain (:class:`_Drain`:
+pool, isolated and inline execution, the watchdog) and the fleet's lease
+table (:mod:`repro.runtime.distributed`) each keep only how they run
+tasks.
 
 Workers must be module-level callables with picklable arguments (they cross
 a ``ProcessPoolExecutor`` boundary when ``jobs > 1``), and results flow back
@@ -87,7 +92,12 @@ from repro.runtime.failures import (
     TaskTimeout,
     classify_failure,
 )
-from repro.runtime.persist import discard_stale_tmp, quarantine, write_atomic
+from repro.runtime.persist import (
+    commit,
+    discard_stale_tmp,
+    quarantine,
+    write_atomic,
+)
 from repro.runtime.progress import ProgressReporter
 
 __all__ = ["Task", "TaskPool", "PoolReport", "LEDGER_NAME",
@@ -118,7 +128,7 @@ class Task:
 
     ``fn(*args)`` must compute the point and persist it atomically to
     ``path`` (see :func:`repro.runtime.persist.write_atomic`); its return
-    value is ignored — the pool re-loads ``path`` instead.
+    value is ignored — the pool re-loads ``path`` instead, and commits it.
 
     ``timeout_s`` overrides the pool-wide deadline for this task;
     ``fallback_args`` are the graceful-degradation arguments (typically
@@ -476,9 +486,9 @@ class _Attempts:
     decides what happens next and keeps the books: the ready queue and
     the retry heap, the attempts charged to each point, infrastructure
     strikes (refund the attempt, pause, probe the result directory),
-    kernel degradation, the timeout verdict, loading (or quarantining)
-    computed results, done and abandoned points, and every ledger record
-    and progress hook these transitions emit.
+    kernel degradation, the timeout verdict, loading and committing (or
+    quarantining) computed results, done and abandoned points, and every
+    ledger record and progress hook these transitions emit.
 
     ``worker`` names the fleet worker an event is attributed to; the
     local pool's anonymous processes pass ``None``, ledgered as
@@ -575,11 +585,15 @@ class _Attempts:
     # outcomes
     # ------------------------------------------------------------------
     def load(self, task: Task, *, worker: str | None = None) -> bool:
-        """Load ``task``'s computed result; whether the point is done.
+        """Load and commit ``task``'s computed result; whether the point
+        is done.
 
         A result that fails to load is quarantined and retried: it is
         recomputable by construction, so always a (transient) retry,
-        never a permanent verdict.
+        never a permanent verdict.  One that loads is committed to stable
+        storage (:func:`~repro.runtime.persist.commit`); a commit that
+        fails is a failed attempt, classified like a worker's (``EIO``
+        pauses as infrastructure).
         """
         try:
             loaded = self.loader(task.path)
@@ -588,6 +602,12 @@ class _Attempts:
                 quarantine(task.path)
                 self.report.quarantined.append(task.key)
             self.failed(task, f"{error}", TRANSIENT, worker=worker)
+            return False
+        try:
+            commit(task.path)
+        except OSError as error:
+            self.failed(task, f"{error}", classify_failure(error),
+                        worker=worker)
             return False
         self.results[task.key] = loaded
         self.report.computed.append(task.key)
@@ -737,7 +757,8 @@ class _Drain:
       single-worker pool per outstanding point, so a poison task breaks
       only its own pool and is identifiable (and chargeable);
     * ``inline`` — ``jobs=1``, or worker processes cannot be spawned at
-      all; tasks run in the parent, where deadlines are unenforceable.
+      all; tasks run in the parent, where deadlines are unenforceable,
+      and each is settled before the next runs.
 
     What becomes of each outcome is the run's :class:`_Attempts`.
     """
@@ -846,9 +867,13 @@ class _Drain:
             task = self.attempts.take()
             if task is None:
                 return
-            self._submit(task)
+            future = self._submit(task)
+            if self.mode == "inline":
+                # Already run: settle it, so its result is committed (and
+                # its progress line out) before the next task starts.
+                self._on_complete(future)
 
-    def _submit(self, task: Task) -> None:
+    def _submit(self, task: Task) -> Future:
         while True:
             try:
                 future = self.executor.submit(task.fn, *task.args)
@@ -864,6 +889,7 @@ class _Drain:
         deadline = self.attempts.deadline(task)
         if deadline is not None and self.mode != "inline":
             self.deadlines[future] = deadline
+        return future
 
     # ------------------------------------------------------------------
     # waiting

@@ -4,12 +4,15 @@ The artifact workflow's whole value is resumability: a campaign that dies
 mid-run must pick up exactly where it stopped.  A bare ``path.write_text``
 breaks that promise — a crash mid-write leaves a truncated JSON file that
 existence-based status checks count as "done" and that ``json.loads`` then
-crashes on during resume.  This module provides the two primitives the
+crashes on during resume.  This module provides the three primitives the
 execution engine builds on:
 
 * :func:`write_atomic` — write to a same-directory temp file, then
   ``os.replace`` it into place.  Readers observe either the old state or
   the complete new file, never a prefix.
+* :func:`commit` — fsync a published result and then its directory, so
+  it survives power loss too.  The engine commits each result it accepts
+  (:meth:`repro.runtime.engine._Attempts.load`), and nothing else does.
 * :func:`quarantine` — move an unreadable result aside (``*.corrupt``)
   so the point can be re-run instead of crashing the whole campaign.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-__all__ = ["write_atomic", "quarantine", "discard_stale_tmp"]
+__all__ = ["write_atomic", "commit", "quarantine", "discard_stale_tmp"]
 
 #: Suffix appended to the temp file while an atomic write is in flight.
 TMP_SUFFIX = ".tmp"
@@ -28,7 +31,7 @@ TMP_SUFFIX = ".tmp"
 CORRUPT_SUFFIX = ".corrupt"
 
 
-def write_atomic(path: str | Path, text: str, *, durable: bool = False) -> Path:
+def write_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``).
 
     The temp file lives in the target directory (``os.replace`` is only
@@ -36,30 +39,17 @@ def write_atomic(path: str | Path, text: str, *, durable: bool = False) -> Path:
     concurrent workers never collide on it.  A crash between the two steps
     leaves only a stale ``*.tmp`` file, never a truncated result.
 
-    ``durable=True`` additionally fsyncs the temp file before the rename
-    and the parent directory after it.  The rename alone survives *process*
-    crashes but not power loss: without the syncs the kernel may still hold
-    both the data and the directory entry in the page cache, and a reboot
-    can resurface an empty or missing result.  Resume validates every
-    result through its loader, so such a file is never trusted: an empty
-    one is quarantined and both are recomputed.  The syncs spare that
-    recompute.  Campaign and sweep results — hours of compute per file —
-    are written durably; caches and ledgers accept the cheaper default.
+    Nothing is fsynced: the rename survives a *process* crash, because
+    the data is in the page cache, but power loss can still empty or drop
+    the file.  Results become durable when the engine accepts them
+    (:func:`commit`); caches and ledgers never need to.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}{TMP_SUFFIX}")
     try:
-        if durable:
-            with tmp.open("w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-        else:
-            tmp.write_text(text)
+        tmp.write_text(text)
         os.replace(tmp, path)
-        if durable:
-            _fsync_dir(path.parent)
     finally:
         # Only reached with the tmp file still present if write or replace
         # failed; never remove the published result.
@@ -67,12 +57,32 @@ def write_atomic(path: str | Path, text: str, *, durable: bool = False) -> Path:
     return path
 
 
+def commit(path: str | Path) -> None:
+    """Flush a published result, then its directory entry, to stable
+    storage.
+
+    The execution engine calls this once for each result it accepts,
+    after the loader has validated it, and before the next task runs at
+    ``jobs=1``.  Power loss before the commit can leave the file empty or
+    missing; resume validates every result through its loader, so an
+    empty one is quarantined and both are recomputed.  An ``OSError``
+    from the file's fsync (``EIO``) propagates: the engine classifies it
+    like any failed attempt.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    _fsync_dir(Path(path).parent)
+
+
 def _fsync_dir(directory: Path) -> None:
     """Flush a directory entry (the rename itself) to stable storage.
 
     Directory fds are not openable on some platforms/filesystems; losing
-    the sync there only narrows the durability window back to the
-    non-durable behavior, so failures are deliberately non-fatal.
+    the sync there only narrows the durability window back to that of an
+    uncommitted write, so failures are deliberately non-fatal.
     """
     try:
         fd = os.open(directory, os.O_RDONLY)

@@ -16,8 +16,9 @@ pressure so a mitigation that skips victims is caught.
 Two operating modes:
 
 * ``strict`` — the first violation raises :class:`ProtocolViolation`;
-* ``tolerant`` — violations accumulate in :attr:`violations` and can be
-  written to a ``violations.jsonl`` ledger via :meth:`write_ledger`.
+* ``tolerant`` — violations accumulate in :attr:`violations`; a sweep
+  writes each point's to a ``<key>.violations.jsonl`` ledger beside its
+  row.
 
 ``off`` is represented by *not attaching* a checker (see
 :func:`make_checker`): the controller's instrumentation then costs one
@@ -32,9 +33,7 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ConfigError, ProtocolViolation
 from repro.mitigations.base import MitigationMechanism
@@ -510,28 +509,6 @@ class ProtocolChecker:
         for violation in self.violations:
             counts[violation.rule] = counts.get(violation.rule, 0) + 1
         return counts
-
-    def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "commands": self.commands_seen,
-            "violations": self.violation_count,
-            "by_rule": self.by_rule(),
-        }
-
-    def write_ledger(self, path: str | Path) -> int:
-        """Append violations to a JSONL ledger; returns the count written.
-
-        Records carry simulation time only, so ledgers from two runs with
-        the same seed are byte-identical.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            for violation in self.violations:
-                handle.write(json.dumps(violation.to_json(),
-                                        sort_keys=True) + "\n")
-        return len(self.violations)
 
 
 def make_checker(config: SystemConfig, *, mode: str = "off",

@@ -7,6 +7,7 @@ from repro.analysis.figures import (
     fig4_inflection,
     fig4_motivation,
     fig8_sensitive_fraction,
+    fig10_temperature,
     fig12_npr_scaling,
     fig14_retention,
     fig16_latency_sweep,
@@ -57,6 +58,20 @@ class TestFig8Fraction:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             fig8_sensitive_fraction([])
+
+
+class TestFig10:
+    def test_pools_every_module_of_a_vendor(self):
+        kw = dict(temperatures_c=(50.0, 80.0), tras_factors=(1.00, 0.18),
+                  per_region=4)
+        pooled = fig10_temperature(("H5", "H7"), **kw)["H"]
+        h7_alone = fig10_temperature(("H7",), **kw)["H"]
+        assert set(pooled) == {50.0, 80.0}
+        # H7 alone reads min=0.389 med=0.617: the last module must not
+        # set the vendor's box.
+        assert pooled[50.0][0.18] != h7_alone[50.0][0.18]
+        assert pooled[50.0][0.18].row().startswith(
+            "min=0.000 q1=0.595 med=0.646 ")
 
 
 class TestFig12:

@@ -1,12 +1,11 @@
 """The array tier reproduces every figure and sweep row bit-exactly.
 
-The device-stage figure builders (fig6/8/9) resolve their kernel through
-the process-default execution policy, so they are compared under
-``kernel_policy="scalar"`` vs. ``"array"``; the sim-stage builders
-(fig17/18/19) take ``sim_kernel`` directly.  The CLI sweep's persisted
-JSON rows must be byte-identical between ``--kernel-policy scalar`` and
-``--kernel-policy array``.  No tolerances anywhere: the array tier ships
-only because it changes nothing.
+Every figure builder, device stage (fig6/8/9) and sim stage (fig17/18/19)
+alike, resolves its kernel through the process-default execution policy,
+so each is compared under ``kernel_policy="scalar"`` vs. ``"array"``.
+The CLI sweep's persisted JSON rows must be byte-identical between
+``--kernel-policy scalar`` and ``--kernel-policy array``.  No tolerances
+anywhere: the array tier ships only because it changes nothing.
 """
 
 import pytest
@@ -35,36 +34,41 @@ _DEVICE_BUILDERS = {
 }
 
 
+def _under(policy, build):
+    """``build()`` under the ``policy`` kernel policy."""
+    set_default_policy(ExecutionPolicy(kernel_policy=policy))
+    return build()
+
+
 @pytest.mark.parametrize("figure", sorted(_DEVICE_BUILDERS))
 def test_device_figures_identical_under_array_policy(figure):
     build = _DEVICE_BUILDERS[figure]
-
-    def under(policy):
-        set_default_policy(ExecutionPolicy(kernel_policy=policy))
-        return build()
-
-    assert_parity(lambda: under("scalar"), lambda: under("array"),
+    assert_parity(lambda: _under("scalar", build),
+                  lambda: _under("array", build),
                   label=f"{figure} under the array policy")
 
 
-@pytest.mark.parametrize("sim_kernel", ("array",))
-def test_fig17_18_identical_across_sim_kernels(sim_kernel):
-    kw = dict(mitigations=("PARA",), vendors=("H",), nrh_values=(64,),
-              workloads=("spec06.mcf",), requests=300)
-    assert_parity(
-        lambda: fig17_18_performance_energy(sim_kernel="scalar", **kw),
-        lambda: fig17_18_performance_energy(sim_kernel=sim_kernel, **kw),
-        label=f"fig17/18 under the {sim_kernel} kernel")
+@pytest.mark.parametrize("policy", ("array",))
+def test_fig17_18_identical_across_sim_kernels(policy):
+    def build():
+        return fig17_18_performance_energy(
+            mitigations=("PARA",), vendors=("H",), nrh_values=(64,),
+            workloads=("spec06.mcf",), requests=300)
+
+    assert_parity(lambda: _under("scalar", build),
+                  lambda: _under(policy, build),
+                  label=f"fig17/18 under the {policy} policy")
 
 
-@pytest.mark.parametrize("sim_kernel", ("array",))
-def test_fig19_identical_across_sim_kernels(sim_kernel):
-    kw = dict(densities_gbit=(8,), latency_factors=(1.00, 0.36),
-              requests=300)
-    assert_parity(
-        lambda: fig19_periodic(sim_kernel="scalar", **kw),
-        lambda: fig19_periodic(sim_kernel=sim_kernel, **kw),
-        label=f"fig19 under the {sim_kernel} kernel")
+@pytest.mark.parametrize("policy", ("array",))
+def test_fig19_identical_across_sim_kernels(policy):
+    def build():
+        return fig19_periodic(densities_gbit=(8,),
+                              latency_factors=(1.00, 0.36), requests=300)
+
+    assert_parity(lambda: _under("scalar", build),
+                  lambda: _under(policy, build),
+                  label=f"fig19 under the {policy} policy")
 
 
 def test_cli_sweep_rows_byte_identical(tmp_path):

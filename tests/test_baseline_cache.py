@@ -70,13 +70,9 @@ class TestKeysAndDigests:
         assert baseline_code_digest() == baseline_code_digest()
 
     def test_cacheable_gates(self):
-        assert cacheable(pacram=None, checker=None, violations_path=None)
-        assert not cacheable(pacram=object(), checker=None,
-                             violations_path=None)
-        assert not cacheable(pacram=None, checker="strict",
-                             violations_path=None)
-        assert not cacheable(pacram=None, checker=None,
-                             violations_path="x.jsonl")
+        assert cacheable(pacram=None, checker=None)
+        assert not cacheable(pacram=object(), checker=None)
+        assert not cacheable(pacram=None, checker="strict")
 
 
 class TestBaselineCache:

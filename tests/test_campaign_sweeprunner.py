@@ -35,7 +35,7 @@ def only_s6(campaign: CharacterizationCampaign) -> CharacterizationCampaign:
 
 def last_counts(runner) -> dict:
     """The ``counts`` of a campaign's or sweep's last ``run_report.json``."""
-    return json.loads(runner.report_path().read_text())["counts"]
+    return json.loads(runner.execution.report_path().read_text())["counts"]
 
 
 #: A one-module campaign small enough to run a handful of times per test.

@@ -74,14 +74,32 @@ class TestModuleCharacterization:
         result = ModuleCharacterization("S6", seed=1)
         result.add(measurement(row=1, factor=1.0, nrh=10_000))
         result.add(measurement(row=1, factor=0.36, nrh=8_000))
-        values = result.normalized_nrh(0.36)
-        assert values == [pytest.approx(0.8)]
+        assert result.normalized("nrh", 0.36) == [(10_000, 0.8)]
+        # A row without bitflips at the point counts as 0; one without a
+        # vulnerable nominal measurement is left out.
+        result.add(measurement(row=2, factor=1.0, nrh=5_000))
+        result.add(measurement(row=2, factor=0.36, nrh=None))
+        result.add(measurement(row=3, factor=1.0, nrh=None))
+        result.add(measurement(row=3, factor=0.36, nrh=4_000))
+        assert result.normalized("nrh", 0.36) == [(10_000, 0.8), (5_000, 0.0)]
 
     def test_normalized_ber(self):
         result = ModuleCharacterization("S6", seed=1)
         result.add(measurement(row=1, factor=1.0, ber=0.001))
         result.add(measurement(row=1, factor=0.36, ber=0.004))
-        assert result.normalized_ber(0.36) == [pytest.approx(4.0)]
+        assert result.normalized("ber", 0.36) == [(0.001, 4.0)]
+
+    def test_normalized_at_a_temperature(self):
+        result = ModuleCharacterization("S6", seed=1)
+        for temperature, nominal in ((50.0, 10_000), (80.0, 8_000)):
+            result.add(measurement(row=1, factor=1.0, nrh=nominal,
+                                   temp=temperature))
+            result.add(measurement(row=1, factor=0.36, nrh=4_000,
+                                   temp=temperature))
+        assert result.normalized("nrh", 0.36, temperature_c=50.0) == \
+            [(10_000, 0.4)]
+        assert result.normalized("nrh", 0.36, temperature_c=80.0) == \
+            [(8_000, 0.5)]
 
     def test_json_round_trip(self, tmp_path):
         result = ModuleCharacterization("S6", seed=42)

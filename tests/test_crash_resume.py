@@ -131,5 +131,5 @@ class TestErrorLedger:
         victim.write_text("garbage")
         runner.run()
         records = [json.loads(line) for line in
-                   runner.ledger_path().read_text().splitlines()]
+                   runner.execution.ledger_path().read_text().splitlines()]
         assert any(r["action"] == "quarantine" for r in records)

@@ -480,6 +480,27 @@ class TestFleetEndToEnd:
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert set(report["workers"]) == {"ext-1"}
 
+    def test_worker_writes_a_sweep_row_without_fsync(self, tmp_path,
+                                                     monkeypatch):
+        """A worker's scratch copy is shipped and deleted, so it is never
+        flushed: only the coordinator's commit fsyncs a result."""
+        from repro.analysis.sweeprunner import SweepGrid, SweepRunner
+        from repro.runtime.distributed import _execute_spec
+
+        synced = []
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
+        grid = SweepGrid(mitigations=("PARA",), nrh_values=(64,),
+                         pacram_vendors=(None,), requests=300)
+        runner = SweepRunner(tmp_path / "sweep", grid)
+        blobs: dict = {}
+        spec = lease_spec(runner._task(grid.points()[0]), 1, blobs)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        entry = _execute_spec(spec, blobs, scratch)
+        assert entry["status"] == "ok", entry
+        assert spec["path"] in entry["files"]
+        assert synced == []
+
     def test_digest_payloads_smaller_than_pickled_task(self, tmp_path):
         """The perf claim behind blob interning: once a worker holds the
         config blob, each further lease spec is smaller than the naive

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.runner import pacram_reference_config
 from repro.core.config import PaCRAMConfig
 from repro.core.fr_bitvector import FRBitVector
-from repro.core.ondie import SelfManagingDRAMPaCRAM
 from repro.core.pacram import PaCRAM
 from repro.errors import ConfigError
 from repro.sim.config import SystemConfig
@@ -45,8 +44,7 @@ class TestFRBitVector:
         with pytest.raises(ConfigError):
             fr.mark_fully_restored(0, 64)
 
-    @pytest.mark.parametrize("policy_class",
-                             [PaCRAM, SelfManagingDRAMPaCRAM])
+    @pytest.mark.parametrize("policy_class", [PaCRAM])
     def test_policy_allocates_no_dense_vector(self, policy_class):
         # The dense 32 x 65,536 bool array cost 2 MiB per PaCRAM run.
         config = SystemConfig()
@@ -87,7 +85,9 @@ class TestPaCRAMPolicy:
         policy = PaCRAM(config, pacram_config)
         tras1, full1 = policy.preventive_tras_ns(0, 77, 0.0)
         tras2, full2 = policy.preventive_tras_ns(0, 77, 10.0)
+        _, full_other_row = policy.preventive_tras_ns(0, 78, 20.0)
         assert full1 and not full2
+        assert full_other_row  # each row owes its own first full restore
         assert tras1 == config.timing.tRAS
         assert tras2 == pytest.approx(config.timing.tRAS * 0.36)
 

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.core.config import PaCRAMConfig
-from repro.core.ondie import ModeRegister, OnDiePaCRAM, SelfManagingDRAMPaCRAM
+from repro.core.ondie import ModeRegister, OnDiePaCRAM
 from repro.core.online_profiling import OnlineProfiler
 from repro.core.spd import SpdEntry, SpdRecord, crc16
 from repro.errors import ConfigError
@@ -53,6 +53,15 @@ class TestOnDiePaCRAM:
         _, full_second = policy.preventive_tras_ns(3, -1, 1.0)
         assert full_first and not full_second
 
+    def test_known_rows_stay_bank_granular(self):
+        # The chip picks the victims: a row the controller names is
+        # tracked no finer than its bank.
+        config = SystemConfig(num_cores=1)
+        policy = OnDiePaCRAM(config, short_tfcri_config())
+        _, full_first = policy.preventive_tras_ns(3, 10, 0.0)
+        _, full_other_row = policy.preventive_tras_ns(3, 11, 1.0)
+        assert full_first and not full_other_row
+
     def test_mode_register_traffic_counted(self):
         config = SystemConfig(num_cores=1)
         policy = OnDiePaCRAM(config, short_tfcri_config())
@@ -68,24 +77,6 @@ class TestOnDiePaCRAM:
         policy.preventive_tras_ns(0, -1, 1.0)
         _, full = policy.preventive_tras_ns(0, -1, 2e6)
         assert full
-
-
-class TestSelfManagingDRAM:
-    def test_per_row_granularity_without_controller_state(self):
-        config = SystemConfig(num_cores=1)
-        policy = SelfManagingDRAMPaCRAM(config, short_tfcri_config())
-        _, full_a = policy.preventive_tras_ns(0, 10, 0.0)
-        _, full_b = policy.preventive_tras_ns(0, 10, 1.0)
-        _, full_c = policy.preventive_tras_ns(0, 11, 2.0)
-        assert full_a and not full_b
-        assert full_c  # a different row still needs its first full restore
-
-    def test_footnote6_always_partial(self):
-        config = SystemConfig(num_cores=1)
-        policy = SelfManagingDRAMPaCRAM(
-            config, PaCRAMConfig.from_catalog("H5", 0.36))
-        _, full = policy.preventive_tras_ns(0, 10, 0.0)
-        assert not full
 
 
 class TestSpdRecord:

@@ -42,8 +42,8 @@ class TestClaim11:
         assert all(a >= b for a, b in zip(lows, lows[1:]))
 
     def test_ber_grows_under_reduction(self, s6_characterization):
-        nominal = s6_characterization.normalized_ber(1.0)
-        reduced = s6_characterization.normalized_ber(0.27)
+        nominal = [r for _, r in s6_characterization.normalized("ber", 1.0)]
+        reduced = [r for _, r in s6_characterization.normalized("ber", 0.27)]
         assert sum(reduced) / len(reduced) > sum(nominal) / len(nominal)
 
     def test_retention_failures_beyond_safe_minimum(self, s6_characterization):

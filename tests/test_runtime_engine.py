@@ -21,6 +21,7 @@ from repro.runtime import (
     write_atomic,
 )
 from repro.runtime import engine
+from repro.runtime.persist import commit
 
 
 # ----------------------------------------------------------------------
@@ -737,26 +738,161 @@ class TestRunReport:
         assert class_totals == counts["failed"]
 
 
+def _logged_square(log: str, n: int, path: str) -> None:
+    """Appends ``run <n>`` to ``log``, then writes its square."""
+    with open(log, "a") as handle:
+        handle.write(f"run {n}\n")
+    _write_square(n, path)
+
+
+@pytest.fixture()
+def commits(monkeypatch):
+    """Records each path the engine commits (then commits it)."""
+    seen: list[str] = []
+    real = engine.commit
+
+    def spy(path):
+        seen.append(Path(path).name)
+        real(path)
+
+    monkeypatch.setattr(engine, "commit", spy)
+    return seen
+
+
 class TestDurableWrites:
+    """Results become durable at one commit point: the engine fsyncs what
+    it accepts, and a task's own write never fsyncs."""
+
     def test_durable_write_fsyncs_file_and_directory(self, tmp_path,
                                                      monkeypatch):
+        """``commit`` fsyncs the published file, then its directory."""
         import os
+        import stat
         synced = []
         real_fsync = os.fsync
 
         def spy(fd):
-            synced.append(fd)
+            synced.append(os.fstat(fd))
             real_fsync(fd)
 
+        path = write_atomic(tmp_path / "r.json", "payload")
         monkeypatch.setattr(os, "fsync", spy)
-        path = tmp_path / "r.json"
-        write_atomic(path, "payload", durable=True)
+        commit(path)
         assert path.read_text() == "payload"
-        assert len(synced) == 2  # the temp file, then the parent directory
+        assert [(stat.S_ISREG(s.st_mode), s.st_ino) for s in synced] == [
+            (True, path.stat().st_ino), (False, tmp_path.stat().st_ino)]
 
     def test_default_write_skips_fsync(self, tmp_path, monkeypatch):
+        """``write_atomic`` never fsyncs, and takes no ``durable=``."""
         import os
         synced = []
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
         write_atomic(tmp_path / "r.json", "payload")
         assert synced == []
+        with pytest.raises(TypeError):
+            write_atomic(tmp_path / "r.json", "payload", durable=True)
+
+
+class TestCommitPoint:
+    def test_each_computed_result_committed_once_reused_never(
+            self, tmp_path, make_pool, commits):
+        tasks = [_square_task(tmp_path, n) for n in range(3)]
+        pool = make_pool()
+        pool.run(tasks, loader=_load_square)
+        assert sorted(commits) == ["sq0.json", "sq1.json", "sq2.json"]
+        commits.clear()
+        pool.run(tasks + [_square_task(tmp_path, 3)], loader=_load_square)
+        assert pool.last_report.reused == ["sq0", "sq1", "sq2"]
+        assert commits == ["sq3.json"]
+
+    def test_two_fsyncs_per_result_all_at_the_commit(self, tmp_path,
+                                                     make_pool, monkeypatch):
+        """The result file and its directory, once each per computed
+        result, and only where the engine commits it."""
+        import os
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        tasks = [_square_task(tmp_path, n) for n in range(3)]
+        make_pool().run(tasks, loader=_load_square)
+        directory = tmp_path.stat().st_ino
+        assert sorted(synced) == sorted(
+            [t.path.stat().st_ino for t in tasks] + [directory] * 3)
+
+    def test_inline_result_committed_before_next_task_runs(
+            self, tmp_path, monkeypatch):
+        """At ``jobs=1`` each task is settled before the next one runs, so
+        its result is on stable storage (and its progress line out) by
+        then."""
+        log = tmp_path / "events.log"
+        real = engine.commit
+
+        def spy(path):
+            with log.open("a") as handle:
+                handle.write(f"commit {Path(path).name}\n")
+            real(path)
+
+        monkeypatch.setattr(engine, "commit", spy)
+
+        class Recording(ProgressReporter):
+            def task_done(self, key, *, worker=None):
+                with log.open("a") as handle:
+                    handle.write(f"done {key}\n")
+
+        tasks = [Task(key=f"sq{n}", path=tmp_path / f"sq{n}.json",
+                      fn=_logged_square,
+                      args=(str(log), n, str(tmp_path / f"sq{n}.json")))
+                 for n in range(3)]
+        TaskPool(jobs=1, progress=Recording()).run(tasks,
+                                                   loader=_load_square)
+        assert log.read_text().splitlines() == [
+            line for n in range(3)
+            for line in (f"run {n}", f"commit sq{n}.json", f"done sq{n}")]
+
+    def test_eio_at_commit_pauses_once_and_the_point_finishes(
+            self, tmp_path, make_pool, monkeypatch):
+        import errno
+        import os
+        real_fsync = os.fsync
+        failures = []
+
+        def eio_once(fd):
+            if not failures:
+                failures.append(fd)
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", eio_once)
+        tasks = [_square_task(tmp_path, n) for n in (2, 3)]
+        pool = make_pool(max_attempts=1, infra_pause_s=0.01,
+                         ledger_path=tmp_path / "errors.jsonl")
+        assert pool.run(tasks, loader=_load_square) == {"sq2": 4, "sq3": 9}
+        assert len(failures) == 1
+        assert pool.last_report.infra_pauses == 1
+        assert pool.last_report.failed == {}
+        ledger = _ledger(tmp_path / "errors.jsonl")
+        assert [(r["action"], r["class"]) for r in ledger] == [
+            ("infra-pause", "infrastructure")]
+        assert "Input/output error" in ledger[0]["error"]
+
+    def test_row_emptied_before_its_commit_is_recomputed(self, tmp_path,
+                                                         make_pool):
+        """What power loss before the commit can leave, a 0-byte result,
+        is quarantined on resume and recomputed to the same bytes."""
+        tasks = [_square_task(tmp_path, n) for n in (4, 5)]
+        pool = make_pool(ledger_path=tmp_path / "errors.jsonl")
+        pool.run(tasks, loader=_load_square)
+        before = tasks[0].path.read_bytes()
+        tasks[0].path.write_bytes(b"")
+        assert pool.run(tasks, loader=_load_square) == {"sq4": 16, "sq5": 25}
+        report = pool.last_report
+        assert (report.quarantined, report.computed, report.reused) == (
+            ["sq4"], ["sq4"], ["sq5"])
+        assert tasks[0].path.read_bytes() == before
+        moved = list(tmp_path.glob(f"sq4.json{CORRUPT_SUFFIX}*"))
+        assert [m.read_bytes() for m in moved] == [b""]

@@ -57,11 +57,6 @@ class TestCleanRuns:
         assert checker.violation_count == 0
         assert checker.by_rule() == {}
 
-    def test_summary_shape(self):
-        checker = _run_attack(ProtocolChecker(CONFIG, mode="tolerant"))
-        summary = checker.summary()
-        assert summary["violations"] == checker.violation_count
-
 
 class TestViolations:
     def test_dropped_refreshes_detected_tolerant(self):
@@ -97,14 +92,29 @@ class TestViolations:
 
 
 class TestLedger:
-    def test_write_ledger_round_trips(self, tmp_path):
+    def test_write_ledger_round_trips(self, tmp_path, monkeypatch):
+        """A sweep point's ``<key>.violations.jsonl``, beside its row,
+        holds exactly the checker's violations, and the row counts them."""
+        from repro.analysis import sweeprunner
+
         checker = _dropping_attack(ProtocolChecker(
             CONFIG, mode="tolerant",
             mitigation=make_mitigation("Graphene", nrh=128)))
-        path = tmp_path / "violations.jsonl"
-        written = checker.write_ledger(path)
-        lines = path.read_text().splitlines()
-        assert written == len(lines) == len(checker.violations)
+        simulate = sweeprunner.run_simulation
+
+        def violating(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            result.protocol_violations = list(checker.violations)
+            return result
+
+        monkeypatch.setattr(sweeprunner, "run_simulation", violating)
+        point = sweeprunner.SweepPoint("PARA", 64, None, ("spec06.mcf",))
+        row = tmp_path / f"{point.key}.json"
+        sweeprunner._simulate_to(point, 300, str(row), "tolerant", "scalar",
+                                 str(tmp_path / "baseline_cache"))
+        lines = sweeprunner.violations_path(row).read_text().splitlines()
+        assert json.loads(row.read_text())["violations"] == len(lines) \
+            == len(checker.violations)
         parsed = [json.loads(line) for line in lines]
         assert parsed == [v.to_json() for v in checker.violations]
 
