@@ -1,6 +1,6 @@
 """Scalar vs. vectorized vs. array characterization kernels.
 
-Two grids, two contracts each:
+Three grids, two contracts each:
 
 * **Parity grid** (small): all three device kernels produce bit-identical
   :meth:`~repro.characterization.results.ModuleCharacterization.to_json`
@@ -12,15 +12,24 @@ Two grids, two contracts each:
   evaluations of the bisection with whole-bank trait sampling and
   analytic flips-vs-none predicates, so its advantage grows with the
   number of test points per row.
+* **Campaign grid** (the shape of one campaign task: three vendors'
+  reference modules at ``--rows 8``, the seven CLI latencies, N_PR 1):
+  both kernels give the same module JSON, and the array kernel is at
+  least :data:`CAMPAIGN_FLOOR` times faster than the scalar oracle.  At
+  this size a kernel that pays numpy's per-call overhead once per test
+  point, not once per module, would fall below the floor.  The ratio and
+  its floor land in ``bench_results/BENCH_characterization.json``, which
+  ``scripts/check_bench_floors.py`` re-checks.
 
 Throughput (row-points per second), the vectorized kernel's
 model-evaluation counters, and the probe-memo hit rate land in
 ``bench_results/characterization_scaling.txt``.
 """
 
+import json
 import time
 
-from bench_util import run_once, save_result
+from bench_util import RESULTS_DIR, run_once, save_result
 
 from repro.characterization.algorithm1 import CharacterizationConfig
 from repro.characterization.sweeps import characterize_module
@@ -113,3 +122,56 @@ def bench_characterization_array_tier(benchmark):
         f"speedup (array/vectorized): {speedup:.1f}x")
     save_result("characterization_array_tier", text)
     assert speedup >= 10.0, f"array kernel only {speedup:.1f}x faster"
+
+
+#: One campaign task's shape at the CLI's ``--rows 8``: the seven CLI
+#: latencies (the default) at N_PR 1, on each vendor's reference module.
+_CAMPAIGN_MODULES = ("H5", "M2", "S6")
+_CAMPAIGN_GRID = dict(per_region=8)
+#: The array kernel's floor over the scalar oracle on the campaign grid.
+CAMPAIGN_FLOOR = 35.0
+
+
+def _run_campaign_grid() -> tuple[dict[str, list[str]], dict[str, float]]:
+    # Best of three per kernel, the kernels taking turns, so that a slow
+    # spell of a shared host spoils one repetition of each, not all three
+    # of the short array runs.
+    outputs: dict[str, list[str]] = {}
+    best_s = {"scalar": float("inf"), "array": float("inf")}
+    for _ in range(3):
+        for kernel in best_s:
+            started = time.perf_counter()
+            results = [characterize_module(module_id, kernel=kernel,
+                                           **_CAMPAIGN_GRID)
+                       for module_id in _CAMPAIGN_MODULES]
+            best_s[kernel] = min(best_s[kernel],
+                                 time.perf_counter() - started)
+            outputs[kernel] = [result.to_json() for result in results]
+    return outputs, best_s
+
+
+def bench_characterization_campaign_grid(benchmark):
+    outputs, best_s = run_once(benchmark, _run_campaign_grid)
+    scalar, array = outputs["scalar"], outputs["array"]
+    scalar_s, array_s = best_s["scalar"], best_s["array"]
+    assert scalar == array
+    points = sum(len(json.loads(text)["measurements"]) for text in array)
+    ratio = scalar_s / array_s if array_s > 0 else float("inf")
+    payload = {
+        "modules": list(_CAMPAIGN_MODULES),
+        "row_points": points,
+        "scalar_ms": scalar_s * 1e3,
+        "array_ms": array_s * 1e3,
+        "array_over_scalar": ratio,
+        "floors": {"array_over_scalar": CAMPAIGN_FLOOR},
+    }
+    (RESULTS_DIR / "BENCH_characterization.json").write_text(
+        json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    save_result("characterization_campaign", (
+        f"campaign grid: {', '.join(_CAMPAIGN_MODULES)}, "
+        f"{points} row-points, best of 3\n"
+        f"scalar kernel: {scalar_s * 1e3:.1f} ms\n"
+        f"array kernel:  {array_s * 1e3:.1f} ms\n"
+        f"speedup (array/scalar): {ratio:.1f}x"))
+    assert ratio >= CAMPAIGN_FLOOR, \
+        f"array kernel only {ratio:.1f}x faster than scalar"

@@ -296,24 +296,13 @@ def run_compiled(module: DRAMModule, program: TestProgram) -> ExecutionResult:
                            instructions_executed=compiled.instructions)
 
 
-def fold_probe_states(timing, columns_per_row: int, tras_red_ns: float,
-                      n_pr: int, hammer_counts) -> tuple:
-    """Fold a batch of ``perform_rh`` programs' doses as array ops.
-
-    The array-tier form of the per-probe analytic fold: for a vector of
-    hammer counts (one per victim row, as the bisection diverges per row),
-    returns ``(wait_ns, equivalent)`` float64 arrays — the victim's idle
-    time since its last restoration at the read, and its per-aggressor
-    double-sided dose.  Every elementwise operation replicates the scalar
-    fold's expression order (see
-    :func:`repro.characterization.vectorized._probe_state`), so the folded
-    doses are bit-identical to stepping each program.
-    """
-    import numpy as np
-
-    from repro.dram.disturbance import BLAST_RADIUS_WEIGHTS
-
-    hc = np.asarray(hammer_counts, dtype=np.int64)
+def restore_phase(timing, columns_per_row: int, tras_red_ns: float,
+                  n_pr: int) -> tuple[float, float]:
+    """``(clock, last_restore)`` once a ``perform_rh`` program has written
+    its three rows and restored the victim ``n_pr`` times: the state the
+    hammer phase starts from, one per test point (see
+    :func:`fold_probe_states`).  Every float operation replicates the
+    stepping executor's expression order."""
     write_ns = (timing.tRCD + columns_per_row * timing.tCCD
                 + timing.tWR + timing.tRP)
     clock = 0.0
@@ -322,17 +311,44 @@ def fold_probe_states(timing, columns_per_row: int, tras_red_ns: float,
     clock += write_ns  # WriteRow aggressor 2
     last_restore = 0.0
     if n_pr > TestProgram.UNROLL_LIMIT:
+        # Bulk Restore macro: one clock advance for the whole loop.
         last_restore = clock
         clock += n_pr * (tras_red_ns + timing.tRP)
     else:
+        # Unrolled ACT/PRE pairs accumulate the clock incrementally, which
+        # is not bit-identical to the single multiply above — replicate it.
         for _ in range(n_pr):
             last_restore = clock
             clock += tras_red_ns + timing.tRP
+    return clock, last_restore
+
+
+def fold_probe_states(timing, clock, last_restore, hammer_counts) -> tuple:
+    """Fold ``perform_rh`` programs' hammer and sleep phases as array ops.
+
+    The analytic form of stepping each probe program: for hammer counts
+    (one per element, as the bisection diverges per row and a batch may
+    mix test points; or one count), returns ``(wait_ns, equivalent)``
+    float64 arrays — the victim's idle time since its last restoration at
+    the read, and its per-aggressor double-sided dose.  ``clock`` and
+    ``last_restore`` are :func:`restore_phase`'s, for one point (floats)
+    or per element (arrays).  Every elementwise operation replicates the
+    stepping executor's expression order, so the folded doses are
+    bit-identical to stepping each program.
+    """
+    import numpy as np
+
+    from repro.dram.disturbance import BLAST_RADIUS_WEIGHTS
+
+    hc = np.asarray(hammer_counts, dtype=np.int64)
     hammered = hc > 0
+    # Each aggressor's hammer deposits its count on the victim in turn.
     near = np.where(hammered, (0.0 + hc) + hc, 0.0)
     clock = np.where(hammered, clock + hc * 2 * timing.tRC, clock)
     clock = np.where(clock < timing.tREFW,
                      clock + (timing.tREFW - clock), clock)
     wait_ns = np.maximum(0.0, clock - last_restore)
+    # dose.effective() with far == 0.0 (the victim is never a distance-2
+    # neighbor of its own aggressors), per aggressor.
     equivalent = (near + BLAST_RADIUS_WEIGHTS[2] * 0.0) / 2.0
     return wait_ns, equivalent

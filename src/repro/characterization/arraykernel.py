@@ -22,87 +22,129 @@ Flip *values* (which need the scalar-parity ``log``/``erf`` loops of
 :meth:`BankTraits.hammer_flips`) are only ever needed at ``hc_high`` — the
 worst-case-pattern comparison and the BER readout — so the transcendental
 work drops from every bisection probe to one probe per pattern.
+
+One call measures every test point of a module at one temperature.  Each
+(row, point) pair's search is independent of every other, so all pairs run
+in one lockstep batch: what depends on the point alone (the
+:class:`~repro.dram.kernels.PointTerms`, the program clock once the victim
+is restored) is computed once per point and laid over the batch's
+elements, so the numpy call count no longer grows with the number of
+points.  :data:`ELEMENT_BUDGET` bounds a batch, so memory stays flat at
+paper scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bender.compile import fold_probe_states
+from repro.bender.compile import fold_probe_states, restore_phase
 from repro.bender.host import DRAMBenderHost
 from repro.characterization.algorithm1 import (
     CharacterizationConfig,
     aggressors_of,
 )
 from repro.characterization.results import RowMeasurement
-from repro.dram.kernels import EvalCounters
+from repro.dram.kernels import BankTraits, EvalCounters, PointTerms
 from repro.errors import CharacterizationError
 
+#: Row-points (one victim row at one test point) per lockstep batch: a call
+#: that measures more runs in batches of at most this many.
+ELEMENT_BUDGET = 16_384
 
-def measure_rows_array(host: DRAMBenderHost, bank: int, victims, *,
-                       tras_red_ns: float | None = None, n_pr: int = 1,
+
+def measure_rows_array(host: DRAMBenderHost, bank: int, victims,
+                       points, *,
                        config: CharacterizationConfig | None = None,
                        counters: EvalCounters | None = None,
                        ) -> list[RowMeasurement]:
-    """Measure a batch of victim rows at one test point (Alg. 1, array tier).
+    """Measure victim rows at test points (Alg. 1, array tier).
 
-    Bit-identical to :func:`repro.characterization.vectorized.measure_rows`
-    — same validation errors, same worst-case-pattern tie-breaks, same
-    bisection trajectory — with the search driven by the analytic
-    flips-vs-none predicate instead of per-probe model evaluations.
-    ``counters.model_evals`` counts only the ``hc_high`` value
-    evaluations that remain.
+    ``points`` are ``(tras_red_ns, n_pr)`` pairs at the module's current
+    temperature.  Returns one measurement per (victim, point) pair,
+    victim-major: every point of the first victim, in ``points`` order,
+    then the next victim's.  Each is bit-identical to
+    :func:`repro.characterization.vectorized.measure_rows` at that point —
+    same validation errors (every point is checked, in order, before any
+    is measured), same worst-case-pattern tie-breaks, same bisection
+    trajectory — with the search driven by the analytic flips-vs-none
+    predicate instead of per-probe model evaluations.
+    ``counters.model_evals`` counts only the ``hc_high`` value evaluations
+    that remain.
     """
     config = config or CharacterizationConfig()
     counters = counters if counters is not None else EvalCounters()
     module = host.module
-    nominal = module.timing.tRAS
-    if tras_red_ns is None:
-        tras_red_ns = nominal
-    if not 0 < tras_red_ns <= nominal:
-        raise CharacterizationError(
-            f"tras_red_ns must be in (0, {nominal}], got {tras_red_ns}")
-    if n_pr < 1:
-        raise CharacterizationError("n_pr must be >= 1")
+    timing = module.timing
+    nominal = timing.tRAS
+    points = tuple(points)
+    for tras_red_ns, n_pr in points:
+        if not 0 < tras_red_ns <= nominal:
+            raise CharacterizationError(
+                f"tras_red_ns must be in (0, {nominal}], got {tras_red_ns}")
+        if n_pr < 1:
+            raise CharacterizationError("n_pr must be >= 1")
     victims = tuple(victims)
-    if not victims:
+    if not victims or not points:
         return []
     for victim in victims:
         aggressors_of(host, victim)  # same error, same order as scalar path
 
     batch = module.bank_traits(bank, victims)
-    timing = module.timing
-    columns = module.geometry.columns_per_row
+    columns_per_row = module.geometry.columns_per_row
     temperature = module.temperature_c
-    # Restoration streak state of the victim at read time (matching the
-    # device model: a full-latency ACT resets the partial streak).
-    factor = min(tras_red_ns / timing.tRAS, 1.0)
-    factor = 1.0 if factor >= 1.0 else factor
-    n_pr_eff = 1 if factor >= 1.0 else max(1, n_pr)
-    n = len(victims)
-    all_idx = np.arange(n, dtype=np.intp)
+    terms, restored = [], []
+    for tras_red_ns, n_pr in points:
+        terms.append(batch.point_terms(min(tras_red_ns / nominal, 1.0),
+                                       n_pr, temperature))
+        restored.append(restore_phase(timing, columns_per_row, tras_red_ns,
+                                      n_pr))
+    # Row 0 the clock, row 1 the last restore, one column per point.
+    clocks = np.array(restored, dtype=np.float64).T
+    per_point = [(tras_red_ns / nominal, n_pr)
+                 for tras_red_ns, n_pr in points]
+    short_names = [pattern.short_name for pattern in config.patterns]
+
+    measurements = []
+    total = len(victims) * len(points)
+    for start in range(0, total, ELEMENT_BUDGET):
+        element = np.arange(start, min(start + ELEMENT_BUDGET, total))
+        row, point = np.divmod(element, len(points))
+        wcdp, nrh, ber = _measure_batch(batch, row, point, terms, clocks,
+                                        timing, config, counters)
+        measurements += [
+            RowMeasurement(bank, victims[r], *per_point[p], temperature,
+                           short_names[w], n, b)
+            for r, p, w, n, b in zip(row.tolist(), point.tolist(), wcdp,
+                                     nrh, ber)]
+    return measurements
+
+
+def _measure_batch(batch: BankTraits, idx: np.ndarray, point: np.ndarray,
+                   terms: list[PointTerms], clocks: np.ndarray, timing,
+                   config: CharacterizationConfig, counters: EvalCounters,
+                   ) -> tuple[list[int], list[int | None], list[float]]:
+    """Algorithm 1 over the elements ``(idx[e], point[e])`` in lockstep:
+    each element's worst-case pattern (an index into ``config.patterns``),
+    N_RH and BER."""
+    n = len(idx)
     patterns = config.patterns
+    columns = PointTerms.columns(terms, point)
+    clock, last_restore = clocks[:, point]
 
-    def probe(hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return fold_probe_states(timing, columns, tras_red_ns, n_pr, hc)
-
-    # Per-pattern effective thresholds, one vector each.  Elementwise, so
-    # the values equal what hammer_flips computes internally per probe.
-    nrh_by_pattern = np.stack([
-        batch.effective_nrh(factor, n_pr_eff, temperature, pattern, all_idx)
-        for pattern in patterns])
+    # Per-pattern effective thresholds, one vector each: the WCDP scan's
+    # hammer_flips and the bisection's predicate share them.
+    nrh_by_pattern = np.stack([batch.effective_nrh(columns, pattern, idx)
+                               for pattern in patterns])
 
     # --- hc_high: the one probe whose flip values matter ----------------
-    wait_high, eq_high = probe(np.full(n, config.hc_high, dtype=np.int64))
-    retained_high = batch.retention_flips(
-        factor=factor, n_pr=n_pr_eff, wait_ns=wait_high,
-        temperature_c=temperature, idx=all_idx)
+    wait_high, eq_high = fold_probe_states(
+        timing, clock, last_restore, np.full(n, config.hc_high))
+    retained_high = batch.retention_flips(columns, wait_ns=wait_high,
+                                          idx=idx)
     best_flips = np.full(n, -1, dtype=np.int64)
     wcdp_idx = np.zeros(n, dtype=np.intp)
-    for pattern_i, pattern in enumerate(patterns):
-        hammered = batch.hammer_flips(
-            eq_high, factor=factor, n_pr=n_pr_eff,
-            temperature_c=temperature, pattern=pattern, idx=all_idx)
+    for pattern_i, thresholds in enumerate(nrh_by_pattern):
+        hammered = batch.hammer_flips(eq_high, columns, thresholds)
         # Retention flips are pattern-independent, so adding them shifts
         # every pattern's count equally and the strict-max scan (Alg. 1
         # lines 16-19, first strict maximum wins) is unchanged.
@@ -114,54 +156,47 @@ def measure_rows_array(host: DRAMBenderHost, bank: int, victims, *,
     counters.probe_batches += len(patterns) + 1
 
     # BER at hc_high (line 20): the winning pattern's count is best_flips.
-    cells = module.spec.row_bits()
-    ber_out = [int(best_flips[i]) / cells for i in range(n)]
+    cells = batch.cells
+    ber_out = [flips / cells for flips in best_flips.tolist()]
 
     # Retention pre-check at zero hammers (lines 21-24): the hammer
     # component cannot fire at dose zero (thresholds are positive), so the
     # flips>0 predicate reduces to the retention predicate.
-    wait_zero, _ = probe(np.zeros(n, dtype=np.int64))
-    fails_zero = batch.retention_fails(
-        factor=factor, n_pr=n_pr_eff, wait_ns=wait_zero,
-        temperature_c=temperature, idx=all_idx)
-
+    wait_zero, _ = fold_probe_states(timing, clock, last_restore,
+                                     np.zeros(n, dtype=np.int64))
+    fails_zero = batch.retention_fails(columns, wait_ns=wait_zero, idx=idx)
     nrh_out: list[int | None] = [None] * n
-    for i in np.nonzero(fails_zero)[0]:
+    for i in np.flatnonzero(fails_zero).tolist():
         nrh_out[i] = 0
 
-    # Bisection (lines 25-32) over rows whose hc_high probe flipped; the
-    # per-row trajectory is independent, so running every pattern group in
-    # one lockstep pass reproduces the scalar per-group loops exactly.
-    rows_idx = np.nonzero(~fails_zero & (best_flips > 0))[0]
-    if len(rows_idx):
-        threshold = nrh_by_pattern[wcdp_idx[rows_idx], rows_idx]
+    # Bisection (lines 25-32) over elements whose hc_high probe flipped;
+    # each trajectory is independent, so running every pattern group and
+    # every point in one lockstep pass reproduces the scalar loops exactly.
+    search = np.flatnonzero(~fails_zero & (best_flips > 0))
+    if len(search):
+        threshold = nrh_by_pattern[wcdp_idx[search], search]
         finite = np.isfinite(threshold)
-        low = np.full(len(rows_idx), config.hc_low, dtype=np.int64)
-        high = np.full(len(rows_idx), config.hc_high, dtype=np.int64)
-        nrh = np.full(len(rows_idx), config.hc_high, dtype=np.int64)
+        rows_idx = idx[search]
+        searched = PointTerms.columns(terms, point[search])
+        clock, last_restore = clock[search], last_restore[search]
+        low = np.full(len(search), config.hc_low, dtype=np.int64)
+        high = np.full(len(search), config.hc_high, dtype=np.int64)
+        nrh = np.full(len(search), config.hc_high, dtype=np.int64)
         active = (high - low) > config.hc_step
         while active.any():
             current = (high + low) // 2
-            wait, equivalent = probe(current)
+            wait, equivalent = fold_probe_states(timing, clock, last_restore,
+                                                 current)
             flipped = (finite & (equivalent >= threshold)) \
-                | batch.retention_fails(
-                    factor=factor, n_pr=n_pr_eff, wait_ns=wait,
-                    temperature_c=temperature, idx=rows_idx)
+                | batch.retention_fails(searched, wait_ns=wait,
+                                        idx=rows_idx)
             up = active & ~flipped
             down = active & flipped
             low = np.where(up, current, low)
             high = np.where(down, current, high)
             nrh = np.where(down, current, nrh)
             active = (high - low) > config.hc_step
-        for j, i in enumerate(rows_idx):
-            nrh_out[i] = int(nrh[j])
+        for i, value in zip(search.tolist(), nrh.tolist()):
+            nrh_out[i] = value
 
-    return [
-        RowMeasurement(
-            bank=bank, row=victim,
-            tras_factor=tras_red_ns / nominal, n_pr=n_pr,
-            temperature_c=module.temperature_c,
-            wcdp=patterns[wcdp_idx[i]].short_name,
-            nrh=nrh_out[i], ber=ber_out[i])
-        for i, victim in enumerate(victims)
-    ]
+    return wcdp_idx.tolist(), nrh_out, ber_out

@@ -4,8 +4,9 @@ Every sweep runs exactly the paper's Algorithm 1 at many test points,
 through one of three device kernels:
 
 * ``array`` (default) — :func:`~repro.characterization.arraykernel.
-  measure_rows_array` measures the whole row batch per test point through
-  the analytic flips-vs-none predicate, with no per-probe model
+  measure_rows_array` measures every row at every test point of one
+  temperature in one lockstep batch (split under its element budget)
+  through the analytic flips-vs-none predicate, with no per-probe model
   evaluations inside the bisection;
 * ``scalar`` — a thin loop over :func:`~repro.characterization.algorithm1.
   measure_row` with a shared :class:`ProbeCache`, the parity oracle for the
@@ -101,34 +102,34 @@ def characterize_module(module_id: str, *,
     result = ModuleCharacterization(module_id=module_id, seed=seed,
                                     model_digest=model_digest(module_id, seed))
     nominal = module.timing.tRAS
+    points = [(factor * nominal, n_pr)
+              for factor in factors for n_pr in n_pr_values]
     cache = ProbeCache() if kernel == "scalar" else None
     for temperature in temperatures_c:
         host.set_temperature(temperature)
-        if kernel in ("vectorized", "array"):
+        if kernel == "array":
+            # Victim-major, the order the scalar loop below emits.
+            for measurement in measure_rows_array(
+                    host, bank, rows, points, config=config,
+                    counters=counters):
+                result.add(measurement)
+            continue
+        if kernel == "vectorized":
             # Measure all rows per test point in one batch, then emit the
             # measurements in the same order the scalar loop would.
-            batch_measure = (measure_rows_array if kernel == "array"
-                             else measure_rows)
-            by_point: dict[tuple[float, int], list] = {}
-            for factor in factors:
-                for n_pr in n_pr_values:
-                    by_point[(factor, n_pr)] = batch_measure(
-                        host, bank, rows,
-                        tras_red_ns=factor * nominal,
-                        n_pr=n_pr, config=config, counters=counters)
-            for i, victim in enumerate(rows):
-                for factor in factors:
-                    for n_pr in n_pr_values:
-                        result.add(by_point[(factor, n_pr)][i])
+            by_point = [measure_rows(host, bank, rows, tras_red_ns=tras,
+                                     n_pr=n_pr, config=config,
+                                     counters=counters)
+                        for tras, n_pr in points]
+            for i in range(len(rows)):
+                for measured in by_point:
+                    result.add(measured[i])
             continue
         for victim in rows:
-            for factor in factors:
-                for n_pr in n_pr_values:
-                    measurement = measure_row(
-                        host, bank, victim,
-                        tras_red_ns=factor * nominal,
-                        n_pr=n_pr, config=config, cache=cache)
-                    result.add(measurement)
+            for tras, n_pr in points:
+                result.add(measure_row(host, bank, victim, tras_red_ns=tras,
+                                       n_pr=n_pr, config=config,
+                                       cache=cache))
     return result
 
 

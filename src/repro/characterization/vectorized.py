@@ -11,9 +11,12 @@ It exploits two structural facts about Algorithm 1's probes:
   restore the victim, hammer double-sided, sleep out the refresh window,
   read the victim), so its end state — program clock, victim dose, idle
   wait — is an analytic function of ``(hammer_count, tras_red_ns, n_pr)``
-  that can be computed once per probe instead of stepping instructions.
-  The arithmetic replicates the stepping executor op-for-op (including the
-  distinct clock accumulation of the unrolled vs. macro restoration forms);
+  that can be computed once per probe instead of stepping instructions
+  (:func:`repro.bender.compile.restore_phase` and
+  :func:`~repro.bender.compile.fold_probe_states`, shared with the array
+  tier).  The arithmetic replicates the stepping executor op-for-op
+  (including the distinct clock accumulation of the unrolled vs. macro
+  restoration forms);
 * the device model is deterministic, so each unique
   ``(row, pattern, hammer_count)`` probe is evaluated once per batch and
   memoized — exactly the value a :class:`ProbeCache`-backed scalar run
@@ -30,59 +33,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bender.compile import fold_probe_states, restore_phase
 from repro.bender.host import DRAMBenderHost
-from repro.bender.program import TestProgram
 from repro.characterization.algorithm1 import (
     CharacterizationConfig,
     aggressors_of,
 )
 from repro.characterization.results import RowMeasurement
-from repro.dram.disturbance import BLAST_RADIUS_WEIGHTS, DataPattern
+from repro.dram.disturbance import DataPattern
 from repro.dram.kernels import BankTraits, EvalCounters
 from repro.dram.timing import TimingParams
 from repro.errors import CharacterizationError
-
-
-def _probe_state(timing: TimingParams, columns_per_row: int,
-                 tras_red_ns: float, n_pr: int,
-                 hammer_count: int) -> tuple[float, float]:
-    """Analytic end state of one ``perform_rh`` program.
-
-    Returns ``(wait_ns, equivalent)``: the victim's idle time since its
-    last restoration at the moment of the read, and its per-aggressor
-    double-sided dose.  Every float operation replicates the stepping
-    executor's expression order exactly (see module docstring), which is
-    what makes the fast path bit-identical rather than merely close.
-    """
-    write_ns = (timing.tRCD + columns_per_row * timing.tCCD
-                + timing.tWR + timing.tRP)
-    clock = 0.0
-    clock += write_ns  # WriteRow victim (last_restore := 0.0)
-    clock += write_ns  # WriteRow aggressor 1
-    clock += write_ns  # WriteRow aggressor 2
-    last_restore = 0.0
-    if n_pr > TestProgram.UNROLL_LIMIT:
-        # Bulk Restore macro: one clock advance for the whole loop.
-        last_restore = clock
-        clock += n_pr * (tras_red_ns + timing.tRP)
-    else:
-        # Unrolled ACT/PRE pairs accumulate the clock incrementally, which
-        # is not bit-identical to the single multiply above — replicate it.
-        for _ in range(n_pr):
-            last_restore = clock
-            clock += tras_red_ns + timing.tRP
-    near = 0.0
-    if hammer_count > 0:
-        # Each aggressor's hammer deposits its count on the victim in turn.
-        near = (near + hammer_count) + hammer_count
-        clock += hammer_count * 2 * timing.tRC
-    if clock < timing.tREFW:
-        clock += timing.tREFW - clock
-    wait_ns = max(0.0, clock - last_restore)
-    # dose.effective() with far == 0.0 (the victim is never a distance-2
-    # neighbor of its own aggressors), per aggressor.
-    equivalent = (near + BLAST_RADIUS_WEIGHTS[2] * 0.0) / 2.0
-    return wait_ns, equivalent
 
 
 class _BatchProber:
@@ -93,26 +54,27 @@ class _BatchProber:
                  temperature_c: float, counters: EvalCounters) -> None:
         self.batch = batch
         self.timing = timing
-        self.columns_per_row = columns_per_row
-        self.tras_red_ns = tras_red_ns
-        self.n_pr = n_pr
-        self.temperature_c = temperature_c
+        self.restored = restore_phase(timing, columns_per_row, tras_red_ns,
+                                      n_pr)
         self.counters = counters
-        factor = min(tras_red_ns / timing.tRAS, 1.0)
-        # Restoration streak state of the victim at read time (matching the
-        # device model: a full-latency ACT resets the partial streak).
-        self.factor = 1.0 if factor >= 1.0 else factor
-        self.n_pr_eff = 1 if factor >= 1.0 else max(1, n_pr)
+        self.terms = batch.point_terms(min(tras_red_ns / timing.tRAS, 1.0),
+                                       n_pr, temperature_c)
         self._states: dict[int, tuple[float, float]] = {}
+        self._nrh: dict[DataPattern, np.ndarray] = {}
         self._flips: dict[tuple[DataPattern, int], dict[int, int]] = {}
 
+    def fold(self, hammer_counts) -> None:
+        """Fold the end states of the probes not folded yet, in one call."""
+        counts = [hc for hc in hammer_counts if hc not in self._states]
+        if counts:
+            wait_ns, equivalent = fold_probe_states(
+                self.timing, *self.restored, np.array(counts))
+            self._states.update(zip(counts, zip(wait_ns.tolist(),
+                                                equivalent.tolist())))
+
     def _state(self, hammer_count: int) -> tuple[float, float]:
-        state = self._states.get(hammer_count)
-        if state is None:
-            state = _probe_state(self.timing, self.columns_per_row,
-                                 self.tras_red_ns, self.n_pr, hammer_count)
-            self._states[hammer_count] = state
-        return state
+        self.fold((hammer_count,))
+        return self._states[hammer_count]
 
     def flips(self, pattern: DataPattern, hammer_count: int,
               idx: np.ndarray) -> np.ndarray:
@@ -125,12 +87,13 @@ class _BatchProber:
             midx = np.asarray(missing, dtype=np.intp)
             eq = np.full(len(midx), equivalent, dtype=np.float64)
             wait = np.full(len(midx), wait_ns, dtype=np.float64)
-            hammered = self.batch.hammer_flips(
-                eq, factor=self.factor, n_pr=self.n_pr_eff,
-                temperature_c=self.temperature_c, pattern=pattern, idx=midx)
-            retained = self.batch.retention_flips(
-                factor=self.factor, n_pr=self.n_pr_eff, wait_ns=wait,
-                temperature_c=self.temperature_c, idx=midx)
+            nrh = self._nrh.get(pattern)
+            if nrh is None:
+                nrh = self.batch.effective_nrh(self.terms, pattern)
+                self._nrh[pattern] = nrh
+            hammered = self.batch.hammer_flips(eq, self.terms, nrh[midx])
+            retained = self.batch.retention_flips(self.terms, wait_ns=wait,
+                                                  idx=midx)
             # Half-Double never fires in Algorithm 1 probes (far dose is
             # zero), matching DRAMModule._halfdouble_flips returning 0.
             total = hammered + retained
@@ -218,9 +181,11 @@ def measure_rows(host: DRAMBenderHost, bank: int, victims, *,
         active = (high - low) > config.hc_step
         while active.any():
             current = (high + low) // 2
-            for hc in np.unique(current[active]):
+            counts = np.unique(current[active]).tolist()
+            prober.fold(counts)
+            for hc in counts:
                 sel = np.nonzero(active & (current == hc))[0]
-                flips = prober.flips(pattern, int(hc), active_rows[sel])
+                flips = prober.flips(pattern, hc, active_rows[sel])
                 zero = flips == 0
                 low[sel[zero]] = hc
                 high[sel[~zero]] = hc

@@ -8,6 +8,13 @@ evaluation: :class:`BankTraits` samples a whole batch of rows' traits (using
 each row's *own* seed-tree generator, so the draws are bit-identical to the
 per-row path) and evaluates the flip physics over row vectors.
 
+What the physics derives from a test point alone — the module's N_RH
+ratio, the BER bias, the retention margin, the N_PCR limit — is one
+:class:`PointTerms` per point.  An evaluation takes one point's terms, which
+broadcast over every row, or :meth:`PointTerms.columns` of many points, one
+value per element, so a single batch can evaluate rows at different test
+points.
+
 Bit-exactness contract
 ----------------------
 The vectorized kernels must produce *bit-identical* results to the scalar
@@ -27,6 +34,7 @@ path — the scalar path is the parity oracle (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 import math
 
@@ -70,6 +78,39 @@ class EvalCounters:
         return self.model_evals / total
 
 
+class PointTerms(NamedTuple):
+    """What the bank physics derives from one test point, before any row.
+
+    :meth:`BankTraits.point_terms` builds one per point, with a float (or
+    bool) per field; :meth:`columns` lays many points' terms over a batch,
+    one value per element.  Either broadcasts against a batch's rows.
+    """
+
+    #: The restoration factor as given (the N_RH and BER physics use it).
+    factor: Any
+    #: The module-level N_RH curve, :meth:`ChargeModel.nrh_ratio`.
+    module_ratio: Any
+    #: Extra BER growth below the vendor's BER-safe latency (Fig. 9).
+    ber_bias: Any
+    #: The retention margin (1.0 at nominal latency).
+    margin: Any
+    #: Leakage scale at the test temperature.
+    retention_scale: Any
+    #: Whether the clamped factor is the nominal latency.
+    nominal: Any
+    #: Whether the N_PR exceeds the module's N_PCR limit at a reduced
+    #: latency, where retention fails by strength alone.
+    overrun: Any
+    #: The retention strength the failure front has reached on overrun.
+    survivor: Any
+
+    @classmethod
+    def columns(cls, terms: Sequence["PointTerms"],
+                point: np.ndarray) -> "PointTerms":
+        """Element ``e`` of a batch at point ``point[e]`` of ``terms``."""
+        return cls(*(np.array(field)[point] for field in zip(*terms)))
+
+
 class BankTraits:
     """Struct-of-arrays view of many rows' traits in one bank.
 
@@ -79,6 +120,12 @@ class BankTraits:
     out as contiguous float64 arrays for vectorized evaluation.  The
     original :class:`RowTraits` objects are kept so per-row views
     (``RowPopulation``) can be built without resampling.
+
+    Every physics method evaluates the elements of ``idx`` (row indices,
+    repeats allowed; every row by default) at ``terms``: one test point's
+    :meth:`point_terms`, or :meth:`PointTerms.columns` for each element's
+    own point — the array tier batches a module's whole grid into one call
+    per method.
     """
 
     def __init__(self, spec: ModuleSpec, charge: ChargeModel, bank: int,
@@ -142,42 +189,65 @@ class BankTraits:
     def _all_idx(self) -> np.ndarray:
         return np.arange(len(self.rows))
 
-    def nrh_ratio(self, factor: float, n_pr: int = 1,
-                  temperature_c: float = 80.0,
+    def point_terms(self, factor: float, n_pr: int,
+                    temperature_c: float) -> PointTerms:
+        """The per-point terms at one test point (one memoized
+        :class:`ChargeModel` lookup each).
+
+        ``n_pr`` is the program's restoration count.  At nominal latency
+        the physics sees one restoration, as in the device model: a
+        full-latency ACT resets the partial-restoration streak.
+        """
+        charge = self.charge
+        clamped = charge._clamp_factor(factor)
+        nominal = clamped >= 1.0
+        if nominal:
+            n_pr = 1
+        limit = charge.npcr_limit(clamped)
+        return PointTerms(
+            factor=factor,
+            module_ratio=charge.nrh_ratio(factor, n_pr, temperature_c),
+            ber_bias=self._ber_bias(factor),
+            margin=charge._retention_margin(clamped, n_pr),
+            retention_scale=charge._temperature_retention_scale(
+                temperature_c),
+            nominal=nominal,
+            overrun=not nominal and n_pr > limit,
+            survivor=charge._overrun_survivor_strength(n_pr, limit))
+
+    def nrh_ratio(self, terms: PointTerms,
                   idx: np.ndarray | None = None) -> np.ndarray:
         """Vector form of :meth:`RowPopulation.nrh_ratio` over ``idx``."""
         if idx is None:
             idx = self._all_idx()
-        # Module-level curve: scalar per call, memoized in ChargeModel.
-        module_ratio = self.charge.nrh_ratio(factor, n_pr, temperature_c)
+        module_ratio = terms.module_ratio
         sens = self.sensitivity[idx]
-        drop = sens * (1.0 - min(module_ratio, 1.0))
-        if factor < 1.0:
-            # Rows with sensitive_extra_drop == 0 add an exact +0.0 here,
-            # which IEEE-754 guarantees leaves `drop` unchanged.
-            drop = drop + self.sensitive_extra_drop[idx] * (1.0 - factor) / 0.55
-        if module_ratio >= 1.0:
-            ratio = np.full(len(idx), module_ratio, dtype=np.float64)
-        else:
-            ratio = 1.0 - drop
+        drop = sens * (1.0 - np.minimum(module_ratio, 1.0))
+        # Rows with sensitive_extra_drop == 0 add an exact +0.0 at a reduced
+        # latency, which IEEE-754 guarantees leaves `drop` unchanged.
+        drop = np.where(terms.factor < 1.0,
+                        drop + self.sensitive_extra_drop[idx]
+                        * (1.0 - terms.factor) / 0.55,
+                        drop)
+        ratio = np.where(module_ratio >= 1.0, module_ratio, 1.0 - drop)
         ratio = np.maximum(ratio, 0.02)
         minimum = self.spec.nominal_nrh
         base = self.base_nrh[idx]
         if minimum:
             finite = np.isfinite(base)
             if finite.any():
-                floor = 0.98 * minimum * max(module_ratio, 0.02) / base
+                floor = (0.98 * minimum * np.maximum(module_ratio, 0.02)
+                         / base)
                 ratio = np.where(finite, np.maximum(ratio, floor), ratio)
         return ratio
 
-    def effective_nrh(self, factor: float = 1.0, n_pr: int = 1,
-                      temperature_c: float = 80.0,
+    def effective_nrh(self, terms: PointTerms,
                       pattern: DataPattern | None = None,
                       idx: np.ndarray | None = None) -> np.ndarray:
         """Vector form of :meth:`RowPopulation.effective_nrh`."""
         if idx is None:
             idx = self._all_idx()
-        ratio = self.nrh_ratio(factor, n_pr, temperature_c, idx)
+        ratio = self.nrh_ratio(terms, idx)
         base = self.base_nrh[idx]
         if pattern is None:
             return base * ratio / 1.0
@@ -187,36 +257,32 @@ class BankTraits:
         kappa = self.pattern_effectiveness[pattern][idx] / worst
         return base * ratio / kappa
 
-    def hammer_flips(self, equivalent: np.ndarray, *, factor: float = 1.0,
-                     n_pr: int = 1, temperature_c: float = 80.0,
-                     pattern: DataPattern | None = None,
-                     idx: np.ndarray | None = None) -> np.ndarray:
+    def hammer_flips(self, equivalent: np.ndarray, terms: PointTerms,
+                     nrh: np.ndarray) -> np.ndarray:
         """Vector form of :meth:`RowPopulation.hammer_flips`.
 
         ``equivalent`` is the per-aggressor double-sided dose
-        (``dose.effective() / 2.0``) per row of ``idx``.
+        (``dose.effective() / 2.0``) and ``nrh`` the :meth:`effective_nrh`
+        under the probe's pattern, one per element: a row's threshold does
+        not depend on the dose, so callers evaluate it once per pattern.
         """
-        if idx is None:
-            idx = self._all_idx()
-        nrh = self.effective_nrh(factor, n_pr, temperature_c, pattern, idx)
-        flips = np.zeros(len(idx), dtype=np.int64)
+        flips = np.zeros(len(nrh), dtype=np.int64)
         active = np.isfinite(nrh) & (equivalent >= nrh)
         if active.any():
+            log, phi = math.log, _phi
             sigma = self._sigma
-            bias = self._ber_bias(factor)
             cells = self.cells
-            for j in np.nonzero(active)[0]:
-                z = (math.log(equivalent[j])
-                     - math.log(_MEDIAN_CELL_MULTIPLIER * nrh[j]))
-                z /= sigma
-                z += bias
-                count = int(cells * _phi(z))
-                flips[j] = max(count, 1)
+            bias = np.broadcast_to(terms.ber_bias, active.shape)[active]
+            flips[active] = [
+                max(int(cells * phi(
+                    (log(dose) - log(_MEDIAN_CELL_MULTIPLIER * threshold))
+                    / sigma + shift)), 1)
+                for dose, threshold, shift in zip(
+                    equivalent[active].tolist(), nrh[active].tolist(),
+                    bias.tolist())]
         return flips
 
-    def retention_fails(self, *, factor: float = 1.0, n_pr: int = 1,
-                        wait_ns: np.ndarray,
-                        temperature_c: float = 80.0,
+    def retention_fails(self, terms: PointTerms, *, wait_ns: np.ndarray,
                         idx: np.ndarray | None = None) -> np.ndarray:
         """Which rows of ``idx`` lose retention after idling ``wait_ns``.
 
@@ -227,37 +293,32 @@ class BankTraits:
         """
         if idx is None:
             idx = self._all_idx()
-        charge = self.charge
-        factor = charge._clamp_factor(factor)
         strength = self.retention_strength[idx]
-        margin = 1.0 if factor >= 1.0 else charge._retention_margin(factor, n_pr)
-        capability = (charge._retention.weakest_row_retention_ns * strength
-                      * margin / charge._temperature_retention_scale(temperature_c))
+        capability = (self.charge._retention.weakest_row_retention_ns
+                      * strength * terms.margin / terms.retention_scale)
         wait = np.asarray(wait_ns, dtype=np.float64)
-        if factor >= 1.0:
-            return capability < wait
-        limit = charge.npcr_limit(factor)
-        if n_pr > limit:
-            return strength <= charge._overrun_survivor_strength(n_pr, limit)
-        capability = np.maximum(capability, 64 * MS * 1.02 * strength)
-        return capability < wait
+        # Below nominal latency, the observed-safe envelope retains a full
+        # 64 ms window; past the N_PCR limit, strength alone decides.
+        capability = np.where(
+            terms.nominal, capability,
+            np.maximum(capability, 64 * MS * 1.02 * strength))
+        return np.where(terms.overrun, strength <= terms.survivor,
+                        capability < wait)
 
-    def retention_flips(self, *, factor: float = 1.0, n_pr: int = 1,
-                        wait_ns: np.ndarray,
-                        temperature_c: float = 80.0,
+    def retention_flips(self, terms: PointTerms, *, wait_ns: np.ndarray,
                         idx: np.ndarray | None = None) -> np.ndarray:
         """Vector form of :meth:`RowPopulation.retention_flips`."""
         if idx is None:
             idx = self._all_idx()
-        fails = self.retention_fails(factor=factor, n_pr=n_pr,
-                                     wait_ns=wait_ns,
-                                     temperature_c=temperature_c, idx=idx)
+        fails = self.retention_fails(terms, wait_ns=wait_ns, idx=idx)
         wait = np.asarray(wait_ns, dtype=np.float64)
         flips = np.zeros(len(idx), dtype=np.int64)
         if fails.any():
-            for j in np.nonzero(fails)[0]:
-                severity = max(1.0, wait[j] / (64 * MS))
-                flips[j] = max(1, int(1 + 2 * math.log(severity + 1.0)))
+            counts = []
+            for waited in wait[fails].tolist():
+                severity = max(1.0, waited / (64 * MS))
+                counts.append(max(1, int(1 + 2 * math.log(severity + 1.0))))
+            flips[fails] = counts
         return flips
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ execution engine builds on:
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 
@@ -29,6 +30,11 @@ TMP_SUFFIX = ".tmp"
 
 #: Suffix given to quarantined (unparseable / schema-invalid) result files.
 CORRUPT_SUFFIX = ".corrupt"
+
+#: What a directory fsync raises where the filesystem cannot sync a
+#: directory at all, rather than failing to.
+_DIR_FSYNC_UNSUPPORTED = frozenset({errno.EINVAL, errno.ENOTSUP,
+                                    errno.EOPNOTSUPP})
 
 
 def write_atomic(path: str | Path, text: str) -> Path:
@@ -66,8 +72,8 @@ def commit(path: str | Path) -> None:
     ``jobs=1``.  Power loss before the commit can leave the file empty or
     missing; resume validates every result through its loader, so an
     empty one is quarantined and both are recomputed.  An ``OSError``
-    from the file's fsync (``EIO``) propagates: the engine classifies it
-    like any failed attempt.
+    from either fsync (``EIO``) propagates: the engine classifies it like
+    any failed attempt.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -80,9 +86,11 @@ def commit(path: str | Path) -> None:
 def _fsync_dir(directory: Path) -> None:
     """Flush a directory entry (the rename itself) to stable storage.
 
-    Directory fds are not openable on some platforms/filesystems; losing
-    the sync there only narrows the durability window back to that of an
-    uncommitted write, so failures are deliberately non-fatal.
+    Some platforms and filesystems cannot open or fsync a directory
+    (``EINVAL``, ``ENOTSUP``); losing the sync there only narrows the
+    durability window back to that of an uncommitted write, so that stays
+    non-fatal.  Any other error (``EIO``) means the rename may not be on
+    stable storage, and propagates.
     """
     try:
         fd = os.open(directory, os.O_RDONLY)
@@ -90,8 +98,9 @@ def _fsync_dir(directory: Path) -> None:
         return
     try:
         os.fsync(fd)
-    except OSError:
-        pass
+    except OSError as error:
+        if error.errno not in _DIR_FSYNC_UNSUPPORTED:
+            raise
     finally:
         os.close(fd)
 

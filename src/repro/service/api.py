@@ -31,7 +31,8 @@ thread exists, and every job borrows it: the loopback workers (and any
 external ``repro-experiments worker``) stay connected between jobs until
 the runner stops, which closes the fleet.  On startup, jobs a previous
 service process left ``queued`` or orphaned in ``running`` are
-re-enqueued and resume from their persisted results.
+re-enqueued and resume from their persisted results; an unreadable job
+record is set aside (``job.json.corrupt``) instead of refusing to start.
 
 Trust model: the service *decodes client payloads*, the inverse of the
 fleet's worker-trusts-coordinator direction — job specs therefore only
@@ -46,11 +47,13 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import sys
 import threading
 from collections import deque
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
+from repro.runtime.persist import quarantine
 from repro.runtime.scheduler import RunOptions, open_fleet, parse_address
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
@@ -139,10 +142,20 @@ class CharacterizationService:
         A job found ``running`` with no live runner is an orphan of a
         crash; :meth:`JobManager.run` normalizes it back through
         ``queued`` and its resume contract recomputes only what is
-        missing on disk.
+        missing on disk.  A record that cannot be read (power loss can
+        leave ``job.json`` empty) is moved aside as ``job.json.corrupt``
+        and named on stderr; resubmitting its spec makes a fresh record,
+        which resumes from the results on disk.
         """
-        for job_id in self.manager.store.list_ids():
-            record = self.manager.store.load(job_id)
+        store = self.manager.store
+        for job_id in store.list_ids():
+            try:
+                record = store.load(job_id)
+            except ConfigError as error:
+                moved = quarantine(store.record_path(job_id))
+                print(f"serve-api: set aside {moved}: {error}",
+                      file=sys.stderr)
+                continue
             if record.state in (DONE, FAILED):
                 continue
             self._enqueue(record)

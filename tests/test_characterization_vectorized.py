@@ -8,6 +8,7 @@ memoization) reproduce it *bit-exactly*, not approximately.
 import pytest
 
 from repro.bender.host import DRAMBenderHost
+from repro.characterization import arraykernel
 from repro.characterization.algorithm1 import (
     CharacterizationConfig,
     measure_row,
@@ -39,27 +40,78 @@ def _testable_rows(host: DRAMBenderHost, count: int = 8) -> tuple[int, ...]:
     return tuple(rows[:count])
 
 
+def _points(host: DRAMBenderHost, grid) -> list[tuple[float, int]]:
+    nominal = host.module.timing.tRAS
+    return [(factor * nominal, n_pr) for factor, n_pr in grid]
+
+
+def _scalar(host, rows, points):
+    """The oracle: one ``measure_row`` per (victim, point), victim-major."""
+    return [measure_row(host, 1, row, tras_red_ns=tras, n_pr=n_pr,
+                        config=FAST)
+            for row in rows for tras, n_pr in points]
+
+
+def _vectorized(host, rows, points):
+    """One ``measure_rows`` call per point, laid out victim-major."""
+    by_point = [measure_rows(host, 1, rows, tras_red_ns=tras, n_pr=n_pr,
+                             config=FAST)
+                for tras, n_pr in points]
+    return [measured[i] for i in range(len(rows)) for measured in by_point]
+
+
+def _array(host, rows, points):
+    """Every point in one ``measure_rows_array`` call."""
+    return measure_rows_array(host, 1, rows, points, config=FAST)
+
+
+BATCH_TIERS = {"vectorized": _vectorized, "array": _array}
+
+
 class TestScalarParity:
-    @pytest.mark.parametrize("batch_measure", (measure_rows,
-                                               measure_rows_array),
-                             ids=("vectorized", "array"))
+    @pytest.mark.parametrize("tier", BATCH_TIERS)
     @pytest.mark.parametrize("module_id", PARITY_MODULES)
     @pytest.mark.parametrize("temperature", (80.0, 50.0))
-    def test_bit_exact_measurements(self, module_id, temperature,
-                                    batch_measure):
+    def test_bit_exact_measurements(self, module_id, temperature, tier):
         scalar_host = DRAMBenderHost(module_id, temperature_c=temperature)
         batch_host = DRAMBenderHost(module_id, temperature_c=temperature)
         rows = _testable_rows(scalar_host)
-        nominal = scalar_host.module.timing.tRAS
-        for factor, n_pr in PARITY_POINTS:
-            tras = factor * nominal
-            # nrh, ber, wcdp — all fields, bit-exact
-            assert_all_parity(
-                [measure_row(scalar_host, 1, row, tras_red_ns=tras,
-                             n_pr=n_pr, config=FAST) for row in rows],
-                batch_measure(batch_host, 1, rows, tras_red_ns=tras,
-                              n_pr=n_pr, config=FAST),
-                label=batch_measure.__name__)
+        points = _points(scalar_host, PARITY_POINTS)
+        # nrh, ber, wcdp — all fields, bit-exact
+        assert_all_parity(_scalar(scalar_host, rows, points),
+                          BATCH_TIERS[tier](batch_host, rows, points),
+                          label=tier)
+
+    @pytest.mark.parametrize("tier", BATCH_TIERS)
+    @pytest.mark.parametrize("module_id", ("H5", "S6"))
+    def test_one_batch_mixes_every_branch(self, module_id, tier):
+        """Nominal, the unrolled and the bulk restore, and an N_PR past
+        the N_PCR limit, with two latencies at two N_PR values each (at
+        nominal latency the program restores N_PR times, yet the physics
+        sees one restoration)."""
+        scalar_host = DRAMBenderHost(module_id)
+        batch_host = DRAMBenderHost(module_id)
+        assert scalar_host.module.charge.npcr_limit(0.27) < 15_000
+        rows = _testable_rows(scalar_host)
+        points = _points(scalar_host, PARITY_POINTS + (
+            (1.00, 20), (0.27, 2), (0.27, 15_000)))
+        expected = _scalar(scalar_host, rows, points)
+        # The overrun branch fails retention by row strength alone.
+        assert any(m.n_pr == 15_000 and m.nrh == 0 for m in expected)
+        assert_all_parity(expected,
+                          BATCH_TIERS[tier](batch_host, rows, points),
+                          label=tier)
+
+    def test_batches_split_under_the_element_budget(self, monkeypatch):
+        """A call larger than the budget runs in several batches (here
+        splitting victims' points apart) and gives the same measurements."""
+        host = DRAMBenderHost("S6")
+        rows = _testable_rows(host)
+        points = _points(host, PARITY_POINTS + ((0.27, 15_000),))
+        whole = _array(host, rows, points)
+        monkeypatch.setattr(arraykernel, "ELEMENT_BUDGET", 5)
+        assert_all_parity(whole, _array(host, rows, points),
+                          label="split batches")
 
     def test_batch_traits_match_per_row_traits(self, host_h5):
         fresh = DRAMBenderHost("H5")
@@ -82,12 +134,23 @@ class TestScalarParity:
 
     def test_same_validation_errors(self):
         host = DRAMBenderHost("H5")
-        with pytest.raises(CharacterizationError, match="tras_red_ns"):
-            measure_rows(host, 1, (3, 4), tras_red_ns=-1.0)
+        nominal = host.module.timing.tRAS
+        for measure in BATCH_TIERS.values():
+            with pytest.raises(CharacterizationError, match="tras_red_ns"):
+                measure(host, (3, 4), [(-1.0, 1)])
+            with pytest.raises(CharacterizationError, match="n_pr"):
+                measure(host, (3, 4), [(nominal, 0)])
+            with pytest.raises(CharacterizationError,
+                               match="physical neighbors"):
+                measure(host, (3, 0), [(nominal, 1)])  # row 0: bank edge
+
+    def test_array_tier_checks_every_point_before_measuring(self):
+        host = DRAMBenderHost("H5")
+        nominal = host.module.timing.tRAS
         with pytest.raises(CharacterizationError, match="n_pr"):
-            measure_rows(host, 1, (3, 4), n_pr=0)
-        with pytest.raises(CharacterizationError, match="physical neighbors"):
-            measure_rows(host, 1, (3, 0))  # row 0 sits at the bank edge
+            _array(host, (3, 4), [(nominal, 1), (nominal, 0)])
+        with pytest.raises(CharacterizationError, match="tras_red_ns"):
+            _array(host, (3, 0), [(nominal, 1), (-1.0, 0)])
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError, match="device kernel"):
@@ -108,6 +171,18 @@ class TestEvalCounters:
         # ~6 WCDP probes + 1 retention + ~7 bisection per row-point.
         assert counters.evals_per_row_point(len(rows), 1) <= 20
         assert counters.probe_batches > 0
+
+    def test_array_tier_evaluates_hc_high_once_per_pattern(self):
+        """Patterns + 1 (the retention component) evaluations per
+        row-point, however many points one call batches."""
+        host = DRAMBenderHost("H5")
+        rows = _testable_rows(host)
+        points = _points(host, PARITY_POINTS)
+        counters = EvalCounters()
+        measure_rows_array(host, 1, rows, points, config=FAST,
+                           counters=counters)
+        assert counters.model_evals == \
+            (len(FAST.patterns) + 1) * len(rows) * len(points)
 
     def test_repeated_probes_hit_the_memo(self):
         host = DRAMBenderHost("H5")

@@ -880,6 +880,59 @@ class TestCommitPoint:
             ("infra-pause", "infrastructure")]
         assert "Input/output error" in ledger[0]["error"]
 
+    def test_directory_eio_at_commit_pauses_once_and_the_point_finishes(
+            self, tmp_path, make_pool, monkeypatch):
+        """The rename may not be on stable storage: an infrastructure
+        pause, as for the file's own fsync."""
+        import errno
+        import os
+        import stat
+        real_fsync = os.fsync
+        failures = []
+
+        def directory_eio_once(fd):
+            if not failures and stat.S_ISDIR(os.fstat(fd).st_mode):
+                failures.append(fd)
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", directory_eio_once)
+        tasks = [_square_task(tmp_path, n) for n in (2, 3)]
+        pool = make_pool(max_attempts=1, infra_pause_s=0.01,
+                         ledger_path=tmp_path / "errors.jsonl")
+        assert pool.run(tasks, loader=_load_square) == {"sq2": 4, "sq3": 9}
+        assert len(failures) == 1
+        assert pool.last_report.infra_pauses == 1
+        assert pool.last_report.failed == {}
+        ledger = _ledger(tmp_path / "errors.jsonl")
+        assert [(r["action"], r["class"]) for r in ledger] == [
+            ("infra-pause", "infrastructure")]
+        assert "Input/output error" in ledger[0]["error"]
+
+    @pytest.mark.parametrize("code", ("EINVAL", "ENOTSUP"))
+    def test_directory_that_cannot_be_fsynced_commits(self, tmp_path,
+                                                      make_pool, monkeypatch,
+                                                      code):
+        """A filesystem that cannot fsync a directory at all only narrows
+        the durability window: the commit returns and nothing pauses."""
+        import errno
+        import os
+        import stat
+        real_fsync = os.fsync
+
+        def unsupported_on_directories(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(getattr(errno, code), code)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", unsupported_on_directories)
+        commit(write_atomic(tmp_path / "r.json", "payload"))
+        tasks = [_square_task(tmp_path, n) for n in (2, 3)]
+        pool = make_pool(ledger_path=tmp_path / "errors.jsonl")
+        assert pool.run(tasks, loader=_load_square) == {"sq2": 4, "sq3": 9}
+        assert pool.last_report.infra_pauses == 0
+        assert not (tmp_path / "errors.jsonl").exists()
+
     def test_row_emptied_before_its_commit_is_recomputed(self, tmp_path,
                                                          make_pool):
         """What power loss before the commit can leave, a 0-byte result,

@@ -26,6 +26,7 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.runtime import RunOptions
 from repro.runtime.distributed import run_worker
+from repro.runtime.persist import CORRUPT_SUFFIX
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     recv_frame,
@@ -210,6 +211,44 @@ class TestServiceEndToEnd:
             assert final["state"] == DONE
         finally:
             svc.stop()
+
+    def test_restart_sets_an_unreadable_record_aside(self, tmp_path,
+                                                     capsys):
+        # Power loss can leave a job record empty.  The service starts
+        # anyway, and resubmitting the spec resumes from the results on
+        # disk: no row is written again.
+        spec = JobSpec("sweep", tiny_grid())
+        manager = JobManager(tmp_path / "jobs")
+        record, _ = manager.submit(spec)
+        manager.run(record.job_id)
+        results = manager.store.results_dir(record.job_id)
+
+        def row_stamps():
+            return {p.name: p.stat().st_mtime_ns
+                    for p in results.glob("*.json")
+                    if p.name != "run_report.json"}
+
+        before = row_stamps()
+        path = manager.store.record_path(record.job_id)
+        path.write_bytes(b"")
+
+        svc = CharacterizationService(tmp_path / "jobs",
+                                      options=RunOptions(jobs=1),
+                                      poll_s=0.01)
+        svc.start()
+        try:
+            moved = path.with_name(path.name + CORRUPT_SUFFIX)
+            assert str(moved) in capsys.readouterr().err
+            assert moved.read_bytes() == b""
+            with ServiceClient(address(svc)) as client:
+                frame = client.submit(spec)
+                assert (frame["job_id"], frame["deduped"]) == (
+                    record.job_id, False)
+                final = wait_terminal(client, record.job_id)
+            assert final["state"] == DONE
+        finally:
+            svc.stop()
+        assert before and row_stamps() == before
 
 
 # ----------------------------------------------------------------------
