@@ -1,6 +1,6 @@
 """Scalar vs. vectorized vs. array characterization kernels.
 
-Three grids, two contracts each:
+Four grids, two contracts each:
 
 * **Parity grid** (small): all three device kernels produce bit-identical
   :meth:`~repro.characterization.results.ModuleCharacterization.to_json`
@@ -17,9 +17,17 @@ Three grids, two contracts each:
   both kernels give the same module JSON, and the array kernel is at
   least :data:`CAMPAIGN_FLOOR` times faster than the scalar oracle.  At
   this size a kernel that pays numpy's per-call overhead once per test
-  point, not once per module, would fall below the floor.  The ratio and
-  its floor land in ``bench_results/BENCH_characterization.json``, which
-  ``scripts/check_bench_floors.py`` re-checks.
+  point, not once per module, would fall below the floor.
+* **N_PR grid** (the shape of a Table 4 derivation: H5, the seven CLI
+  latencies x N_PR 1 to 15K, ``per_region=64``): the array kernel over the
+  whole grid against the scalar oracle on its first two rows, whose
+  measurements must be equal, in row-points per second.  At this size the
+  array tier's cost is its ``hc_high`` flip counts, and the ratio's floor
+  (:data:`NPR_GRID_FLOOR`) holds only while they run as numpy arithmetic.
+
+Both ratios and their floors land in
+``bench_results/BENCH_characterization.json``, which
+``scripts/check_bench_floors.py`` re-checks.
 
 Throughput (row-points per second), the vectorized kernel's
 model-evaluation counters, and the probe-memo hit rate land in
@@ -157,16 +165,12 @@ def bench_characterization_campaign_grid(benchmark):
     assert scalar == array
     points = sum(len(json.loads(text)["measurements"]) for text in array)
     ratio = scalar_s / array_s if array_s > 0 else float("inf")
-    payload = {
-        "modules": list(_CAMPAIGN_MODULES),
-        "row_points": points,
-        "scalar_ms": scalar_s * 1e3,
-        "array_ms": array_s * 1e3,
-        "array_over_scalar": ratio,
-        "floors": {"array_over_scalar": CAMPAIGN_FLOOR},
-    }
-    (RESULTS_DIR / "BENCH_characterization.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _record({"modules": list(_CAMPAIGN_MODULES),
+             "row_points": points,
+             "scalar_ms": scalar_s * 1e3,
+             "array_ms": array_s * 1e3,
+             "array_over_scalar": ratio},
+            {"array_over_scalar": CAMPAIGN_FLOOR})
     save_result("characterization_campaign", (
         f"campaign grid: {', '.join(_CAMPAIGN_MODULES)}, "
         f"{points} row-points, best of 3\n"
@@ -175,3 +179,68 @@ def bench_characterization_campaign_grid(benchmark):
         f"speedup (array/scalar): {ratio:.1f}x"))
     assert ratio >= CAMPAIGN_FLOOR, \
         f"array kernel only {ratio:.1f}x faster than scalar"
+
+
+#: A Table 4 derivation's N_PR values: powers of two to 512, each printed
+#: N_PCR among them, up to the largest tested N_PR.
+_NPR_VALUES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 300, 512, 1_000, 2_000,
+               2_500, 4_000, 8_000, 15_000)
+_NPR_GRID = dict(n_prs=_NPR_VALUES, per_region=64)
+#: Rows the scalar oracle measures of the grid (its first two).
+_NPR_SCALAR_ROWS = 2
+#: The array kernel's floor over the scalar oracle on the N_PR grid, in
+#: row-points per second.
+NPR_GRID_FLOOR = 200.0
+
+
+def _run_npr_grid():
+    # Best of three per kernel, taking turns as on the campaign grid.
+    best_s = {"scalar": float("inf"), "array": float("inf")}
+    for _ in range(3):
+        started = time.perf_counter()
+        array = characterize_module(_MODULE, kernel="array", **_NPR_GRID)
+        best_s["array"] = min(best_s["array"], time.perf_counter() - started)
+        rows = tuple(dict.fromkeys(m.row for m in array.measurements))
+        started = time.perf_counter()
+        scalar = characterize_module(_MODULE, kernel="scalar",
+                                     rows=rows[:_NPR_SCALAR_ROWS],
+                                     **_NPR_GRID)
+        best_s["scalar"] = min(best_s["scalar"],
+                               time.perf_counter() - started)
+    return array, scalar, best_s
+
+
+def bench_characterization_npr_grid(benchmark):
+    array, scalar, best_s = run_once(benchmark, _run_npr_grid)
+    measured = len(scalar.measurements)
+    assert array.measurements[:measured] == scalar.measurements
+    points = len(array.measurements)
+    array_rate = points / best_s["array"]
+    scalar_rate = measured / best_s["scalar"]
+    ratio = array_rate / scalar_rate
+    _record({"npr_grid_row_points": points,
+             "npr_grid_array_ms": best_s["array"] * 1e3,
+             "npr_grid_scalar_row_points": measured,
+             "npr_grid_scalar_ms": best_s["scalar"] * 1e3,
+             "npr_grid_array_over_scalar": ratio},
+            {"npr_grid_array_over_scalar": NPR_GRID_FLOOR})
+    save_result("characterization_npr_grid", (
+        f"N_PR grid: {_MODULE}, {len(_NPR_VALUES)} N_PR values x 7 "
+        f"latencies, {points} row-points, best of 3\n"
+        f"array kernel:  {best_s['array'] * 1e3:.1f} ms  "
+        f"({array_rate:.0f} row-points/s)\n"
+        f"scalar kernel: {best_s['scalar'] * 1e3:.1f} ms on "
+        f"{measured} row-points  ({scalar_rate:.0f} row-points/s)\n"
+        f"speedup (array/scalar, row-points/s): {ratio:.1f}x"))
+    assert ratio >= NPR_GRID_FLOOR, \
+        f"array kernel only {ratio:.1f}x the scalar row-points/s"
+
+
+def _record(metrics: dict, floors: dict) -> None:
+    """Merge one grid's metrics and floors into
+    ``BENCH_characterization.json``, keeping the other grid's."""
+    path = RESULTS_DIR / "BENCH_characterization.json"
+    payload = json.loads(path.read_text()) if path.is_file() else {}
+    payload.update(metrics)
+    payload["floors"] = {**payload.get("floors", {}), **floors}
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

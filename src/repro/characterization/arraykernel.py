@@ -18,10 +18,13 @@ evaluation loop with whole-batch array operations built on two facts:
   search runs as a handful of vector compares per iteration with **zero**
   per-row model evaluations.
 
-Flip *values* (which need the scalar-parity ``log``/``erf`` loops of
-:meth:`BankTraits.hammer_flips`) are only ever needed at ``hc_high`` — the
-worst-case-pattern comparison and the BER readout — so the transcendental
-work drops from every bisection probe to one probe per pattern.
+Flip *values* are only ever needed at ``hc_high`` — the worst-case-pattern
+comparison and the BER readout — so the transcendental work drops from
+every bisection probe to one probe per pattern.  One
+:meth:`BankTraits.hammer_flips` call counts them for every pattern of the
+batch: numpy arithmetic in the scalar expression's order, with the scalar
+path's ``math.log``/``math.erf`` mapped over the flipping elements' Python
+floats between numpy steps, and each dose's ``log`` taken once.
 
 One call measures every test point of a module at one temperature.  Each
 (row, point) pair's search is independent of every other, so all pairs run
@@ -131,27 +134,20 @@ def _measure_batch(batch: BankTraits, idx: np.ndarray, point: np.ndarray,
     columns = PointTerms.columns(terms, point)
     clock, last_restore = clocks[:, point]
 
-    # Per-pattern effective thresholds, one vector each: the WCDP scan's
+    # Effective thresholds, one row per pattern: the WCDP scan's
     # hammer_flips and the bisection's predicate share them.
-    nrh_by_pattern = np.stack([batch.effective_nrh(columns, pattern, idx)
-                               for pattern in patterns])
+    nrh_by_pattern = batch.effective_nrh(columns, patterns, idx)
 
     # --- hc_high: the one probe whose flip values matter ----------------
     wait_high, eq_high = fold_probe_states(
         timing, clock, last_restore, np.full(n, config.hc_high))
-    retained_high = batch.retention_flips(columns, wait_ns=wait_high,
-                                          idx=idx)
-    best_flips = np.full(n, -1, dtype=np.int64)
-    wcdp_idx = np.zeros(n, dtype=np.intp)
-    for pattern_i, thresholds in enumerate(nrh_by_pattern):
-        hammered = batch.hammer_flips(eq_high, columns, thresholds)
-        # Retention flips are pattern-independent, so adding them shifts
-        # every pattern's count equally and the strict-max scan (Alg. 1
-        # lines 16-19, first strict maximum wins) is unchanged.
-        flips = hammered + retained_high
-        improved = flips > best_flips
-        wcdp_idx[improved] = pattern_i
-        best_flips = np.where(improved, flips, best_flips)
+    flips = (batch.hammer_flips(eq_high, columns, nrh_by_pattern)
+             + batch.retention_flips(columns, wait_ns=wait_high, idx=idx))
+    # Retention flips are pattern-independent, so adding them shifts every
+    # pattern's count equally; argmax takes the first maximum, as the
+    # strict-max scan of Alg. 1 lines 16-19 does.
+    wcdp_idx = flips.argmax(axis=0)
+    best_flips = flips.max(axis=0)
     counters.model_evals += (len(patterns) + 1) * n
     counters.probe_batches += len(patterns) + 1
 

@@ -89,7 +89,7 @@ class _BatchProber:
             wait = np.full(len(midx), wait_ns, dtype=np.float64)
             nrh = self._nrh.get(pattern)
             if nrh is None:
-                nrh = self.batch.effective_nrh(self.terms, pattern)
+                [nrh] = self.batch.effective_nrh(self.terms, (pattern,))
                 self._nrh[pattern] = nrh
             hammered = self.batch.hammer_flips(eq, self.terms, nrh[midx])
             retained = self.batch.retention_flips(self.terms, wait_ns=wait,

@@ -90,9 +90,12 @@ def draw_traits(rng, spec: ModuleSpec) -> RowTraits:
     if rng.random() < _SENSITIVE_ROW_PROB:
         sensitive_extra = rng.uniform(0.25, 0.5)
     retention_strength = 1.0 + rng.gamma(1.2, 0.6)
+    # One draw of every pattern's normal: the same stream as one at a time.
+    normals = rng.standard_normal(len(PATTERN_BASE_EFFECTIVENESS)).tolist()
     effectiveness = {
-        pattern: base * (1.0 + 0.04 * rng.standard_normal())
-        for pattern, base in PATTERN_BASE_EFFECTIVENESS.items()
+        pattern: base * (1.0 + 0.04 * normal)
+        for (pattern, base), normal in zip(PATTERN_BASE_EFFECTIVENESS.items(),
+                                           normals)
     }
     return RowTraits(
         base_nrh=base_nrh,

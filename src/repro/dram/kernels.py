@@ -26,9 +26,10 @@ path — the scalar path is the parity oracle (see
   exactly rounded, so elementwise numpy float64 arithmetic matches Python
   float arithmetic bit-for-bit when the operation sequence matches);
 * transcendentals (``log``, ``erf``) are *not* vectorized — numpy's SIMD
-  implementations may differ from ``math``'s by ULPs — and instead run in
-  masked scalar loops over only the rows that actually flip, sharing
-  ``math.log`` / :func:`repro.dram.cell_array._phi` with the scalar path.
+  implementations may differ from ``math``'s by ULPs — and instead map
+  ``math.log`` / ``math.erf``, the scalar path's own functions, over the
+  Python floats (``.tolist()``) of only the elements that actually flip,
+  between numpy steps that keep the scalar expression's order.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.dram.cell_array import (
     _CELL_SIGMA,
     _MEDIAN_CELL_MULTIPLIER,
     RowTraits,
-    _phi,
     draw_traits,
 )
 from repro.dram.charge import ChargeModel
@@ -62,10 +62,11 @@ class EvalCounters:
 
     ``model_evals`` counts per-row physics evaluations actually performed
     (a probe over ``k`` active rows adds ``k``); ``probe_batches`` counts
-    vectorized probe calls; ``cache_hits`` counts probes served from a
-    memo instead of being evaluated.  The CI smoke test bounds
-    ``model_evals`` per measured row — a counter, not a wall clock, so it
-    cannot flake.
+    probes evaluated over a batch of rows at once (the array tier's one
+    call per batch evaluates a probe per pattern); ``cache_hits`` counts
+    probes served from a memo instead of being evaluated.  The CI smoke
+    test bounds ``model_evals`` per measured row — a counter, not a wall
+    clock, so it cannot flake.
     """
 
     model_evals: int = 0
@@ -242,44 +243,46 @@ class BankTraits:
         return ratio
 
     def effective_nrh(self, terms: PointTerms,
-                      pattern: DataPattern | None = None,
+                      patterns: tuple[DataPattern, ...],
                       idx: np.ndarray | None = None) -> np.ndarray:
-        """Vector form of :meth:`RowPopulation.effective_nrh`."""
+        """Vector form of :meth:`RowPopulation.effective_nrh`: one row per
+        pattern of ``patterns``, one column per element of ``idx``."""
         if idx is None:
             idx = self._all_idx()
-        ratio = self.nrh_ratio(terms, idx)
-        base = self.base_nrh[idx]
-        if pattern is None:
-            return base * ratio / 1.0
         worst = self.worst_effectiveness[idx]
         if (worst <= 0).any():
             raise ConfigError("non-positive pattern effectiveness")
-        kappa = self.pattern_effectiveness[pattern][idx] / worst
-        return base * ratio / kappa
+        kappa = np.stack([self.pattern_effectiveness[pattern][idx]
+                          for pattern in patterns]) / worst
+        return self.base_nrh[idx] * self.nrh_ratio(terms, idx) / kappa
 
     def hammer_flips(self, equivalent: np.ndarray, terms: PointTerms,
                      nrh: np.ndarray) -> np.ndarray:
         """Vector form of :meth:`RowPopulation.hammer_flips`.
 
         ``equivalent`` is the per-aggressor double-sided dose
-        (``dose.effective() / 2.0``) and ``nrh`` the :meth:`effective_nrh`
-        under the probe's pattern, one per element: a row's threshold does
-        not depend on the dose, so callers evaluate it once per pattern.
+        (``dose.effective() / 2.0``), one per element, and ``nrh`` the
+        elements' :meth:`effective_nrh` (its rows, one per pattern, or one
+        pattern's row): a row's threshold does not depend on the dose, so
+        callers evaluate it once per pattern.  Returns a count per entry of
+        ``nrh``.
         """
-        flips = np.zeros(len(nrh), dtype=np.int64)
+        flips = np.zeros(nrh.shape, dtype=np.int64)
         active = np.isfinite(nrh) & (equivalent >= nrh)
-        if active.any():
-            log, phi = math.log, _phi
-            sigma = self._sigma
-            cells = self.cells
-            bias = np.broadcast_to(terms.ber_bias, active.shape)[active]
-            flips[active] = [
-                max(int(cells * phi(
-                    (log(dose) - log(_MEDIAN_CELL_MULTIPLIER * threshold))
-                    / sigma + shift)), 1)
-                for dose, threshold, shift in zip(
-                    equivalent[active].tolist(), nrh[active].tolist(),
-                    bias.tolist())]
+        if not active.any():
+            return flips
+        # The element of each flipping entry; each dose's log once,
+        # however many patterns it flips under.
+        element = active.nonzero()[-1]
+        dosed = active.reshape(-1, len(equivalent)).any(axis=0)
+        log_dose = np.zeros(len(equivalent))
+        log_dose[dosed] = _mapped(math.log, equivalent[dosed])
+        z = ((log_dose[element]
+              - _mapped(math.log, _MEDIAN_CELL_MULTIPLIER * nrh[active]))
+             / self._sigma
+             + np.full(len(equivalent), terms.ber_bias)[element])
+        phi = 0.5 * (1.0 + _mapped(math.erf, z / math.sqrt(2.0)))
+        flips[active] = np.maximum((self.cells * phi).astype(np.int64), 1)
         return flips
 
     def retention_fails(self, terms: PointTerms, *, wait_ns: np.ndarray,
@@ -314,11 +317,10 @@ class BankTraits:
         wait = np.asarray(wait_ns, dtype=np.float64)
         flips = np.zeros(len(idx), dtype=np.int64)
         if fails.any():
-            counts = []
-            for waited in wait[fails].tolist():
-                severity = max(1.0, waited / (64 * MS))
-                counts.append(max(1, int(1 + 2 * math.log(severity + 1.0))))
-            flips[fails] = counts
+            severity = np.maximum(1.0, wait[fails] / (64 * MS))
+            flips[fails] = np.maximum(
+                (1 + 2 * _mapped(math.log, severity + 1.0)).astype(np.int64),
+                1)
         return flips
 
     # ------------------------------------------------------------------
@@ -327,3 +329,10 @@ class BankTraits:
     def _ber_bias(self, factor: float) -> float:
         safe = self.charge.profile.safe_tras_factor_ber
         return self._ber_gain * max(0.0, safe - factor)
+
+
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    """``function`` (``math.log`` or ``math.erf``) of each of ``values``,
+    called on Python floats as the scalar path calls it."""
+    return np.fromiter(map(function, values.tolist()), np.float64,
+                       len(values))
